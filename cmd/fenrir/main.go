@@ -13,7 +13,7 @@
 //
 // Observability (see DESIGN.md §6):
 //
-//	fenrir -scenario broot -metrics :9090      # /metrics, /debug/vars, /debug/pprof
+//	fenrir -scenario broot -metrics :9090      # /metrics, /debug/pprof
 //	fenrir -scenario broot -manifest run.json  # JSON run manifest on exit
 //
 // Tracing and the flight recorder (see DESIGN.md §9):
@@ -93,7 +93,7 @@ func main() {
 	flag.StringVar(&o.export, "export", "", "write the scenario's vector dataset to this CSV file")
 	flag.IntVar(&o.parallel, "parallelism", 0, "similarity-matrix workers (0 = all cores, 1 = serial)")
 	flag.StringVar(&o.kernel, "kernel", "auto", "similarity engine: auto bitset scalar (all bit-identical)")
-	flag.StringVar(&o.metrics, "metrics", "", "serve /metrics, /debug/vars, and /debug/pprof on this address (e.g. :9090) while running")
+	flag.StringVar(&o.metrics, "metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090) while running")
 	flag.StringVar(&o.manifest, "manifest", "", "write a JSON run manifest to this file on completion")
 	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file on completion (load in Perfetto or chrome://tracing)")
 	flag.StringVar(&o.faults, "faults", "none", "fault-injection profile: "+strings.Join(faults.Names(), " "))
@@ -169,7 +169,7 @@ func run(o cliOptions) error {
 			return fmt.Errorf("metrics server: %w", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fenrir: serving http://%s/metrics (also /debug/vars, /debug/pprof/)\n", srv.Addr)
+		fmt.Fprintf(os.Stderr, "fenrir: serving http://%s/metrics (also /debug/pprof/)\n", srv.Addr)
 	}
 
 	prof, ok := faults.ByName(o.faults)

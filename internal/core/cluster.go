@@ -61,25 +61,12 @@ func HAC(m *SimMatrix, linkage Linkage) *Dendrogram {
 			}
 		}
 	}
-	return hacDistances(d, n, linkage, nil)
-}
-
-// nnScan is one nearest-neighbour scan of the NN-chain run: the chain
-// top, the winning neighbour, its distance, and whether the scan ended
-// in a merge. The sequence of scans is a complete record of the
-// algorithm's control flow — the online mode engine (online.go) replays
-// it to decide whether a new leaf can be grafted onto an existing
-// dendrogram without changing any recorded decision.
-type nnScan struct {
-	top, best int
-	bestD     float64
-	merged    bool
+	return hacDistances(d, n, linkage)
 }
 
 // hacDistances is HAC over a dense distance buffer (d[i*n+j], diagonal
-// zero, clobbered during the run). When trace is non-nil, every
-// nearest-neighbour scan is appended to it in execution order.
-func hacDistances(d []float64, n int, linkage Linkage, trace *[]nnScan) *Dendrogram {
+// zero, clobbered during the run).
+func hacDistances(d []float64, n int, linkage Linkage) *Dendrogram {
 	size := make([]int, n)
 	active := make([]bool, n)
 	id := make([]int, n) // current dendrogram node id of row i
@@ -114,12 +101,6 @@ func hacDistances(d []float64, n int, linkage Linkage, trace *[]nnScan) *Dendrog
 				if best == -1 || dj < bestD || (dj == bestD && j < best) {
 					best, bestD = j, dj
 				}
-			}
-			if trace != nil {
-				*trace = append(*trace, nnScan{
-					top: top, best: best, bestD: bestD,
-					merged: len(chain) >= 2 && best == chain[len(chain)-2],
-				})
 			}
 			if len(chain) >= 2 && best == chain[len(chain)-2] {
 				// Reciprocal nearest neighbours: merge top and best.
@@ -263,7 +244,7 @@ func ClusterAdaptive(m *SimMatrix, opts AdaptiveOptions) (threshold float64, clu
 }
 
 // normalizeAdaptive applies the §2.6.2 defaults ClusterAdaptive always
-// applied, so sweeps driven elsewhere (the online engine) select the
+// applied, so sweeps driven elsewhere (the live mode engine) select the
 // same thresholds for the same zero-valued options.
 func normalizeAdaptive(opts AdaptiveOptions) AdaptiveOptions {
 	if opts.MaxClusters <= 0 {
@@ -280,7 +261,7 @@ func normalizeAdaptive(opts AdaptiveOptions) AdaptiveOptions {
 
 // sweepDendrogram is the threshold sweep of ClusterAdaptive over an
 // already-built dendrogram; opts must be normalized. Factored out so the
-// online mode engine can re-sweep an incrementally maintained dendrogram
+// live mode engine can sweep a dendrogram restored from a snapshot
 // without recomputing HAC.
 func sweepDendrogram(dg *Dendrogram, opts AdaptiveOptions) (threshold float64, clusters [][]int) {
 	// Representative leaf of every dendrogram node, in execution order

@@ -60,10 +60,9 @@ type Monitor struct {
 	// computed over exactly the suffix a fresh monitor fed only those
 	// epochs would hold. 0 means unbounded.
 	window int
-	// engine is the online mode-discovery state (online.go). It stays
-	// dormant (built=false) until the first LiveModes call pays for one
-	// full clustering; every later append then grafts the new epoch
-	// onto the live dendrogram instead of rebuilding it.
+	// engine caches the live mode clustering (online.go) for the current
+	// history: every append or eviction invalidates it, and the next
+	// LiveModes call re-clusters the cached Φ triangle once.
 	engine *modeEngine
 	// evictions counts observations dropped by the window (TrimBefore
 	// counts too; both retire Φ rows the same way).
@@ -106,7 +105,7 @@ type MonitorOptions struct {
 	// case instead of O(T²) for a stream of length T. 0 (or negative)
 	// means unbounded.
 	Window int
-	// Adaptive configures the online mode engine behind LiveModes; the
+	// Adaptive configures the live mode engine behind LiveModes; the
 	// zero value means DefaultAdaptiveOptions (§2.6.2). Obs and Span
 	// are ignored — the registry attached via Instrument is used.
 	Adaptive AdaptiveOptions
@@ -210,20 +209,7 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 			event, changed = m.det.step(prev, v, phi)
 		}
 	}
-	// Graft the new epoch onto the live dendrogram while the Φ row is
-	// hot. Skipped while the engine is dormant (no LiveModes call yet)
-	// or stale (a rebuild is already owed); a refused graft just defers
-	// to the next query's rebuild.
-	if m.engine.built && !m.engine.stale {
-		grafted := m.engine.appendRow(row)
-		if m.obs != nil {
-			if grafted {
-				m.obs.Counter("fenrir_monitor_mode_grafts_total").Inc()
-			} else {
-				m.obs.Counter("fenrir_monitor_mode_graft_spills_total").Inc()
-			}
-		}
-	}
+	m.engine.invalidate()
 	m.vectors = append(m.vectors, v)
 	m.packed = append(m.packed, pv)
 	m.sim = append(m.sim, row)
@@ -240,7 +226,6 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 	if m.obs != nil {
 		m.obs.Counter("fenrir_monitor_appends_total").Inc()
 		m.obs.Histogram("fenrir_monitor_ingest_seconds").Observe(ingest.Seconds())
-		m.obs.Gauge("fenrir_monitor_history").Set(float64(len(m.vectors)))
 		if changed {
 			m.obs.Counter("fenrir_monitor_events_total").Inc()
 			ObserveDetection(m.obs, event)
@@ -389,7 +374,7 @@ type MonitorState struct {
 	// the number of observations it has retired so far.
 	Window    int
 	Evictions uint64
-	// Adaptive is the online mode engine's sweep configuration
+	// Adaptive is the live mode engine's sweep configuration
 	// (normalized; Obs/Span always nil).
 	Adaptive AdaptiveOptions
 	// EngineMerges, when EngineValid, is the engine's live dendrogram
@@ -422,9 +407,9 @@ func (m *Monitor) State() MonitorState {
 		Window: m.window, Evictions: m.evictions,
 		Adaptive: m.engine.opts,
 	}
-	if e := m.engine; e.built && !e.stale && e.n == len(m.vectors) {
+	if dg := m.engine.dg; dg != nil {
 		st.EngineValid = true
-		st.EngineMerges = append([]Merge(nil), e.dg.Merges...)
+		st.EngineMerges = append([]Merge(nil), dg.Merges...)
 	}
 	return st
 }
@@ -630,20 +615,17 @@ func (m *Monitor) evictLocked(cut int) {
 	// cooldown, and the explainer's mode centroids are all rebuilt from
 	// the retained suffix (O(window) with cached similarities).
 	m.rebuildDetectorLocked()
-	// The dendrogram cannot lose a leaf incrementally without risking a
-	// different merge order, and the equivalence contract is byte-exact;
-	// the next mode query re-clusters the (window-bounded) suffix.
+	// The next mode query re-clusters the (window-bounded) suffix.
 	m.engine.invalidate()
 	if m.obs != nil {
 		m.obs.Counter("fenrir_monitor_evictions_total").Add(int64(cut))
 	}
 }
 
-// LiveModes is mode discovery served from the online engine: the
-// dendrogram is maintained incrementally across appends (grafted in
-// O(history) when the new epoch joins without disturbing any recorded
-// merge decision, rebuilt from the cached Φ triangle otherwise) and the
-// threshold sweep is cached between appends. The result is
+// LiveModes is mode discovery served from the live engine: the first
+// query after an append or eviction re-clusters the cached Φ triangle,
+// and later queries against the same history reuse that dendrogram and
+// its threshold sweep. The result is
 // byte-identical to Modes(opts) for the engine's configured
 // AdaptiveOptions — pinned by the equivalence tests — except that the
 // returned ModesResult carries a nil Matrix (the O(T²) dense matrix is
@@ -669,10 +651,9 @@ func (m *Monitor) LiveThreshold() (float64, [][]int) {
 // history and returns the swept partition. Callers hold mu.
 func (m *Monitor) liveClustersLocked() (float64, [][]int) {
 	e := m.engine
-	rebuilt := false
-	if !e.built || e.stale || e.n != len(m.vectors) {
+	rebuilt := e.dg == nil
+	if rebuilt {
 		e.rebuildFromTriangle(m.sim, len(m.vectors))
-		rebuilt = true
 	}
 	var sp *obs.Span
 	if m.obs != nil {
@@ -680,16 +661,8 @@ func (m *Monitor) liveClustersLocked() (float64, [][]int) {
 		if rebuilt {
 			sp.SetAttr("path", "rebuild")
 			m.obs.Counter("fenrir_monitor_mode_rebuilds_total").Inc()
-		} else if e.swept {
-			sp.SetAttr("path", "cached")
 		} else {
-			sp.SetAttr("path", "graft")
-		}
-		if e.bandSet {
-			// The threshold band this query had to re-examine: new merge
-			// heights since the last sweep (a rebuild widens it to [0,1]).
-			sp.SetAttr("band_lo", e.bandLo)
-			sp.SetAttr("band_hi", e.bandHi)
+			sp.SetAttr("path", "cached")
 		}
 	}
 	threshold, clusters, churn := e.sweep(m.obs, sp)

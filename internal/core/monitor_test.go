@@ -499,7 +499,7 @@ func TestMonitorStateRestoreWeightedKnownOnly(t *testing.T) {
 // the monitor a fresh windowed one fed the identical stream would be:
 // same retained suffix, same Φ triangle, same eviction count, and the
 // same behavior on subsequent appends. This is the regression pin for
-// the serve-restore bug where a v1/unbounded checkpoint restored under
+// the serve-restore bug where an unbounded checkpoint restored under
 // a daemon-wide default window stayed unbounded forever.
 func TestApplyDefaultWindowMatchesFreshWindowed(t *testing.T) {
 	const total, tail, W = 40, 5, 16

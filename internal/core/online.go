@@ -2,32 +2,19 @@ package core
 
 import "fenrir/internal/obs"
 
-// Online mode discovery: the batch pipeline (§2.6) builds a dendrogram
-// and sweeps the distance threshold from scratch on every query, which
-// a long-lived monitor answering /mode at ingest rate cannot afford.
-// modeEngine keeps the dendrogram and the sweep alive across appends:
+// Live mode discovery: the batch pipeline (§2.6) builds a dendrogram and
+// sweeps the distance threshold from scratch on every query. modeEngine
+// caches one such result — the dendrogram and its sweep — for exactly
+// one history length:
 //
-//   - When a new epoch arrives, the engine tries to *graft* it onto the
-//     existing dendrogram by replaying the recorded NN-chain execution
-//     trace against the new leaf's distance column. The new leaf is the
-//     highest row index, so it loses every tie-break; it can change the
-//     recorded run only by being *strictly* closer to some chain top
-//     than that scan's recorded winner. If it never is, the full HAC on
-//     the enlarged matrix provably performs the identical merges and
-//     then joins the new leaf to the final root — so the graft (old
-//     merges with renumbered internal ids, plus one root merge) is
-//     byte-identical to a from-scratch HAC, in O(history) per append.
-//   - If the new leaf would interrupt the recorded run, the engine goes
-//     stale and the next query rebuilds the dendrogram (and its trace)
-//     from the monitor's cached Φ triangle. Window evictions likewise
-//     invalidate: removing the oldest leaf can reorder merges, and the
-//     equivalence contract (byte-identical to ClusterAdaptive over the
-//     retained epochs) rules out approximate repair. The rebuild is
-//     bounded by the window size, never by stream length.
-//   - The threshold sweep result is cached between appends, so queries
-//     against an unchanged history re-cluster nothing: only the
-//     threshold band affected by new merges is swept again (the sweep
-//     itself is O(M log M) over merges, reusing sweepDendrogram).
+//   - Any append or eviction invalidates the cache; the next query
+//     rebuilds the dendrogram from the monitor's cached Φ triangle (no
+//     Gower recompute, no dense matrix), bounded by the window size,
+//     never by stream length.
+//   - Queries against an unchanged history re-cluster nothing: the
+//     dendrogram and the swept (threshold, clusters) are returned as-is.
+//   - A snapshot restore seeds the dendrogram from the persisted merges,
+//     so a warm restart answers its first query by sweeping alone.
 //
 // Callers (Monitor) hold the monitor mutex around every method.
 type modeEngine struct {
@@ -35,25 +22,14 @@ type modeEngine struct {
 	// always nil here — the monitor attaches its registry per sweep.
 	opts AdaptiveOptions
 
-	// n is the number of leaves dg covers; dg and trace are valid only
-	// when built && !stale. trace is nil after a snapshot restore (the
-	// persisted dendrogram can be swept, but grafting needs the NN-chain
-	// execution trace, which the first rebuild regenerates).
-	n     int
-	dg    *Dendrogram
-	trace []nnScan
-	built bool
-	stale bool
+	// dg is the dendrogram over the current history, nil when an append
+	// or eviction has invalidated it.
+	dg *Dendrogram
 
-	// Cached sweep result for dg, plus the threshold band the next sweep
-	// has to re-examine (new merge heights since the last sweep; a full
-	// rebuild widens it to [0,1]). bandLo/bandHi feed span attributes.
+	// Cached sweep result for dg.
 	swept     bool
 	threshold float64
 	clusters  [][]int
-	bandLo    float64
-	bandHi    float64
-	bandSet   bool
 
 	// Churn baseline: the previously reported (threshold, cluster count),
 	// so the monitor can count how often the mode structure moves.
@@ -61,11 +37,9 @@ type modeEngine struct {
 	prevCount     int
 	hasPrev       bool
 
-	// Engine statistics (exposed through monitor metrics and asserted by
-	// the equivalence tests to prove both paths were exercised).
-	grafts   uint64
+	// rebuilds counts full re-clusterings; the equivalence tests assert
+	// on it to pin the cache.
 	rebuilds uint64
-	spills   uint64 // grafts refused: interrupt, eviction, or no trace
 }
 
 // newModeEngine normalizes the sweep options once; Obs/Span are carried
@@ -75,118 +49,15 @@ func newModeEngine(opts AdaptiveOptions) *modeEngine {
 	return &modeEngine{opts: normalizeAdaptive(opts)}
 }
 
-// invalidate marks the dendrogram unusable; the next query rebuilds.
+// invalidate drops the cached dendrogram; the next query rebuilds.
 func (e *modeEngine) invalidate() {
-	if e.built && !e.stale {
-		e.spills++
-	}
-	e.stale = true
+	e.dg = nil
 	e.swept = false
 }
 
-// appendRow grafts a new leaf whose Φ row against the current n leaves
-// is row (the exact slice Monitor.Append just computed). Returns false
-// when the graft is impossible — engine not built, history mismatch, no
-// trace, or the new leaf interrupts the recorded NN-chain run — in
-// which case the engine is stale and the next query rebuilds.
-func (e *modeEngine) appendRow(row []float64) bool {
-	if !e.built || e.stale || e.n != len(row) {
-		e.invalidate()
-		return false
-	}
-	n := e.n
-	if n == 0 {
-		e.dg = &Dendrogram{N: 1}
-		if e.trace == nil {
-			e.trace = make([]nnScan, 0, 4)
-		} else {
-			e.trace = e.trace[:0]
-		}
-		e.n = 1
-		e.swept = false
-		e.grafts++
-		return true
-	}
-	if e.trace == nil {
-		// Restored from a snapshot: the dendrogram is sweepable but the
-		// execution trace is gone; rebuild once to regain it.
-		e.invalidate()
-		return false
-	}
-
-	// Replay the recorded run with the new leaf present. dx tracks the
-	// new leaf's Lance–Williams distance to every active cluster (keyed
-	// by its representative row, as in hacDistances).
-	dx := make([]float64, n)
-	for j, phi := range row {
-		dx[j] = 1 - phi
-	}
-	size := make([]int, n)
-	for i := range size {
-		size[i] = 1
-	}
-	root := 0
-	for _, s := range e.trace {
-		if dx[s.top] < s.bestD {
-			// Strictly closer than the recorded winner: the new leaf
-			// would have won this scan and changed the run.
-			e.invalidate()
-			return false
-		}
-		if !s.merged {
-			continue
-		}
-		a, b := s.best, s.top
-		na, nb := float64(size[a]), float64(size[b])
-		switch e.opts.Linkage {
-		case SingleLinkage:
-			if dx[b] < dx[a] {
-				dx[a] = dx[b]
-			}
-		case CompleteLinkage:
-			if dx[b] > dx[a] {
-				dx[a] = dx[b]
-			}
-		default:
-			dx[a] = (na*dx[a] + nb*dx[b]) / (na + nb)
-		}
-		size[a] += size[b]
-		root = a
-	}
-
-	// The old run finished untouched, leaving two active clusters: the
-	// old root and the new leaf. The enlarged run's remaining scans are
-	// forced — top root finds the leaf, the leaf finds root back — so
-	// the final merge joins them at dx[root]. Renumber internal ids for
-	// the enlarged leaf universe (node n+k becomes (n+1)+k) and append.
-	for i := range e.dg.Merges {
-		if e.dg.Merges[i].A >= n {
-			e.dg.Merges[i].A++
-		}
-		if e.dg.Merges[i].B >= n {
-			e.dg.Merges[i].B++
-		}
-	}
-	rootID := 0
-	if n >= 2 {
-		rootID = 2*n - 1
-	}
-	h := dx[root]
-	e.dg.Merges = append(e.dg.Merges, Merge{A: rootID, B: n, Height: h})
-	e.dg.N = n + 1
-	e.trace = append(e.trace,
-		nnScan{top: root, best: n, bestD: h},
-		nnScan{top: n, best: root, bestD: h, merged: true})
-	e.n = n + 1
-	e.swept = false
-	e.widenBand(h, h)
-	e.grafts++
-	return true
-}
-
-// rebuildFromTriangle runs a full traced HAC over the monitor's
-// lower-triangular Φ rows (sim[i][j] for j < i), the same distances
-// HAC(m.Matrix(), linkage) would see.
+// rebuildFromTriangle runs a full HAC over the monitor's lower-triangular
+// Φ rows (sim[i][j] for j < i), the same distances HAC(m.Matrix(),
+// linkage) would see.
 func (e *modeEngine) rebuildFromTriangle(sim [][]float64, n int) {
 	d := make([]float64, n*n)
 	for i := 0; i < n; i++ {
@@ -196,55 +67,28 @@ func (e *modeEngine) rebuildFromTriangle(sim [][]float64, n int) {
 			d[j*n+i] = dist
 		}
 	}
-	if e.trace == nil {
-		e.trace = make([]nnScan, 0, 2*n)
-	}
-	e.trace = e.trace[:0]
-	e.dg = hacDistances(d, n, e.opts.Linkage, &e.trace)
-	e.n = n
-	e.built = true
-	e.stale = false
+	e.dg = hacDistances(d, n, e.opts.Linkage)
 	e.swept = false
-	e.widenBand(0, 1)
 	e.rebuilds++
 }
 
-// restore seeds the engine from a persisted dendrogram (no trace): the
-// next sweep works immediately, the next graft forces one rebuild.
+// restore seeds the engine from a persisted dendrogram: the next query
+// sweeps it without re-clustering.
 func (e *modeEngine) restore(dg *Dendrogram) {
 	e.dg = dg
-	e.trace = nil
-	e.n = dg.N
-	e.built = true
-	e.stale = false
 	e.swept = false
-	e.widenBand(0, 1)
-}
-
-func (e *modeEngine) widenBand(lo, hi float64) {
-	if !e.bandSet {
-		e.bandLo, e.bandHi, e.bandSet = lo, hi, true
-		return
-	}
-	if lo < e.bandLo {
-		e.bandLo = lo
-	}
-	if hi > e.bandHi {
-		e.bandHi = hi
-	}
 }
 
 // sweep returns the cached (threshold, clusters) for the current
-// dendrogram, re-running the threshold sweep only when appends or a
-// rebuild dirtied it. churn reports whether the reported structure
-// (threshold or cluster count) moved since the previous sweep.
+// dendrogram, running the threshold sweep only after a rebuild or
+// restore. churn reports whether the reported structure (threshold or
+// cluster count) moved since the previous sweep.
 func (e *modeEngine) sweep(reg *obs.Registry, sp *obs.Span) (threshold float64, clusters [][]int, churn bool) {
 	if !e.swept {
 		o := e.opts
 		o.Obs, o.Span = reg, sp
 		e.threshold, e.clusters = sweepDendrogram(e.dg, o)
 		e.swept = true
-		e.bandSet = false
 	}
 	churn = e.hasPrev && (e.threshold != e.prevThreshold || len(e.clusters) != e.prevCount)
 	e.prevThreshold, e.prevCount, e.hasPrev = e.threshold, len(e.clusters), true

@@ -24,11 +24,10 @@ func assertSamePartition(t *testing.T, where string, liveT float64, liveC [][]in
 // TestLiveModesMatchBatchEveryEpoch is the tentpole equivalence proof
 // for the growing (unbounded) monitor: at every epoch, the online
 // engine's (threshold, clusters) must be byte-identical to batch
-// ClusterAdaptive over the materialized matrix. Querying after every
-// append keeps the engine live, so most epochs take the graft fast
-// path; the fixtures also force interrupts (re-cluster spills), and the
-// test asserts both paths actually ran — an engine that always rebuilt
-// would pass equivalence vacuously.
+// ClusterAdaptive over the materialized matrix. It also pins the cache
+// contract both ways: the first query after each append re-clusters
+// exactly once (a stale cache would fail equivalence), and a repeat
+// query with no append in between re-clusters nothing.
 func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
 	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
 		for _, seed := range []uint64{7, 19} {
@@ -42,25 +41,26 @@ func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
 				if _, _, err := mon.Append(v); err != nil {
 					t.Fatal(err)
 				}
-				liveT, liveC := mon.LiveThreshold()
-				batchT, batchC := ClusterAdaptive(mon.Matrix(), opts)
 				where := fmt.Sprintf("linkage=%v seed=%d epoch=%d", linkage, seed, k)
+				before := mon.engine.rebuilds
+				liveT, liveC := mon.LiveThreshold()
+				if got := mon.engine.rebuilds - before; got != 1 {
+					t.Fatalf("%s: post-append query rebuilt %d times, want 1", where, got)
+				}
+				batchT, batchC := ClusterAdaptive(mon.Matrix(), opts)
 				assertSamePartition(t, where, liveT, liveC, batchT, batchC)
 
 				// The full ModesResult must match DiscoverModes field
-				// for field (modulo the intentionally nil Matrix).
+				// for field (modulo the intentionally nil Matrix), and
+				// this second query must be served from the cache.
 				live := mon.LiveModes()
+				if got := mon.engine.rebuilds - before; got != 1 {
+					t.Fatalf("%s: repeat query without append rebuilt (%d rebuilds)", where, got)
+				}
 				batch := mon.Modes(opts)
 				if live.Threshold != batch.Threshold || !reflect.DeepEqual(live.Modes, batch.Modes) {
 					t.Fatalf("%s: LiveModes diverged from Modes: %+v vs %+v", where, live, batch)
 				}
-			}
-			if mon.engine.grafts == 0 {
-				t.Fatalf("linkage=%v seed=%d: graft fast path never ran", linkage, seed)
-			}
-			if mon.engine.rebuilds < 2 {
-				t.Fatalf("linkage=%v seed=%d: rebuild path ran %d times — interrupts never exercised",
-					linkage, seed, mon.engine.rebuilds)
 			}
 		}
 	}
@@ -304,7 +304,7 @@ func TestTrimBeforeRingBitIdentical(t *testing.T) {
 // fields: window, evictions, and the persisted engine dendrogram. The
 // restored monitor must answer LiveModes identically without a rebuild
 // (the persisted merges are swept directly), and must keep evicting and
-// grafting in lockstep with the original afterwards.
+// re-clustering in lockstep with the original afterwards.
 func TestMonitorWindowStateRoundTrip(t *testing.T) {
 	const W = 16
 	space, vs := gapSeries(64, 47)

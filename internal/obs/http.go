@@ -1,11 +1,9 @@
 package obs
 
 import (
-	"expvar"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 )
 
 // Handler returns an http.Handler serving the registry in Prometheus
@@ -20,7 +18,6 @@ func Handler(r *Registry) http.Handler {
 // Server is a runtime-introspection HTTP server mounting, on one mux:
 //
 //	/metrics       Prometheus text exposition of the registry
-//	/debug/vars    expvar (stdlib vars plus the registry under "fenrir")
 //	/debug/pprof/  the full net/http/pprof suite
 //	/debug/trace   the current trace tree as Chrome trace-event JSON
 //	/debug/events  the flight-recorder ring (?n=N limits the drain)
@@ -32,8 +29,6 @@ type Server struct {
 	srv *http.Server
 }
 
-var expvarPublishOnce sync.Once
-
 // NewServer binds addr (":0" picks a free port) and starts serving in a
 // background goroutine. The caller owns the returned server and should
 // Close it on shutdown.
@@ -42,14 +37,8 @@ func NewServer(addr string, r *Registry) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	// expvar.Publish panics on duplicate names; publish the registry
-	// snapshot once per process, capturing the first server's registry.
-	expvarPublishOnce.Do(func() {
-		expvar.Publish("fenrir", expvar.Func(func() any { return r.Snapshot() }))
-	})
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", Handler(r))
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)

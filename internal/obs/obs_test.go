@@ -190,9 +190,6 @@ func TestServerEndpoints(t *testing.T) {
 	if !strings.Contains(get("/metrics"), "fenrir_up 1") {
 		t.Fatal("/metrics missing counter")
 	}
-	if !strings.Contains(get("/debug/vars"), "memstats") {
-		t.Fatal("/debug/vars missing expvar memstats")
-	}
 	if !strings.Contains(get("/debug/pprof/"), "profile") {
 		t.Fatal("/debug/pprof/ index missing")
 	}

@@ -440,11 +440,11 @@ func (s *Server) handleMode(w http.ResponseWriter, _ *http.Request, t *tenant) {
 		writeErr(w, http.StatusNotFound, "tenant %q has no observations", t.name)
 		return
 	}
-	// LiveModes serves from the online engine: the dendrogram survives
-	// across queries and appends, so steady-state /mode answers cost a
-	// cached (or graft-extended) sweep instead of a fresh HAC + dense
-	// matrix per request. Byte-identical to the batch pipeline with
-	// default adaptive options, pinned by the core equivalence tests.
+	// LiveModes serves from the live engine: the first /mode after an
+	// append re-clusters the tenant's cached Φ triangle (no dense
+	// matrix), and repeat queries reuse that result. Byte-identical to
+	// the batch pipeline with default adaptive options, pinned by the
+	// core equivalence tests.
 	modes := t.mon.LiveModes()
 	cur := modes.ModeOf(t.mon.Len() - 1)
 	if cur == nil {

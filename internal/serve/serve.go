@@ -51,8 +51,6 @@ type Config struct {
 	// there is restored as a tenant on the shard whose subdirectory
 	// holds it, which is how both a warm restart and a rebalanced
 	// placement resume exactly where the previous process stopped.
-	// Flat <dir>/<name>.fsnap files from a pre-shard daemon are
-	// migrated into their home shard's subdirectory on startup.
 	SnapshotDir string
 	// SnapshotEvery checkpoints a tenant after this many accepted
 	// observations (<= 0 means every 64). Tenants also checkpoint on
@@ -63,7 +61,7 @@ type Config struct {
 	QueueDepth int
 	// DefaultWindow is the sliding-window bound applied to tenants whose
 	// spec does not set one (0 = unbounded), and to restored tenants
-	// whose checkpoint carries no window of its own — so a v1/unbounded
+	// whose checkpoint carries no window of its own — so an unbounded
 	// snapshot restarted under -window is bounded exactly like an
 	// identical freshly created tenant. A windowed tenant retains only
 	// its newest Window observations; see core.MonitorOptions.
@@ -231,28 +229,11 @@ func (s *Server) shardFor(name string) *shard {
 	return s.shards[k]
 }
 
-// restoreAll loads every checkpoint in SnapshotDir. Legacy flat
-// <dir>/<name>.fsnap files (pre-shard layout) are first renamed into
-// their home shard's subdirectory, then each shard-<k>/ subdirectory is
-// scanned and its tenants restored in place — a tenant checkpointed on
-// shard k (including one rebalanced there) comes back on shard k.
+// restoreAll loads every checkpoint in SnapshotDir: each shard-<k>/
+// subdirectory is scanned and its tenants restored in place — a tenant
+// checkpointed on shard k (including one rebalanced there) comes back on
+// shard k.
 func (s *Server) restoreAll() error {
-	entries, err := os.ReadDir(s.cfg.SnapshotDir)
-	if err != nil {
-		return fmt.Errorf("serve: scan snapshot dir: %w", err)
-	}
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), snapSuffix) {
-			continue
-		}
-		name := strings.TrimSuffix(e.Name(), snapSuffix)
-		home := s.shards[s.homeShard(name)]
-		from := filepath.Join(s.cfg.SnapshotDir, e.Name())
-		to := filepath.Join(home.dir(), e.Name())
-		if err := os.Rename(from, to); err != nil {
-			return fmt.Errorf("serve: migrate legacy snapshot %q: %w", e.Name(), err)
-		}
-	}
 	for _, sh := range s.shards {
 		files, err := os.ReadDir(sh.dir())
 		if err != nil {

@@ -882,3 +882,28 @@ func TestServeWindowedTenant(t *testing.T) {
 		t.Fatalf("restored mode: %d %s", code, body)
 	}
 }
+
+// TestNoSharedMonitorHistoryGauge: every tenant's monitor reports into
+// the daemon's one registry, so an unlabeled history gauge would hold
+// whichever tenant appended last. History is per-tenant state and is
+// served as "history" in each tenant's status instead.
+func TestNoSharedMonitorHistoryGauge(t *testing.T) {
+	_, ts := testServer(t, Config{Obs: obs.NewRegistry()})
+	nets := specNets(20)
+	for name, n := range map[string]int{"short": 6, "long": 14} {
+		if code, body := doReq(t, ts, http.MethodPut, "/v1/tenants/"+name, defaultSpec(20)); code != http.StatusCreated {
+			t.Fatalf("create %s: %d %s", name, code, body)
+		}
+		mustIngest(t, ts, name, nets, 0, n, n/2)
+		waitHistory(t, ts, name, n)
+	}
+	code, body := doReq(t, ts, http.MethodGet, "/metrics", nil)
+	if code != http.StatusOK {
+		t.Fatalf("metrics: %d %s", code, body)
+	}
+	for _, line := range strings.Split(string(body), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "fenrir_monitor_history" {
+			t.Fatalf("/metrics carries an unlabeled tenant history gauge: %q", line)
+		}
+	}
+}

@@ -229,7 +229,7 @@ func TestRestoreAppliesDefaultWindow(t *testing.T) {
 		t.Fatal("control create failed")
 	}
 	mustIngest(t, ts3, "bgp", nets, 0, total, total/2)
-	waitHistory(t, ts3, "bgp", W)
+	waitAppends(t, ts3, "bgp", total)
 	want := deterministicQueries(t, ts3, "bgp")
 	for path, w := range want {
 		if got[path] != w {
@@ -449,43 +449,6 @@ func TestDuplicateSnapshotResolved(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "shard-0", "dup"+snapSuffix)); !os.IsNotExist(err) {
 		t.Fatalf("losing duplicate still on disk: %v", err)
 	}
-}
-
-// Legacy flat layout: <dir>/<name>.fsnap files from a pre-shard daemon
-// are migrated into the tenant's home shard subdirectory on startup.
-func TestLegacyFlatSnapshotMigrated(t *testing.T) {
-	dir := t.TempDir()
-	nets := specNets(20)
-	tmp := t.TempDir()
-	s0, ts0 := testServer(t, Config{SnapshotDir: tmp})
-	if code, _ := doReq(t, ts0, http.MethodPut, "/v1/tenants/old", defaultSpec(20)); code != http.StatusCreated {
-		t.Fatal("create failed")
-	}
-	mustIngest(t, ts0, "old", nets, 0, 12, 6)
-	waitHistory(t, ts0, "old", 12)
-	if err := s0.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(filepath.Join(s0.shardFor("old").dir(), "old"+snapSuffix))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "old"+snapSuffix), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, ts := testServer(t, Config{Shards: 4, SnapshotDir: dir, Obs: obs.NewRegistry()})
-	home := s.homeShard("old")
-	if got := s.shardFor("old").id; got != home {
-		t.Fatalf("migrated tenant on shard %d, want home %d", got, home)
-	}
-	if _, err := os.Stat(filepath.Join(dir, "old"+snapSuffix)); !os.IsNotExist(err) {
-		t.Fatalf("flat snapshot not migrated: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(s.shards[home].dir(), "old"+snapSuffix)); err != nil {
-		t.Fatalf("snapshot missing from home shard dir: %v", err)
-	}
-	waitHistory(t, ts, "old", 12)
 }
 
 // The full sharded lifecycle under the race detector: concurrent

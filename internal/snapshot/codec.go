@@ -27,11 +27,12 @@ func encodeSpace(s *core.Space) []byte {
 
 func decodeSpace(payload []byte) (*core.Space, int, error) {
 	d := &dec{buf: payload}
-	nets := make([]string, d.u32())
+	// Every string costs at least its 4-byte length prefix.
+	nets := make([]string, d.count(4))
 	for i := range nets {
 		nets[i] = d.str()
 	}
-	numSites := int(d.u32())
+	numSites := d.count(4)
 	sites := make([]string, numSites)
 	for i := range sites {
 		sites[i] = d.str()
@@ -93,6 +94,10 @@ func decodeVectors(payload []byte, space *core.Space, numSites int) ([]*core.Vec
 	if !d.bad && width != space.NumNetworks() {
 		return nil, corrupt("vectors", "assignment width %d != networks %d", width, space.NumNetworks())
 	}
+	// Each vector is an 8-byte epoch plus one u32 per network.
+	if !d.fit(count, 8+4*width) {
+		count = 0
+	}
 	vs := make([]*core.Vector, 0, count)
 	for i := 0; i < count; i++ {
 		v := space.NewVector(timeline.Epoch(d.i64()))
@@ -141,7 +146,7 @@ func EncodeSeries(w io.Writer, s *core.Series) error {
 
 // DecodeSeries reads a series snapshot written by EncodeSeries.
 func DecodeSeries(r io.Reader) (*core.Series, error) {
-	kind, _, err := readHeader(r)
+	kind, err := readHeader(r)
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +168,7 @@ func DecodeSeries(r io.Reader) (*core.Series, error) {
 	d := &dec{buf: payload}
 	sched := decodeSchedule(d)
 	var gaps *timeline.Gaps
-	if n := int(d.u32()); !d.bad && n > 0 {
+	if n := d.count(8); n > 0 {
 		gaps = timeline.NewGaps()
 		for i := 0; i < n; i++ {
 			gaps.Mark(timeline.Epoch(d.i64()))
@@ -249,10 +254,10 @@ func EncodeMonitor(w io.Writer, st core.MonitorState) error {
 		return err
 	}
 
-	// Version-2 trailing frame: sliding window, eviction count, the
-	// online engine's sweep configuration, and — when the engine was
-	// live at export — its dendrogram merges (node ids fit u32: they are
-	// bounded by 2·len(Vectors)).
+	// Trailing window frame: sliding window, eviction count, the live
+	// mode engine's sweep configuration, and — when the engine held a
+	// clustering of this history at export — its dendrogram merges (node
+	// ids fit u32: they are bounded by 2·len(Vectors)).
 	var win enc
 	win.i64(int64(st.Window))
 	win.u64(st.Evictions)
@@ -280,7 +285,7 @@ func EncodeMonitor(w io.Writer, st core.MonitorState) error {
 // with core.RestoreMonitor, which re-validates.
 func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	var st core.MonitorState
-	kind, version, err := readHeader(r)
+	kind, err := readHeader(r)
 	if err != nil {
 		return st, err
 	}
@@ -304,7 +309,7 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	d := &dec{buf: payload}
 	st.Schedule = decodeSchedule(d)
 	if d.u8() == 1 {
-		st.Weights = make([]float64, d.u32())
+		st.Weights = make([]float64, d.count(8))
 		for i := range st.Weights {
 			st.Weights[i] = d.f64()
 		}
@@ -339,6 +344,11 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	if !d.bad && rows != len(st.Vectors) {
 		return st, corrupt("sim", "%d rows for %d vectors", rows, len(st.Vectors))
 	}
+	// Row i holds i values: refuse a triangle the payload cannot hold
+	// before allocating it.
+	if !d.fit(rows*(rows-1)/2, 8) {
+		return st, corrupt("sim", "truncated payload")
+	}
 	st.Sim = make([][]float64, rows)
 	for i := 0; i < rows; i++ {
 		row := make([]float64, i)
@@ -366,12 +376,6 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 		return st, err
 	}
 
-	if version < 2 {
-		// Version-1 file: no window frame. Unbounded window, default
-		// sweep configuration, dormant engine — exactly the state a
-		// pre-window monitor restore produced.
-		return st, nil
-	}
 	payload, err = readFrame(r, "window")
 	if err != nil {
 		return st, err
@@ -385,7 +389,7 @@ func DecodeMonitor(r io.Reader) (core.MonitorState, error) {
 	st.Adaptive.Linkage = core.Linkage(d.u8())
 	if d.u8() == 1 {
 		st.EngineValid = true
-		st.EngineMerges = make([]core.Merge, d.u32())
+		st.EngineMerges = make([]core.Merge, d.count(16))
 		for i := range st.EngineMerges {
 			st.EngineMerges[i] = core.Merge{
 				A: int(d.u32()), B: int(d.u32()), Height: d.f64(),

@@ -8,16 +8,16 @@
 // Format (all integers little-endian):
 //
 //	magic   "FENRSNP1" (8 bytes)
-//	version uint16     (currently 2; readers accept 1 and 2)
+//	version uint16     (currently 2, the only version readers accept)
 //	kind    uint8      (1 = series, 2 = monitor)
 //	frames  …          one per section, in a fixed kind-specific order
 //
-// Version 2 appends one trailing "window" frame to monitor snapshots:
-// the sliding-window bound, the eviction count, the online engine's
-// sweep configuration, and (when the engine was live at checkpoint
-// time) its dendrogram, so a warm restart answers mode queries without
-// re-clustering. Version-1 files carry no window frame and decode with
-// an unbounded window and a dormant engine — old files still load.
+// Monitor snapshots end with a "window" frame: the sliding-window
+// bound, the eviction count, the live mode engine's sweep
+// configuration, and (when the engine held a clustering of the current
+// history at checkpoint time) its dendrogram, so a warm restart answers
+// its first mode query without re-clustering. Version-1 files, which
+// predate that frame, are rejected with *UnsupportedVersionError.
 //
 // Each frame is `len uint32 | payload | crc uint32` where crc is the
 // IEEE CRC-32 of the payload, so truncation and corruption are caught
@@ -39,13 +39,14 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 )
 
 // Version is the current snapshot format version; MinVersion is the
 // oldest version readers still accept.
 const (
 	Version    = 2
-	MinVersion = 1
+	MinVersion = 2
 )
 
 var magic = [8]byte{'F', 'E', 'N', 'R', 'S', 'N', 'P', '1'}
@@ -90,6 +91,12 @@ func corrupt(section, format string, args ...any) error {
 // drive a multi-gigabyte allocation before the CRC check runs.
 const maxFrameLen = 1 << 30
 
+// frameChunk is the largest allocation readFrame makes before the bytes
+// behind a frame's length prefix have arrived. Frames up to this size —
+// every monitor section up to a window of about 2000 epochs — are read
+// with one exact allocation.
+const frameChunk = 1 << 24
+
 // writeHeader emits magic, version, and kind.
 func writeHeader(w io.Writer, kind uint8) error {
 	if _, err := w.Write(magic[:]); err != nil {
@@ -102,25 +109,23 @@ func writeHeader(w io.Writer, kind uint8) error {
 	return err
 }
 
-// readHeader validates magic and version and returns the kind and the
-// file's format version (within [MinVersion, Version]).
-func readHeader(r io.Reader) (kind uint8, version uint16, err error) {
+// readHeader validates magic and version and returns the kind.
+func readHeader(r io.Reader) (kind uint8, err error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	if m != magic {
-		return 0, 0, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	var hdr [3]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, 0, corrupt("header", "truncated after magic")
+		return 0, corrupt("header", "truncated after magic")
 	}
-	v := binary.LittleEndian.Uint16(hdr[:2])
-	if v < MinVersion || v > Version {
-		return 0, 0, &UnsupportedVersionError{Version: v}
+	if v := binary.LittleEndian.Uint16(hdr[:2]); v < MinVersion || v > Version {
+		return 0, &UnsupportedVersionError{Version: v}
 	}
-	return hdr[2], v, nil
+	return hdr[2], nil
 }
 
 // writeFrame emits one CRC-checked frame.
@@ -145,13 +150,19 @@ func readFrame(r io.Reader, section string) ([]byte, error) {
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, corrupt(section, "truncated frame length")
 	}
-	n := binary.LittleEndian.Uint32(pre[:])
+	n := int(binary.LittleEndian.Uint32(pre[:]))
 	if n > maxFrameLen {
 		return nil, corrupt(section, "frame length %d exceeds limit", n)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, corrupt(section, "truncated payload (want %d bytes)", n)
+	// Allocate at most frameChunk up front and double as bytes arrive,
+	// so a corrupted length prefix costs one chunk, not maxFrameLen.
+	payload := make([]byte, 0, min(n, frameChunk))
+	for len(payload) < n {
+		k := min(n-len(payload), max(len(payload), frameChunk))
+		payload = slices.Grow(payload, k)[:len(payload)+k]
+		if _, err := io.ReadFull(r, payload[len(payload)-k:]); err != nil {
+			return nil, corrupt(section, "truncated payload (want %d bytes)", n)
+		}
 	}
 	if _, err := io.ReadFull(r, pre[:]); err != nil {
 		return nil, corrupt(section, "truncated checksum")
@@ -219,6 +230,27 @@ func (d *dec) u64() uint64 {
 		return 0
 	}
 	return binary.LittleEndian.Uint64(b)
+}
+
+// count reads a u32 element count for elements of at least size bytes
+// each. A count the unread payload cannot hold marks the decoder bad
+// and returns 0, so a crafted count fails before it sizes an allocation.
+func (d *dec) count(size int) int {
+	n := int(d.u32())
+	if !d.fit(n, size) {
+		return 0
+	}
+	return n
+}
+
+// fit reports whether n elements of size bytes each fit in the unread
+// payload, marking the decoder bad when they do not.
+func (d *dec) fit(n, size int) bool {
+	if d.bad || n < 0 || n > (len(d.buf)-d.off)/size {
+		d.bad = true
+		return false
+	}
+	return true
 }
 
 func (d *dec) i64() int64   { return int64(d.u64()) }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -332,7 +334,7 @@ func TestSaveLoadMonitorFile(t *testing.T) {
 }
 
 // TestWindowedMonitorRoundTrip pins the version-2 window frame: a
-// windowed monitor with a live online engine must round-trip window,
+// windowed monitor with a live mode engine must round-trip window,
 // evictions, sweep configuration, and the engine dendrogram, and the
 // restored monitor must keep answering mode queries and evicting in
 // lockstep with the original.
@@ -383,14 +385,13 @@ func TestWindowedMonitorRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVersion1RestoresUnderDefaultWindow is the save-v1 /
-// restart-with-window regression: a version-1 snapshot (no window
-// frame) decoded under a daemon-wide default window must restore
-// bounded — same suffix, Φ triangle, and eviction count as a fresh
-// windowed monitor fed the identical stream — instead of staying
-// unbounded forever the way it did before MonitorState
-// .ApplyDefaultWindow existed.
-func TestVersion1RestoresUnderDefaultWindow(t *testing.T) {
+// TestUnboundedSnapshotRestoresUnderDefaultWindow is the
+// restart-with-window regression: an unbounded snapshot decoded under a
+// daemon-wide default window must restore bounded — same suffix, Φ
+// triangle, and eviction count as a fresh windowed monitor fed the
+// identical stream — instead of staying unbounded forever the way it
+// did before MonitorState.ApplyDefaultWindow existed.
+func TestUnboundedSnapshotRestoresUnderDefaultWindow(t *testing.T) {
 	const total, W = 30, 12
 	space, vs := fixture(91, total, nil)
 	mon := newMon(space, total)
@@ -400,18 +401,12 @@ func TestVersion1RestoresUnderDefaultWindow(t *testing.T) {
 	if err := EncodeMonitor(&buf, mon.State()); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	off := 11 // magic + version + kind
-	for i := 0; i < 5; i++ {
-		n := int(binary.LittleEndian.Uint32(raw[off:]))
-		off += 4 + n + 4
-	}
-	v1 := append([]byte(nil), raw[:off]...)
-	binary.LittleEndian.PutUint16(v1[8:10], 1)
-
-	st, err := DecodeMonitor(bytes.NewReader(v1))
+	st, err := DecodeMonitor(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.Window != 0 {
+		t.Fatalf("fixture snapshot has window %d, want unbounded", st.Window)
 	}
 	st.ApplyDefaultWindow(W)
 	rest, err := core.RestoreMonitor(st)
@@ -449,13 +444,12 @@ func deepEqualClusters(a, b [][]int) bool {
 	return true
 }
 
-// TestVersion1MonitorStillLoads is the backward-compatibility pin: a
-// version-1 monitor snapshot (no trailing window frame) must decode
-// into an unbounded, dormant-engine state that restores and continues
-// exactly as it did before the window existed. The v1 bytes are built
-// from the current encoder by dropping the trailing frame and patching
-// the header version, which is byte-exact because v2 only appended.
-func TestVersion1MonitorStillLoads(t *testing.T) {
+// TestVersion1MonitorRejected pins the retirement of format version 1:
+// a version-1 monitor snapshot (no trailing window frame) is refused
+// with *UnsupportedVersionError instead of being guessed at. The v1
+// bytes are built from the current encoder by dropping the trailing
+// frame and patching the header version.
+func TestVersion1MonitorRejected(t *testing.T) {
 	space, vs := fixture(33, 16, nil)
 	mon := newMon(space, 16)
 	appendAll(t, mon, vs)
@@ -475,27 +469,130 @@ func TestVersion1MonitorStillLoads(t *testing.T) {
 	v1 := append([]byte(nil), raw[:off]...)
 	binary.LittleEndian.PutUint16(v1[8:10], 1)
 
-	st, err := DecodeMonitor(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("version-1 snapshot failed to load: %v", err)
+	_, err := DecodeMonitor(bytes.NewReader(v1))
+	var uv *UnsupportedVersionError
+	if !errors.As(err, &uv) || uv.Version != 1 {
+		t.Fatalf("version-1 snapshot: got %v, want *UnsupportedVersionError for version 1", err)
 	}
-	if st.Window != 0 || st.Evictions != 0 || st.EngineValid || st.EngineMerges != nil {
-		t.Fatalf("version-1 decode invented window state: %+v", st)
-	}
-	rest, err := core.RestoreMonitor(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rest.Len() != mon.Len() || rest.Window() != 0 {
-		t.Fatalf("restored len=%d window=%d, want %d/0", rest.Len(), rest.Window(), mon.Len())
-	}
-	// The restored monitor must produce the matrix the original holds.
-	a, b := mon.Matrix(), rest.Matrix()
-	for i := 0; i < a.N; i++ {
-		for j := 0; j < a.N; j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("matrix diverged at (%d,%d)", i, j)
-			}
+}
+
+// hugeCountSnapshot is a monitor snapshot whose config frame, CRC
+// intact, claims 2^32-1 weights while carrying one: a decoder that
+// trusts the count asks for a 32 GiB slice before noticing the payload
+// ends.
+func hugeCountSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	space, vs := fixture(5, 4, nil)
+	mon := newMon(space, 4)
+	for _, v := range vs {
+		if _, _, err := mon.Append(v); err != nil {
+			tb.Fatal(err)
 		}
 	}
+	var buf bytes.Buffer
+	if err := EncodeMonitor(&buf, mon.State()); err != nil {
+		tb.Fatal(err)
+	}
+	raw := buf.Bytes()
+	cfgOff := 11 + 4 + int(binary.LittleEndian.Uint32(raw[11:])) + 4
+	cfgEnd := cfgOff + 4 + int(binary.LittleEndian.Uint32(raw[cfgOff:])) + 4
+
+	var cfg enc
+	encodeSchedule(&cfg, testSched(4))
+	cfg.u8(1)
+	cfg.u32(math.MaxUint32)
+	cfg.f64(1)
+	var out bytes.Buffer
+	out.Write(raw[:cfgOff])
+	if err := writeFrame(&out, cfg.buf); err != nil {
+		tb.Fatal(err)
+	}
+	out.Write(raw[cfgEnd:])
+	return out.Bytes()
+}
+
+// hugeFrameSnapshot is a monitor header followed by a space frame whose
+// length prefix claims 512 MiB while the file ends 16 bytes later.
+func hugeFrameSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	var out bytes.Buffer
+	if err := writeHeader(&out, kindMonitor); err != nil {
+		tb.Fatal(err)
+	}
+	out.Write(binary.LittleEndian.AppendUint32(nil, 1<<29))
+	out.Write(make([]byte, 16))
+	return out.Bytes()
+}
+
+// TestHugeElementCountRejectedCheaply: crafted element counts and frame
+// lengths must be bounded by the bytes actually present before anything
+// is allocated — each file decodes to *CorruptError within a small
+// allocation budget, where trusting the count used to abort the process
+// out of memory (and the frame length cost its full 512 MiB).
+func TestHugeElementCountRejectedCheaply(t *testing.T) {
+	for _, tc := range []struct {
+		name, section string
+		raw           []byte
+		budget        uint64
+	}{
+		{"weights count", "config", hugeCountSnapshot(t), 1 << 20},
+		{"frame length", "space", hugeFrameSnapshot(t), 2 * frameChunk},
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeMonitor(bytes.NewReader(tc.raw))
+		runtime.ReadMemStats(&after)
+		var ce *CorruptError
+		if !errors.As(err, &ce) || ce.Section != tc.section {
+			t.Fatalf("%s: got %v, want *CorruptError in the %s section", tc.name, err, tc.section)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= tc.budget {
+			t.Fatalf("%s: decoding the crafted file allocated %d bytes, want < %d", tc.name, grew, tc.budget)
+		}
+	}
+}
+
+// FuzzDecodeSnapshot: no input may panic the decoders. Every error is
+// one of the typed snapshot errors, and every decoded monitor state is
+// either accepted or rejected with an error by core.RestoreMonitor.
+func FuzzDecodeSnapshot(f *testing.F) {
+	space, vs := fixture(13, 12, nil)
+	mon := core.NewMonitorOpts(space, testSched(12), core.MonitorOptions{
+		Mode: core.PessimisticUnknown, Detect: core.DefaultDetectOptions(), Window: 8,
+	})
+	for _, v := range vs {
+		if _, _, err := mon.Append(v); err != nil {
+			f.Fatal(err)
+		}
+	}
+	mon.LiveThreshold() // persist a live engine dendrogram too
+	var monBuf, serBuf bytes.Buffer
+	if err := EncodeMonitor(&monBuf, mon.State()); err != nil {
+		f.Fatal(err)
+	}
+	if err := EncodeSeries(&serBuf, core.NewSeries(space, testSched(12), vs, nil)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(monBuf.Bytes())
+	f.Add(serBuf.Bytes())
+	f.Add(hugeCountSnapshot(f))
+	f.Add(hugeFrameSnapshot(f))
+
+	typed := func(t *testing.T, err error) {
+		var ce *CorruptError
+		var uv *UnsupportedVersionError
+		if !errors.As(err, &ce) && !errors.As(err, &uv) && !errors.Is(err, ErrBadMagic) {
+			t.Fatalf("untyped decode error %T: %v", err, err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if st, err := DecodeMonitor(bytes.NewReader(data)); err != nil {
+			typed(t, err)
+		} else {
+			core.RestoreMonitor(st) //nolint:errcheck // accept or reject, never panic
+		}
+		if _, err := DecodeSeries(bytes.NewReader(data)); err != nil {
+			typed(t, err)
+		}
+	})
 }

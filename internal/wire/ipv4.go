@@ -90,6 +90,9 @@ func UnmarshalIPv4(b []byte) (*IPv4Header, []byte, error) {
 	if int(h.TotalLen) > len(b) {
 		return nil, nil, fmt.Errorf("wire: total length %d exceeds buffer %d", h.TotalLen, len(b))
 	}
+	if int(h.TotalLen) < ihl {
+		return nil, nil, fmt.Errorf("wire: total length %d shorter than header %d", h.TotalLen, ihl)
+	}
 	// Verify header checksum: summing the header including the stored
 	// checksum must give 0xffff-complement zero.
 	if Checksum(b[:ihl]) != 0 {

@@ -20,7 +20,7 @@ type Monitor = core.Monitor
 type MonitorSnapshot = core.MonitorSnapshot
 
 // MonitorOptions is the full monitor configuration, including the
-// sliding-window bound (Window) and the online mode engine's sweep
+// sliding-window bound (Window) and the live mode engine's sweep
 // settings (Adaptive).
 type MonitorOptions = core.MonitorOptions
 

@@ -27,8 +27,8 @@ type (
 	Manifest = obs.Manifest
 	// RuntimeSampler tracks peak goroutine and heap usage.
 	RuntimeSampler = obs.RuntimeSampler
-	// ObsServer serves /metrics, /debug/vars, /debug/pprof, /debug/trace,
-	// and /debug/events.
+	// ObsServer serves /metrics, /debug/pprof, /debug/trace, and
+	// /debug/events.
 	ObsServer = obs.Server
 	// Attr is one key/value attribute on a span or flight event.
 	Attr = obs.Attr
@@ -51,8 +51,8 @@ func NewRegistry() *Registry { return obs.NewRegistry() }
 // Prometheus text exposition format, for mounting on an existing mux.
 func MetricsHandler(r *Registry) http.Handler { return obs.Handler(r) }
 
-// NewObsServer binds addr (":0" picks a free port) and serves /metrics,
-// /debug/vars, and /debug/pprof/ in the background.
+// NewObsServer binds addr (":0" picks a free port) and serves /metrics
+// and /debug/pprof/ in the background.
 func NewObsServer(addr string, r *Registry) (*ObsServer, error) { return obs.NewServer(addr, r) }
 
 // StartRuntimeSampler begins peak goroutine/heap sampling; interval
