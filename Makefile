@@ -24,14 +24,14 @@ test: vet
 race:
 	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/udpserve/... ./internal/serve/... ./internal/snapshot/...
 
-# The perf-critical benches: the similarity engine sweep (scalar vs
-# bitset × serial vs auto — the scalar rows are the permanent "before"
-# record next to the bitset "after"), the streaming append at depth, and
-# the incremental threshold sweep. Output is parsed into
-# BENCH_core.json; a failing bench run aborts loudly instead of writing
-# an empty file.
+# The perf-critical benches: the packed similarity engine sweep (serial
+# vs auto, plus the large-alphabet row), the fixed-depth windowed
+# append, the incremental threshold sweep, and the end-to-end Analyze
+# pipeline. Output is parsed into BENCH_core.json, each row with the
+# GOMAXPROCS and CPU count it ran with; a failing bench run aborts
+# loudly instead of writing an empty file.
 bench:
-	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot' -benchmem . > bench.out 2>&1 \
+	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|AnalyzePipeline' -benchmem . > bench.out 2>&1 \
 		|| { cat bench.out >&2; rm -f bench.out; exit 1; }
 	@./scripts/bench2json.sh < bench.out > BENCH_core.json.tmp \
 		|| { rm -f bench.out BENCH_core.json.tmp; exit 1; }
@@ -39,8 +39,9 @@ bench:
 	@rm -f bench.out
 	@cat BENCH_core.json
 
-# Perf regression gate: fail if the serial T=1024 bitset similarity
-# bench runs >15% slower than the committed BENCH_core.json baseline.
+# Perf regression gate: fail if the serial T=1024 similarity row, the
+# large-alphabet similarity row, or the windowed append row runs >15%
+# slower than its committed BENCH_core.json baseline.
 benchguard:
 	./scripts/benchguard.sh
 

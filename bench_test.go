@@ -191,13 +191,22 @@ func BenchmarkFig78Sankey(b *testing.B) {
 // syntheticSeries builds a series with nEpochs vectors over nNets networks
 // with the given unknown fraction, for pipeline micro-benches.
 func syntheticSeries(nEpochs, nNets int, unknownFrac float64, seed uint64) *Series {
+	return syntheticSeriesSites(nEpochs, nNets, 5, unknownFrac, seed)
+}
+
+// syntheticSeriesSites is syntheticSeries over an alphabet of nSites
+// sites.
+func syntheticSeriesSites(nEpochs, nNets, nSites int, unknownFrac float64, seed uint64) *Series {
 	r := rng.New(seed)
 	ids := make([]string, nNets)
 	for i := range ids {
 		ids[i] = fmt.Sprintf("n%05d", i)
 	}
 	space := NewSpace(ids)
-	sites := []string{"A", "B", "C", "D", "E"}
+	sites := make([]string, nSites)
+	for i := range sites {
+		sites[i] = fmt.Sprintf("S%03d", i)
+	}
 	var vs []*Vector
 	for e := 0; e < nEpochs; e++ {
 		v := space.NewVector(timeline.Epoch(e))
@@ -316,53 +325,52 @@ func BenchmarkSimilarityMatrixScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkSimilarityMatrix sweeps the similarity engines across series
-// lengths: K=scalar is the pre-bitset reference (kept in the suite so
-// every BENCH_core.json carries the before/after pair side by side),
-// K=bitset is the packed popcount engine, and P compares the serial
-// path against the auto-sized worker pool with balanced-triangle tiles.
-// Every (K, P) combination produces the bit-identical matrix; the
-// scalar-vs-bitset ratio at T=1024/P=1 is the headline speedup, and
-// scripts/benchguard.sh gates regressions on the bitset serial number.
+// BenchmarkSimilarityMatrix sweeps the packed Φ engine across series
+// lengths, serial (P=1) against the auto-sized worker pool with
+// balanced-triangle tiles (P=auto); every P produces the bit-identical
+// matrix. The T=512/N=512/S=128 row is the large-alphabet shape (7
+// bit-sliced planes per word), the one the per-site engine used to hand
+// to a scalar loop. scripts/benchguard.sh gates regressions on the
+// T=1024/P=1 and large-alphabet rows.
 func BenchmarkSimilarityMatrix(b *testing.B) {
+	run := func(name string, s *Series, p int) {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				core.SimilarityMatrixParallel(s, nil, core.PessimisticUnknown,
+					core.MatrixOptions{Parallelism: p})
+			}
+		})
+	}
 	for _, T := range []int{64, 256, 1024} {
 		s := syntheticSeries(T, 256, 0.3, 9)
-		for _, k := range []core.SimKernel{core.KernelScalar, core.KernelBitset} {
-			for _, p := range []int{1, 0} {
-				label := "auto"
-				if p == 1 {
-					label = "1"
-				}
-				b.Run(fmt.Sprintf("T=%d/K=%s/P=%s", T, k, label), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						core.SimilarityMatrixParallel(s, nil, core.PessimisticUnknown,
-							core.MatrixOptions{Kernel: k, Parallelism: p})
-					}
-				})
-			}
-		}
+		run(fmt.Sprintf("T=%d/P=1", T), s, 1)
+		run(fmt.Sprintf("T=%d/P=auto", T), s, 0)
 	}
+	run("T=512/N=512/S=128/P=1", syntheticSeriesSites(512, 512, 128, 0.3, 9), 1)
 }
 
-// BenchmarkMonitorAppendHot measures the streaming ingest path at depth:
-// one append against a 1024-observation history, the packed O(T·N/64)
-// incremental Φ row plus the single-step change detector.
+// BenchmarkMonitorAppendHot measures the streaming ingest path at fixed
+// depth: a Window=1024 monitor prefilled to its window, so every append
+// evicts the oldest row, replays the detector over the retained window,
+// packs the new vector, and computes its Φ row against 1023 packed rows.
+// Appended vectors cycle through 200 more epochs of the same model
+// (cloned with a fresh epoch, which the per-op numbers include), so mode
+// changes keep firing at the series' own rate however large b.N grows.
 func BenchmarkMonitorAppendHot(b *testing.B) {
-	const T, nets = 1024, 256
-	s := syntheticSeries(T, nets, 0.3, 12)
-	mon := core.NewMonitor(s.Space, NewSchedule(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), 24*time.Hour, 1<<30),
-		nil, core.PessimisticUnknown, core.DefaultDetectOptions())
-	for _, v := range s.Vectors {
+	const W, nets, cycle = 1024, 256, 200
+	s := syntheticSeries(W+cycle, nets, 0.3, 12)
+	mon := core.NewMonitorOpts(s.Space, NewSchedule(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), 24*time.Hour, 1<<30),
+		core.MonitorOptions{Mode: core.PessimisticUnknown, Detect: core.DefaultDetectOptions(), Window: W})
+	for _, v := range s.Vectors[:W] {
 		if _, _, err := mon.Append(v); err != nil {
 			b.Fatal(err)
 		}
 	}
+	next := s.Vectors[W:]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		v := s.Space.NewVector(timeline.Epoch(T + i))
-		for n := 0; n < nets; n++ {
-			v.Set(n, "A")
-		}
+		v := next[i%cycle].Clone()
+		v.T = timeline.Epoch(W + i)
 		if _, _, err := mon.Append(v); err != nil {
 			b.Fatal(err)
 		}

@@ -64,7 +64,6 @@ type cliOptions struct {
 	explain    bool
 	export     string
 	parallel   int
-	kernel     string
 	metrics    string
 	manifest   string
 	trace      string
@@ -92,7 +91,6 @@ func main() {
 	flag.BoolVar(&o.explain, "explain", false, "print each change event's provenance: verdict, site flows, top contributors")
 	flag.StringVar(&o.export, "export", "", "write the scenario's vector dataset to this CSV file")
 	flag.IntVar(&o.parallel, "parallelism", 0, "similarity-matrix workers (0 = all cores, 1 = serial)")
-	flag.StringVar(&o.kernel, "kernel", "auto", "similarity engine: auto bitset scalar (all bit-identical)")
 	flag.StringVar(&o.metrics, "metrics", "", "serve /metrics and /debug/pprof on this address (e.g. :9090) while running")
 	flag.StringVar(&o.manifest, "manifest", "", "write a JSON run manifest to this file on completion")
 	flag.StringVar(&o.trace, "trace", "", "write a Chrome trace-event JSON file on completion (load in Perfetto or chrome://tracing)")
@@ -110,32 +108,10 @@ func main() {
 	flag.IntVar(&o.seriesCap, "series-cap", 0, "daemon: max tenant label values per metric family; overflow aggregates into tenant=\"__other__\" (0 = unlimited)")
 	flag.Parse()
 
-	if err := applyKernelFlag(o.kernel); err != nil {
-		fmt.Fprintln(os.Stderr, "fenrir:", err)
-		os.Exit(2)
-	}
 	if err := run(o); err != nil {
 		fmt.Fprintln(os.Stderr, "fenrir:", err)
 		os.Exit(1)
 	}
-}
-
-// applyKernelFlag maps -kernel to the process-wide similarity engine
-// default. Every engine yields bit-identical matrices; the flag exists
-// for benchmarking and as an escape hatch should a platform's popcount
-// be slow.
-func applyKernelFlag(s string) error {
-	switch s {
-	case "", "auto":
-		core.SetDefaultKernel(core.KernelAuto)
-	case "bitset":
-		core.SetDefaultKernel(core.KernelBitset)
-	case "scalar":
-		core.SetDefaultKernel(core.KernelScalar)
-	default:
-		return fmt.Errorf("unknown -kernel %q (want auto, bitset, or scalar)", s)
-	}
-	return nil
 }
 
 func run(o cliOptions) error {

@@ -93,7 +93,9 @@ type (
 	Flow = core.Flow
 	// UnknownMode selects Φ's treatment of unobserved networks.
 	UnknownMode = core.UnknownMode
-	// SimKernel selects the similarity engine (bitset vs scalar).
+	// SimKernel is the type of the deprecated AnalysisOptions.Kernel.
+	//
+	// Deprecated: there is one similarity engine.
 	SimKernel = core.SimKernel
 	// Epoch indexes observation rounds.
 	Epoch = timeline.Epoch
@@ -106,21 +108,6 @@ const (
 	PessimisticUnknown = core.PessimisticUnknown
 	KnownOnly          = core.KnownOnly
 )
-
-// Similarity engine selectors. KernelAuto (the zero value) picks the
-// packed-bitset engine whenever its word-ops bound beats the scalar
-// kernels for the space's shape; both engines are bit-identical, so the
-// choice is purely about speed. See DESIGN.md §12.
-const (
-	KernelAuto   = core.KernelAuto
-	KernelBitset = core.KernelBitset
-	KernelScalar = core.KernelScalar
-)
-
-// SetDefaultKernel overrides the process-wide engine choice applied when
-// MatrixOptions.Kernel (or AnalysisOptions.Kernel) is KernelAuto — the
-// hook behind the CLI's -kernel flag. Safe for concurrent use.
-func SetDefaultKernel(k SimKernel) { core.SetDefaultKernel(k) }
 
 // Reserved site labels.
 const (
@@ -174,9 +161,9 @@ type AnalysisOptions struct {
 	// all cores (GOMAXPROCS), 1 forces the serial reference path. The
 	// result is bit-identical at every setting.
 	Parallelism int
-	// Kernel selects the similarity engine; KernelAuto (default) picks
-	// the faster of bitset and scalar for the space's shape. The result
-	// is bit-identical at every setting.
+	// Kernel is ignored.
+	//
+	// Deprecated: the similarity stage has one engine.
 	Kernel SimKernel
 	// Clean enables the §2.4 cleaning stages before analysis.
 	Clean bool
@@ -260,7 +247,7 @@ func Analyze(s *Series, opts AnalysisOptions) *Analysis {
 	a.Coverage = clean.Coverage(s)
 	spSim := opts.Obs.StartSpan("similarity")
 	a.Matrix = core.SimilarityMatrixParallel(s, opts.Weights, opts.Unknowns,
-		core.MatrixOptions{Kernel: opts.Kernel, Parallelism: opts.Parallelism, Obs: opts.Obs, Span: spSim})
+		core.MatrixOptions{Parallelism: opts.Parallelism, Obs: opts.Obs, Span: spSim})
 	spSim.SetItems(int64(a.Matrix.N) * int64(a.Matrix.N-1) / 2)
 	spSim.SetWorkers(int(opts.Obs.Gauge("fenrir_similarity_workers").Value()))
 	spSim.End()

@@ -1,6 +1,10 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+	"sort"
+
 	"fenrir/internal/timeline"
 )
 
@@ -53,8 +57,14 @@ func DefaultDetectOptions() DetectOptions {
 // equivalence is by construction, and pinned by tests against same-seed
 // series.
 type detector struct {
-	opts     DetectOptions
+	opts DetectOptions
+	// history holds the trailing adjacent-pair similarities in arrival
+	// order (at most opts.Window), and sorted the same values ascending,
+	// equal values in arrival order — exactly the stable sort of history,
+	// so the baseline median is read off it instead of recomputed. Both
+	// buffers are owned by the detector and reused across rebuilds.
 	history  []float64
+	sorted   []float64
 	cooldown int
 	// ex carries the provenance state (mode centroids) that turns a
 	// bare (epoch, Φ) event into an explained one.
@@ -71,7 +81,14 @@ func newDetector(opts DetectOptions, w []float64) *detector {
 	if opts.MinDrop <= 0 {
 		opts.MinDrop = 0.05
 	}
-	return &detector{opts: opts, ex: explainer{w: w, mode: opts.Mode}}
+	return &detector{
+		opts:    opts,
+		history: make([]float64, 0, opts.Window+1),
+		sorted:  make([]float64, 0, opts.Window+1),
+		ex: explainer{w: w, phi: func(cur, c *Vector) float64 {
+			return Gower(cur, c, w, opts.Mode)
+		}},
+	}
 }
 
 // reset clears the baseline at a collection gap: routing may
@@ -81,27 +98,49 @@ func newDetector(opts DetectOptions, w []float64) *detector {
 // recurrence the provenance layer labels.
 func (d *detector) reset() {
 	d.history = d.history[:0]
+	d.sorted = d.sorted[:0]
 	d.cooldown = 0
 }
 
+// clearAll returns the detector to its freshly constructed state,
+// centroid memory included, keeping its buffers.
+func (d *detector) clearAll() {
+	d.reset()
+	clear(d.ex.centroids)
+	d.ex.centroids = d.ex.centroids[:0]
+}
+
 // step consumes one adjacent pair (prev, cur) with its similarity phi,
-// and reports whether that pair constitutes a change event. The vectors
-// are only read when an event fires — building its Explanation — so the
+// and reports whether that pair constitutes a change event, with its
+// Explanation. The vectors are only read when an event fires, so the
 // stable-path cost is unchanged.
 func (d *detector) step(prev, cur *Vector, phi float64) (ChangeEvent, bool) {
+	baseline, v, fired := d.decide(prev, cur, phi)
+	if !fired {
+		return ChangeEvent{}, false
+	}
+	return ChangeEvent{
+		At:          cur.T,
+		Phi:         phi,
+		Baseline:    baseline,
+		Magnitude:   baseline - phi,
+		Explanation: d.ex.explain(prev, cur, v),
+	}, true
+}
+
+// decide advances the state machine by one adjacent pair: the baseline
+// window, the cooldown, and, when the pair fires, the recurrence verdict
+// (which registers a novel state's centroid). It builds no Explanation
+// and allocates nothing, so a monitor replaying its window through it
+// pays only the decisions.
+func (d *detector) decide(prev, cur *Vector, phi float64) (baseline float64, v verdict, fired bool) {
 	d.ex.observe(prev)
-	baseline := median(d.history)
+	baseline = d.median()
 	if len(d.history) >= 3 && d.cooldown == 0 && baseline-phi >= d.opts.MinDrop {
 		d.cooldown = d.opts.Cooldown
 		// Do not feed the anomalous pair into the baseline; the next
 		// pairs (new-mode internal similarity) re-establish it.
-		return ChangeEvent{
-			At:          cur.T,
-			Phi:         phi,
-			Baseline:    baseline,
-			Magnitude:   baseline - phi,
-			Explanation: d.ex.explain(prev, cur, phi, baseline),
-		}, true
+		return baseline, d.ex.recur(cur, phi, baseline), true
 	}
 	// The cooldown counts down only on non-event iterations, so
 	// Cooldown: N suppresses detection for exactly the N epochs
@@ -109,11 +148,37 @@ func (d *detector) step(prev, cur *Vector, phi float64) (ChangeEvent, bool) {
 	if d.cooldown > 0 {
 		d.cooldown--
 	}
+	d.push(phi)
+	return baseline, verdict{}, false
+}
+
+// push appends phi to the baseline window, retiring the oldest value
+// once the window is full. A value is inserted after its equals and
+// retired from the front of its equals, so sorted stays the stable sort
+// of history (ordered by cmp.Less, which puts NaN first, so even a NaN
+// is inserted and retired consistently).
+func (d *detector) push(phi float64) {
 	d.history = append(d.history, phi)
+	i := sort.Search(len(d.sorted), func(i int) bool { return cmp.Less(phi, d.sorted[i]) })
+	d.sorted = slices.Insert(d.sorted, i, phi)
 	if len(d.history) > d.opts.Window {
-		d.history = d.history[1:]
+		old := d.history[0]
+		d.history = append(d.history[:0], d.history[1:]...)
+		j := sort.Search(len(d.sorted), func(j int) bool { return !cmp.Less(d.sorted[j], old) })
+		d.sorted = slices.Delete(d.sorted, j, j+1)
 	}
-	return ChangeEvent{}, false
+}
+
+// median returns the median of the baseline window (0 when empty).
+func (d *detector) median() float64 {
+	n := len(d.sorted)
+	switch {
+	case n == 0:
+		return 0
+	case n%2 == 1:
+		return d.sorted[n/2]
+	}
+	return (d.sorted[n/2-1] + d.sorted[n/2]) / 2
 }
 
 // DetectChanges scans a series for routing change events. It computes
@@ -136,22 +201,4 @@ func DetectChanges(s *Series, w []float64, opts DetectOptions) []ChangeEvent {
 		}
 	}
 	return events
-}
-
-func median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	// Insertion sort: windows are small.
-	for i := 1; i < len(cp); i++ {
-		for j := i; j > 0 && cp[j-1] > cp[j]; j-- {
-			cp[j-1], cp[j] = cp[j], cp[j-1]
-		}
-	}
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
 }

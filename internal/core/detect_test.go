@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"fenrir/internal/rng"
@@ -184,6 +185,25 @@ func TestDetectChangesCooldownSemantics(t *testing.T) {
 	}
 }
 
+// refMedian is the pre-incremental baseline median: copy the window and
+// insertion-sort it (stable, so equal values keep arrival order).
+func refMedian(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	cp := append([]float64(nil), xs...)
+	for i := 1; i < len(cp); i++ {
+		for j := i; j > 0 && cp[j-1] > cp[j]; j-- {
+			cp[j-1], cp[j] = cp[j], cp[j-1]
+		}
+	}
+	n := len(cp)
+	if n%2 == 1 {
+		return cp[n/2]
+	}
+	return (cp[n/2-1] + cp[n/2]) / 2
+}
+
 func TestMedian(t *testing.T) {
 	cases := []struct {
 		in   []float64
@@ -196,8 +216,49 @@ func TestMedian(t *testing.T) {
 		{[]float64{4, 1, 3, 2}, 2.5},
 	}
 	for _, c := range cases {
-		if got := median(c.in); got != c.want {
+		d := newDetector(DetectOptions{Window: 8}, nil)
+		for _, x := range c.in {
+			d.push(x)
+		}
+		if got := d.median(); got != c.want {
 			t.Errorf("median(%v) = %v, want %v", c.in, got, c.want)
+		}
+	}
+}
+
+// TestWindowMedianMatchesSortedCopy drives the detector's incrementally
+// sorted window through long random streams — few distinct values, so
+// equal values are common, plus signed zeros — with window evictions and
+// gap resets, and checks the median after every push against the
+// sort-a-copy reference, bit for bit, and that the window buffers never
+// grow past the window.
+func TestWindowMedianMatchesSortedCopy(t *testing.T) {
+	for _, window := range []int{1, 2, 3, 7, 30} {
+		r := rng.New(uint64(window))
+		d := newDetector(DetectOptions{Window: window}, nil)
+		var ref []float64
+		for step := 0; step < 2000; step++ {
+			if r.Bool(0.01) {
+				d.reset()
+				ref = ref[:0]
+				continue
+			}
+			x := float64(r.Intn(6)) / 4
+			if x == 0 && r.Bool(0.5) {
+				x = math.Copysign(0, -1)
+			}
+			d.push(x)
+			ref = append(ref, x)
+			if len(ref) > window {
+				ref = ref[1:]
+			}
+			got, want := d.median(), refMedian(ref)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("window=%d step %d: median %v, reference %v over %v", window, step, got, want, ref)
+			}
+			if len(d.history) > window || cap(d.history) > window+1 || cap(d.sorted) > window+1 {
+				t.Fatalf("window=%d: buffers grew to len %d cap %d/%d", window, len(d.history), cap(d.history), cap(d.sorted))
+			}
 		}
 	}
 }

@@ -202,8 +202,8 @@ func TestSimilarityMatrixParallelEquivalence(t *testing.T) {
 // TestSimilarityMatrixInstrumentedEquivalence asserts that attaching an
 // obs registry changes nothing about the output — the nil-registry
 // no-op contract's other half — while the engine metrics come out
-// exact: every off-diagonal pair counted once, one kernel choice, and
-// tile timings covering the whole fill.
+// exact: every off-diagonal pair counted once, and tile timings
+// covering the whole fill.
 func TestSimilarityMatrixInstrumentedEquivalence(t *testing.T) {
 	s := randomSeries(t, 40, 50, 0.3, 11)
 	ref := naiveSimilarityMatrix(s, nil, PessimisticUnknown)
@@ -220,9 +220,6 @@ func TestSimilarityMatrixInstrumentedEquivalence(t *testing.T) {
 		wantPairs := int64(ref.N * (ref.N - 1) / 2)
 		if pairs := reg.Counter("fenrir_similarity_pairs_total").Value(); pairs != wantPairs {
 			t.Fatalf("P=%d: pairs counter = %d, want %d", p, pairs, wantPairs)
-		}
-		if k := reg.Counter(`fenrir_gower_kernel_total{kernel="pessimistic-uniform"}`).Value(); k != 1 {
-			t.Fatalf("P=%d: kernel counter = %d, want 1", p, k)
 		}
 		if reg.Histogram("fenrir_similarity_tile_seconds").Count() == 0 {
 			t.Fatalf("P=%d: no tile timings recorded", p)
@@ -278,8 +275,8 @@ func TestSimilarityMatrixTileSizes(t *testing.T) {
 	}
 }
 
-// TestGowerMatchesNaive pins the four specialized kernels to the
-// original per-element switch across random vectors.
+// TestGowerMatchesNaive pins the scalar Gower loop to the original
+// per-element switch across random vectors.
 func TestGowerMatchesNaive(t *testing.T) {
 	for _, seed := range []uint64{4, 5, 6} {
 		s := randomSeries(t, 6, 50, 0.4, seed)
@@ -333,29 +330,62 @@ func TestClusterAdaptiveIncrementalEquivalence(t *testing.T) {
 	}
 }
 
-// TestSimilarityMatrixForcedKernelEquivalence pins both engines to the
-// naive reference when selected explicitly: KernelBitset and
-// KernelScalar must produce bit-identical matrices regardless of what
-// the auto heuristic would pick, across parallelism levels, both
-// UnknownModes, nil/random weights, and shapes straddling the 64-bit
-// word boundary.
-func TestSimilarityMatrixForcedKernelEquivalence(t *testing.T) {
+// wideSeries is randomSeries over a large site alphabet: four regimes
+// rotate every 5 epochs, each giving every network its own site, with
+// 15% noise. The first half of the series draws only from sites 0–2, so
+// its rows pack to 2 planes while the second half's need up to
+// bits.Len(sites-1): a monitor then compares rows of unequal plane
+// counts, and the matrix slab packs every row at the larger count.
+func wideSeries(t testing.TB, epochs, networks, sites int, unknownFrac float64, seed uint64) *Series {
+	t.Helper()
+	r := rng.New(seed)
+	space := NewSpace(nets(networks))
+	internSites(space, sites)
+	vs := make([]*Vector, 0, epochs)
+	for e := 0; e < epochs; e++ {
+		limit := 3
+		if e >= epochs/2 {
+			limit = sites
+		}
+		regime := (e / 5) % 4
+		v := space.NewVector(timeline.Epoch(e))
+		for i := 0; i < networks; i++ {
+			if r.Bool(unknownFrac) {
+				continue
+			}
+			site := (i*31 + regime*97) % limit
+			if r.Bool(0.15) {
+				site = r.Intn(limit)
+			}
+			v.SetIndex(i, int32(site))
+		}
+		vs = append(vs, v)
+	}
+	return NewSeries(space, sched(epochs), vs, nil)
+}
+
+// TestSimilarityMatrixAlphabetEquivalence pins the packed matrix engine
+// to the naive reference across site alphabets of 4, 128 and 300 sites
+// (2 to 9 planes, rows of one series needing different counts),
+// parallelism levels, both UnknownModes, nil/random weights, and shapes
+// straddling the 64-bit word boundary.
+func TestSimilarityMatrixAlphabetEquivalence(t *testing.T) {
 	shapes := []struct{ epochs, networks int }{{9, 65}, {20, 64}, {33, 127}, {17, 40}}
 	for _, seed := range []uint64{21, 22} {
-		for _, shape := range shapes {
-			s := randomSeries(t, shape.epochs, shape.networks, 0.3, seed)
-			weights := [][]float64{nil, randomWeights(shape.networks, seed+300)}
-			for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
-				for wi, w := range weights {
-					ref := naiveSimilarityMatrix(s, w, mode)
-					for _, kern := range []SimKernel{KernelBitset, KernelScalar} {
+		for _, sites := range []int{4, 128, 300} {
+			for _, shape := range shapes {
+				s := wideSeries(t, shape.epochs, shape.networks, sites, 0.3, seed)
+				weights := [][]float64{nil, randomWeights(shape.networks, seed+300)}
+				for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
+					for wi, w := range weights {
+						ref := naiveSimilarityMatrix(s, w, mode)
 						for _, p := range []int{1, 2, 8, 0} {
-							got := SimilarityMatrixParallel(s, w, mode, MatrixOptions{Kernel: kern, Parallelism: p})
+							got := SimilarityMatrixParallel(s, w, mode, MatrixOptions{Parallelism: p})
 							for i := 0; i < ref.N; i++ {
 								for j := 0; j < ref.N; j++ {
 									if got.At(i, j) != ref.At(i, j) {
-										t.Fatalf("seed=%d shape=%v mode=%v w=%d kern=%v P=%d: Φ(%d,%d) = %v, reference %v",
-											seed, shape, mode, wi, kern, p, i, j, got.At(i, j), ref.At(i, j))
+										t.Fatalf("seed=%d sites=%d shape=%v mode=%v w=%d P=%d: Φ(%d,%d) = %v, reference %v",
+											seed, sites, shape, mode, wi, p, i, j, got.At(i, j), ref.At(i, j))
 									}
 								}
 							}
@@ -363,27 +393,6 @@ func TestSimilarityMatrixForcedKernelEquivalence(t *testing.T) {
 					}
 				}
 			}
-		}
-	}
-}
-
-// TestSimilarityMatrixEngineMetric asserts the engine-selection counter
-// reports which kernel actually ran.
-func TestSimilarityMatrixEngineMetric(t *testing.T) {
-	s := randomSeries(t, 10, 64, 0.2, 31)
-	for _, tc := range []struct {
-		kern SimKernel
-		want string
-	}{
-		{KernelBitset, "bitset"},
-		{KernelScalar, "scalar"},
-		{KernelAuto, "bitset"}, // 4 sites × 64 nets: packed is profitable
-	} {
-		reg := obs.NewRegistry()
-		SimilarityMatrixParallel(s, nil, PessimisticUnknown, MatrixOptions{Kernel: tc.kern, Obs: reg})
-		name := fmt.Sprintf("fenrir_similarity_engine_total{engine=%q}", tc.want)
-		if got := reg.Counter(name).Value(); got != 1 {
-			t.Fatalf("kern=%v: counter %s = %d, want 1", tc.kern, name, got)
 		}
 	}
 }
@@ -461,66 +470,63 @@ func TestPhiRangeOK(t *testing.T) {
 	}
 }
 
-// TestExplanationKernelEquivalence pins detection provenance to the
-// kernel lever: with the process-wide similarity kernel forced to
-// scalar, bitset, and auto in turn, batch DetectChanges and the
-// streaming Monitor must fire identical event lists over the same
-// series — DeepEqual follows the Explanation pointer, so contributors,
-// flows, mass splits, and recurrence verdicts are compared field for
-// field — and every kernel must agree with every other. The fixture's
-// regime rotation revisits earlier sites, so the asserted stream
-// contains both recurrence and novel verdicts; a fixture that fired
-// only one kind (or nothing) fails as vacuous.
+// TestExplanationKernelEquivalence pins detection provenance across the
+// two Φ paths: batch DetectChanges computes adjacent similarities with
+// the scalar Gower loop, the streaming Monitor with the packed kernels
+// (rows of unequal plane counts on the wide-alphabet fixture), and both
+// must fire identical event lists over the same series — DeepEqual
+// follows the Explanation pointer, so contributors, flows, mass splits,
+// and recurrence verdicts are compared field for field. The monitor's Φ
+// history must equal the batch matrix at every parallelism too. Each
+// fixture's regime rotation revisits earlier states, so the asserted
+// stream contains both recurrence and novel verdicts; a fixture that
+// fired only one kind (or nothing) fails as vacuous.
 func TestExplanationKernelEquivalence(t *testing.T) {
-	defer SetDefaultKernel(KernelAuto)
 	for _, seed := range []uint64{51, 52} {
-		s := randomSeries(t, 60, 70, 0.2, seed)
-		weights := [][]float64{nil, randomWeights(70, seed+7)}
-		for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
-			opts := DetectOptions{Window: 10, MinDrop: 0.1, Mode: mode, Cooldown: 2}
-			for wi, w := range weights {
-				var ref []ChangeEvent
-				for _, kern := range []SimKernel{KernelScalar, KernelBitset, KernelAuto} {
-					SetDefaultKernel(kern)
+		for _, s := range []*Series{randomSeries(t, 60, 70, 0.2, seed), wideSeries(t, 60, 70, 300, 0.2, seed)} {
+			weights := [][]float64{nil, randomWeights(70, seed+7)}
+			for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
+				opts := DetectOptions{Window: 10, MinDrop: 0.1, Mode: mode, Cooldown: 2}
+				for wi, w := range weights {
 					batch := DetectChanges(s, w, opts)
 					mon := NewMonitor(s.Space, s.Schedule, w, mode, opts)
 					var stream []ChangeEvent
 					for _, v := range s.Vectors {
 						ev, ok, err := mon.Append(v)
 						if err != nil {
-							t.Fatalf("seed=%d kern=%v: append epoch %d: %v", seed, kern, v.T, err)
+							t.Fatalf("seed=%d: append epoch %d: %v", seed, v.T, err)
 						}
 						if ok {
 							stream = append(stream, ev)
 						}
 					}
 					if !reflect.DeepEqual(stream, batch) {
-						t.Fatalf("seed=%d mode=%v w=%d kern=%v: stream events diverge from batch\nstream: %+v\nbatch:  %+v",
-							seed, mode, wi, kern, stream, batch)
+						t.Fatalf("seed=%d sites=%d mode=%v w=%d: stream events diverge from batch\nstream: %+v\nbatch:  %+v",
+							seed, s.Space.NumSites(), mode, wi, stream, batch)
 					}
-					if ref == nil {
-						ref = batch
-						continue
+					live := mon.Matrix()
+					for _, p := range []int{1, 3, 0} {
+						m := SimilarityMatrixParallel(s, w, mode, MatrixOptions{Parallelism: p})
+						if !reflect.DeepEqual(live.vals, m.vals) {
+							t.Fatalf("seed=%d sites=%d mode=%v w=%d P=%d: monitor Φ history differs from the batch matrix",
+								seed, s.Space.NumSites(), mode, wi, p)
+						}
 					}
-					if !reflect.DeepEqual(batch, ref) {
-						t.Fatalf("seed=%d mode=%v w=%d kern=%v: events diverge from scalar reference",
-							seed, mode, wi, kern)
+					recur, novel := 0, 0
+					for _, ev := range batch {
+						if ev.Explanation == nil {
+							t.Fatalf("seed=%d mode=%v w=%d: event at %d has no explanation", seed, mode, wi, ev.At)
+						}
+						if ev.Explanation.Recurrence {
+							recur++
+						} else {
+							novel++
+						}
 					}
-				}
-				recur, novel := 0, 0
-				for _, ev := range ref {
-					if ev.Explanation == nil {
-						t.Fatalf("seed=%d mode=%v w=%d: event at %d has no explanation", seed, mode, wi, ev.At)
+					if recur == 0 || novel == 0 {
+						t.Fatalf("seed=%d sites=%d mode=%v w=%d: fixture yielded %d recurrences / %d novel — verdict equality is vacuous",
+							seed, s.Space.NumSites(), mode, wi, recur, novel)
 					}
-					if ev.Explanation.Recurrence {
-						recur++
-					} else {
-						novel++
-					}
-				}
-				if recur == 0 || novel == 0 {
-					t.Fatalf("seed=%d mode=%v w=%d: fixture yielded %d recurrences / %d novel — verdict equality is vacuous",
-						seed, mode, wi, recur, novel)
 				}
 			}
 		}

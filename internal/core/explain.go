@@ -113,8 +113,11 @@ func (e *Explanation) TopFlow() (Flow, bool) {
 // outage is exactly the recurrence the paper is after.
 type explainer struct {
 	w         []float64
-	mode      UnknownMode
 	centroids []*Vector
+	// phi computes Φ(cur, centroid) under the detection mode: the scalar
+	// Gower loop by default. The monitor substitutes its cached Φ rows,
+	// which hold the identical values.
+	phi func(cur, c *Vector) float64
 }
 
 // observe registers the stream's first vector as mode 1's centroid. It
@@ -125,14 +128,54 @@ func (x *explainer) observe(prev *Vector) {
 	}
 }
 
+// verdict is the recurrence decision for an event's new state, the part
+// of an Explanation that feeds back into detector state.
+type verdict struct {
+	recurrence bool
+	mode       int     // Explanation.MatchedMode
+	phi        float64 // Explanation.ModePhi
+	modes      int     // Explanation.ModeCount
+}
+
+// recur decides whether the state cur, reached by an event of similarity
+// phi against the given trailing baseline, recurs to a known mode, and
+// registers it as a new mode if not. Nearest centroid by Φ, strict > so
+// ties resolve to the earliest mode. The bar is the midpoint between the
+// trailing baseline (how alike the old regime was to itself) and the
+// event similarity (how far the state just jumped): a prior mode matching
+// above it has recovered more than half the change, so the state is
+// closer to a known regime than to the one it left.
+func (x *explainer) recur(cur *Vector, phi, baseline float64) verdict {
+	best, bestPhi := -1, 0.0
+	for i, c := range x.centroids {
+		if p := x.phi(cur, c); best == -1 || p > bestPhi {
+			best, bestPhi = i, p
+		}
+	}
+	v := verdict{phi: bestPhi}
+	if best >= 0 && bestPhi >= (baseline+phi)/2 {
+		v.recurrence = true
+		v.mode = best + 1
+	} else if len(x.centroids) < explainMaxModes {
+		x.centroids = append(x.centroids, cur)
+		v.mode = len(x.centroids)
+	}
+	v.modes = len(x.centroids)
+	return v
+}
+
 // explain builds the Explanation for an event over the adjacent pair
-// (prev, cur) that fired with similarity phi against the given trailing
-// baseline. Every accumulation below iterates networks in row order —
-// float summation order is part of the byte-identical batch/stream
-// contract, which is why the masses are not taken from TransitionMatrix's
-// map-backed accessors.
-func (x *explainer) explain(prev, cur *Vector, phi, baseline float64) *Explanation {
-	e := &Explanation{}
+// (prev, cur) around its recurrence verdict vd. Every accumulation below
+// iterates networks in row order — float summation order is part of the
+// byte-identical batch/stream contract, which is why the masses are not
+// taken from TransitionMatrix's map-backed accessors.
+func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
+	e := &Explanation{
+		Recurrence:  vd.recurrence,
+		MatchedMode: vd.mode,
+		ModePhi:     vd.phi,
+		ModeCount:   vd.modes,
+	}
 	siteOf := func(v *Vector, n int) string {
 		if s, ok := v.Site(n); ok {
 			return s
@@ -191,28 +234,5 @@ func (x *explainer) explain(prev, cur *Vector, phi, baseline float64) *Explanati
 	}
 
 	e.TopFlows = Transition(prev, cur, x.w).LargestFlows(explainTopFlows)
-
-	// Recurrence verdict: nearest prior mode by Φ, strict > so ties
-	// resolve to the earliest mode. The bar is the midpoint between the
-	// trailing baseline (how alike the old regime was to itself) and the
-	// event similarity (how far the state just jumped): a prior mode
-	// matching above it has recovered more than half the change, so the
-	// state is closer to a known regime than to the one it left.
-	best, bestPhi := -1, 0.0
-	for i, c := range x.centroids {
-		p := Gower(cur, c, x.w, x.mode)
-		if best == -1 || p > bestPhi {
-			best, bestPhi = i, p
-		}
-	}
-	e.ModePhi = bestPhi
-	if best >= 0 && bestPhi >= (baseline+phi)/2 {
-		e.Recurrence = true
-		e.MatchedMode = best + 1
-	} else if len(x.centroids) < explainMaxModes {
-		x.centroids = append(x.centroids, cur)
-		e.MatchedMode = len(x.centroids)
-	}
-	e.ModeCount = len(x.centroids)
 	return e
 }

@@ -6,6 +6,7 @@ package core
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -203,6 +204,54 @@ func TestQuickLargestFlowsDeterministic(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: LargestFlows(k) equals sorting every off-diagonal flow
+// (count descending, then From, then To) and keeping the first k. With
+// uniform weights over few sites and few networks most counts tie, so
+// the bounded insertion's tie-breaks are exercised on every call.
+func TestQuickLargestFlowsTopK(t *testing.T) {
+	f := func(seed uint64) bool {
+		r := rng.New(seed)
+		a, b := randomVectorPair(r, 12+r.Intn(30), 0.2)
+		tm := Transition(a, b, nil)
+		var all []Flow
+		for _, from := range tm.Sites {
+			for _, to := range tm.Sites {
+				if c := tm.At(from, to); from != to && c > 0 {
+					all = append(all, Flow{From: from, To: to, Count: c})
+				}
+			}
+		}
+		sort.Slice(all, func(i, j int) bool {
+			if all[i].Count != all[j].Count {
+				return all[i].Count > all[j].Count
+			}
+			if all[i].From != all[j].From {
+				return all[i].From < all[j].From
+			}
+			return all[i].To < all[j].To
+		})
+		for k := -1; k <= len(all)+2; k++ {
+			want := all
+			if k > 0 && k < len(all) {
+				want = all[:k]
+			}
+			got := tm.LargestFlows(k)
+			if len(got) != len(want) {
+				return false
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -38,12 +38,12 @@ type Monitor struct {
 
 	mu      sync.Mutex
 	vectors []*Vector
-	// packed mirrors vectors in bit-plane form (see bitset.go): each
-	// vector is packed exactly once, on append or on restore, and every
-	// later Φ against it is AND+popcount over the packed words — the
-	// serve daemon never re-packs a vector and never rebuilds a matrix
-	// on the ingest path.
-	packed []*packedVector
+	// packed mirrors vectors in bit-sliced form (see bitset.go): each
+	// vector is packed exactly once, on append or on restore, at its own
+	// plane count, and every later Φ against it is XOR/AND+popcount over
+	// the packed words — the serve daemon never re-packs a vector and
+	// never rebuilds a matrix on the ingest path.
+	packed []packedRow
 	// sim holds the lower-triangular similarity values: sim[i][j] for
 	// j < i. Kept triangular so appends never reallocate earlier rows.
 	sim [][]float64
@@ -123,14 +123,47 @@ func NewMonitorOpts(space *Space, sched timeline.Schedule, opts MonitorOptions) 
 	if opts.Window < 0 {
 		opts.Window = 0
 	}
-	return &Monitor{
+	m := &Monitor{
 		space: space, sched: sched, w: w, mode: opts.Mode, detect: opts.Detect,
-		kern:    packedGowerKernel(w, opts.Mode),
-		detKern: packedGowerKernel(w, opts.Detect.Mode),
+		kern:    packedGowerKernel(w, opts.Mode, space.NumNetworks()),
+		detKern: packedGowerKernel(w, opts.Detect.Mode, space.NumNetworks()),
 		det:     newDetector(opts.Detect, w),
 		window:  opts.Window,
 		engine:  newModeEngine(opts.Adaptive),
 	}
+	m.det.ex.phi = m.centroidPhiLocked
+	return m
+}
+
+// centroidPhiLocked serves the detector's recurrence check from the
+// retained history: Φ between two retained vectors is the cached
+// triangle entry when the detection mode is the similarity mode, and
+// one packed kernel call otherwise — both bit-identical to the scalar
+// Gower loop the batch detector runs. A vector outside the window (the
+// one an in-flight Append is adding) takes the scalar loop. Callers hold
+// mu.
+func (m *Monitor) centroidPhiLocked(cur, c *Vector) float64 {
+	i, j := m.rowLocked(cur), m.rowLocked(c)
+	switch {
+	case i < 0 || j < 0 || i == j:
+		return Gower(cur, c, m.w, m.detect.Mode)
+	case m.detect.Mode != m.mode:
+		return m.detKern(&m.packed[i], &m.packed[j])
+	case i > j:
+		return m.sim[i][j]
+	default:
+		return m.sim[j][i]
+	}
+}
+
+// rowLocked returns v's index in the retained history, or -1. Callers
+// hold mu.
+func (m *Monitor) rowLocked(v *Vector) int {
+	i := sort.Search(len(m.vectors), func(i int) bool { return m.vectors[i].T >= v.T })
+	if i < len(m.vectors) && m.vectors[i] == v {
+		return i
+	}
+	return -1
 }
 
 // Instrument attaches a metrics registry: each append then feeds the
@@ -182,13 +215,13 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 		m.evictLocked(len(m.vectors) - m.window + 1)
 	}
 	// Incremental Φ row: the new vector is packed once, and each entry
-	// is AND+popcount over the cached packed history — O(T·N/64) words
+	// is a packed kernel over the cached history — O(T·log S·N/64) words
 	// per append instead of O(T·N) scalar comparisons, bit-identical to
-	// the scalar kernels (bitset.go).
-	pv := packVector(v)
+	// the scalar loop (bitset.go).
+	pv := packRow(v.assign)
 	row := make([]float64, len(m.vectors))
-	for j, prev := range m.packed {
-		row[j] = m.kern(pv, prev)
+	for j := range m.packed {
+		row[j] = m.kern(&pv, &m.packed[j])
 	}
 
 	// Change check: advance the streaming detector by the one adjacent
@@ -204,7 +237,7 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 		} else {
 			phi := row[n-1]
 			if m.detect.Mode != m.mode {
-				phi = m.detKern(pv, m.packed[n-1])
+				phi = m.detKern(&pv, &m.packed[n-1])
 			}
 			event, changed = m.det.step(prev, v, phi)
 		}
@@ -519,12 +552,12 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 		m.engine.restore(&Dendrogram{N: len(st.Vectors), Merges: append([]Merge(nil), st.EngineMerges...)})
 	}
 	m.vectors = append([]*Vector(nil), st.Vectors...)
-	// Rebuild the packed bit-planes from the restored vectors — the
-	// snapshot codec persists only the raw assignment rows (unchanged
-	// format), so packing happens once per vector here and never again.
-	m.packed = make([]*packedVector, len(m.vectors))
+	// Rebuild the packed rows from the restored vectors — the snapshot
+	// codec persists only the raw assignment rows, so packing happens
+	// once per vector here and never again.
+	m.packed = make([]packedRow, len(m.vectors))
 	for i, v := range m.vectors {
-		m.packed[i] = packVector(v)
+		m.packed[i] = packRow(v.assign)
 	}
 	m.sim = make([][]float64, len(st.Sim))
 	for i, row := range st.Sim {
@@ -542,13 +575,15 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 // leave behind. The detector is rebuilt from scratch (not reset): a gap
 // reset deliberately keeps the explainer's mode centroids, but after a
 // trim or restore the centroid memory must equal what a batch run over
-// the retained series alone would hold. Adjacent-pair similarities come
-// from the cached Φ rows when the detection mode matches the similarity
-// mode (the common case: zero Gower calls), and from the packed
-// detection kernel otherwise (O(T·N/64) words, once per rebuild).
-// Callers hold mu or own m exclusively.
+// the retained series alone would hold. The replay runs only the
+// detector's decisions — baseline, cooldown, recurrence registration —
+// and builds none of the Explanations those past events carried, in the
+// detector's own reused buffers. Adjacent-pair similarities come from
+// the cached Φ rows when the detection mode matches the similarity mode
+// (the common case: zero Gower calls), and from the packed detection
+// kernel otherwise. Callers hold mu or own m exclusively.
 func (m *Monitor) rebuildDetectorLocked() {
-	m.det = newDetector(m.detect, m.w)
+	m.det.clearAll()
 	for i := 1; i < len(m.vectors); i++ {
 		if m.vectors[i].T != m.vectors[i-1].T+1 {
 			m.det.reset()
@@ -558,9 +593,9 @@ func (m *Monitor) rebuildDetectorLocked() {
 		if m.detect.Mode == m.mode {
 			phi = m.sim[i][i-1]
 		} else {
-			phi = m.detKern(m.packed[i], m.packed[i-1])
+			phi = m.detKern(&m.packed[i], &m.packed[i-1])
 		}
-		m.det.step(m.vectors[i-1], m.vectors[i], phi)
+		m.det.decide(m.vectors[i-1], m.vectors[i], phi)
 	}
 }
 
@@ -600,7 +635,7 @@ func (m *Monitor) evictLocked(cut int) {
 	}
 	for i := 0; i < cut; i++ {
 		m.vectors[i] = nil
-		m.packed[i] = nil
+		m.packed[i] = packedRow{}
 		m.sim[i] = nil
 	}
 	m.vectors = m.vectors[cut:]

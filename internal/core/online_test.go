@@ -72,74 +72,81 @@ func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
 // must survive evictions exactly as a suffix-only monitor's would) and
 // the same live (threshold, clusters) as a fresh monitor fed only the
 // retained suffix, and both must equal batch ClusterAdaptive over the
-// suffix matrix computed with scalar and bitset kernels, serial and
-// parallel. Evictions happen on every post-warmup append, so trims
-// land mid-cooldown whenever an event fired within Cooldown epochs of
-// the window edge — gapSeries fixtures fire plenty.
+// suffix matrix computed serially and in parallel. Evictions happen on
+// every post-warmup append, so trims land mid-cooldown whenever an
+// event fired within Cooldown epochs of the window edge — gapSeries
+// fixtures fire plenty. The second mode pair detects under a different
+// unknown handling than the matrix, so the eviction replay must take
+// its Φ from the detection kernel, not the cached triangle.
 func TestWindowedMonitorMatchesFreshSuffix(t *testing.T) {
 	const W = 24
 	for _, seed := range []uint64{41, 42} {
-		space, vs := gapSeries(96, seed)
-		detect := DetectOptions{Window: 12, MinDrop: 0.04, Mode: PessimisticUnknown, Cooldown: 3}
-		win := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
-			Mode: PessimisticUnknown, Detect: detect, Window: W,
+		for _, mp := range []struct{ sim, det UnknownMode }{
+			{PessimisticUnknown, PessimisticUnknown},
+			{KnownOnly, PessimisticUnknown},
+		} {
+			windowedMatchesFreshSuffix(t, W, seed, mp.sim, mp.det)
+		}
+	}
+}
+
+func windowedMatchesFreshSuffix(t *testing.T, W int, seed uint64, simMode, detMode UnknownMode) {
+	t.Helper()
+	space, vs := gapSeries(96, seed)
+	detect := DetectOptions{Window: 12, MinDrop: 0.04, Mode: detMode, Cooldown: 3}
+	win := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
+		Mode: simMode, Detect: detect, Window: W,
+	})
+	events := 0
+	for k, v := range vs {
+		ev, ok, err := win.Append(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fresh monitor over exactly the retained suffix.
+		lo := 0
+		if k+1 > W {
+			lo = k + 1 - W
+		}
+		fresh := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
+			Mode: simMode, Detect: detect,
 		})
-		events := 0
-		for k, v := range vs {
-			ev, ok, err := win.Append(v)
-			if err != nil {
+		var fev ChangeEvent
+		var fok bool
+		for _, fv := range vs[lo : k+1] {
+			if fev, fok, err = fresh.Append(fv); err != nil {
 				t.Fatal(err)
 			}
-			// Fresh monitor over exactly the retained suffix.
-			lo := 0
-			if k+1 > W {
-				lo = k + 1 - W
-			}
-			fresh := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
-				Mode: PessimisticUnknown, Detect: detect,
-			})
-			var fev ChangeEvent
-			var fok bool
-			for _, fv := range vs[lo : k+1] {
-				if fev, fok, err = fresh.Append(fv); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if ok != fok || !reflect.DeepEqual(ev, fev) {
-				t.Fatalf("seed=%d epoch %d: windowed event (%v %+v) != fresh-suffix event (%v %+v)",
-					seed, k, ok, ev, fok, fev)
-			}
-			if ok {
-				events++
-			}
-			if win.Len() != k+1-lo {
-				t.Fatalf("seed=%d epoch %d: windowed history %d, want %d", seed, k, win.Len(), k+1-lo)
-			}
+		}
+		if ok != fok || !reflect.DeepEqual(ev, fev) {
+			t.Fatalf("seed=%d sim=%v det=%v epoch %d: windowed event (%v %+v) != fresh-suffix event (%v %+v)",
+				seed, simMode, detMode, k, ok, ev, fok, fev)
+		}
+		if ok {
+			events++
+		}
+		if win.Len() != k+1-lo {
+			t.Fatalf("seed=%d epoch %d: windowed history %d, want %d", seed, k, win.Len(), k+1-lo)
+		}
 
-			liveT, liveC := win.LiveThreshold()
-			freshT, freshC := fresh.LiveThreshold()
-			assertSamePartition(t, "windowed-vs-fresh", liveT, liveC, freshT, freshC)
+		liveT, liveC := win.LiveThreshold()
+		freshT, freshC := fresh.LiveThreshold()
+		assertSamePartition(t, "windowed-vs-fresh", liveT, liveC, freshT, freshC)
 
-			// Batch over the suffix series across kernels × parallelism.
-			suffix := NewSeries(space, sched(1<<20), vs[lo:k+1], nil)
-			for _, mo := range []MatrixOptions{
-				{Kernel: KernelScalar, Parallelism: 1},
-				{Kernel: KernelBitset, Parallelism: 1},
-				{Kernel: KernelBitset, Parallelism: 4},
-				{Kernel: KernelScalar, Parallelism: 3},
-			} {
-				mat := SimilarityMatrixParallel(suffix, nil, PessimisticUnknown, mo)
-				batchT, batchC := ClusterAdaptive(mat, DefaultAdaptiveOptions())
-				assertSamePartition(t, "windowed-vs-batch", liveT, liveC, batchT, batchC)
-			}
+		// Batch over the suffix series at several parallelism levels.
+		suffix := NewSeries(space, sched(1<<20), vs[lo:k+1], nil)
+		for _, p := range []int{1, 4, 3} {
+			mat := SimilarityMatrixParallel(suffix, nil, simMode, MatrixOptions{Parallelism: p})
+			batchT, batchC := ClusterAdaptive(mat, DefaultAdaptiveOptions())
+			assertSamePartition(t, "windowed-vs-batch", liveT, liveC, batchT, batchC)
 		}
-		if events == 0 {
-			t.Fatalf("seed=%d: fixture fired no events — eviction equivalence is vacuous", seed)
-		}
-		if snap := win.Snapshot(); snap.Evictions == 0 || snap.Window != W {
-			t.Fatalf("seed=%d: snapshot window=%d evictions=%d — window never engaged",
-				seed, snap.Window, snap.Evictions)
-		}
+	}
+	if events == 0 {
+		t.Fatalf("seed=%d: fixture fired no events — eviction equivalence is vacuous", seed)
+	}
+	if snap := win.Snapshot(); snap.Evictions == 0 || snap.Window != W {
+		t.Fatalf("seed=%d: snapshot window=%d evictions=%d — window never engaged",
+			seed, snap.Window, snap.Evictions)
 	}
 }
 
@@ -211,6 +218,44 @@ func TestWindowedMonitorHeapBounded(t *testing.T) {
 	}
 }
 
+// TestWindowedAppendAllocsIndependentOfWindow pins the cost shape of
+// the eviction replay: every steady windowed append evicts one row and
+// replays the detector over the retained window, and that replay must
+// allocate nothing per replayed step — no Explanation for the past
+// events it re-decides, no baseline copy per median. Allocations per
+// append are then the same at W=64 and W=512. The windows hold the
+// fixture's regime changes, so the replay re-decides events; the
+// appended vectors repeat the newest one, so no live event fires.
+func TestWindowedAppendAllocsIndependentOfWindow(t *testing.T) {
+	allocs := func(W int) float64 {
+		s := randomSeries(t, W, 64, 0.2, 71)
+		mon := NewMonitorOpts(s.Space, sched(1<<20), MonitorOptions{
+			Mode: PessimisticUnknown, Detect: DefaultDetectOptions(), Window: W,
+		})
+		for _, v := range s.Vectors {
+			if _, _, err := mon.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if snap := mon.Snapshot(); snap.Events == 0 {
+			t.Fatalf("W=%d: fixture fired no events — the replay re-decides nothing", W)
+		}
+		last, next := s.Vectors[W-1], timeline.Epoch(W)
+		return testing.AllocsPerRun(40, func() {
+			v := last.Clone()
+			v.T = next
+			next++
+			if _, changed, err := mon.Append(v); err != nil || changed {
+				t.Fatalf("steady append: changed=%v err=%v", changed, err)
+			}
+		})
+	}
+	small, large := allocs(64), allocs(512)
+	if small != large {
+		t.Fatalf("allocations per windowed append: %v at W=64, %v at W=512 — the eviction replay allocates per replayed step", small, large)
+	}
+}
+
 // refTrimBefore is the pre-ring TrimBefore, transcribed verbatim: it
 // reallocates and copies the whole retained triangle. The regression
 // test pins the ring implementation bit-identical to it.
@@ -225,7 +270,7 @@ func refTrimBefore(m *Monitor, epoch timeline.Epoch) {
 		return
 	}
 	m.vectors = append([]*Vector(nil), m.vectors[cut:]...)
-	m.packed = append([]*packedVector(nil), m.packed[cut:]...)
+	m.packed = append([]packedRow(nil), m.packed[cut:]...)
 	sim := make([][]float64, len(m.vectors))
 	for i := range m.vectors {
 		old := m.sim[i+cut]

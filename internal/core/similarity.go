@@ -59,6 +59,14 @@ func validateMode(m UnknownMode) {
 // with M = 1 iff both assignments are known and equal. w may be nil for
 // uniform weights. The result is in [0,1]: the weighted fraction of
 // networks whose catchment is the same in both vectors.
+//
+// This is the engine's one scalar loop, kept for single pairs (adjacent
+// detection pairs, centroid checks), where packing both rows would cost
+// more than the one comparison it serves. Whole matrices and monitor
+// rows use the packed kernels (bitset.go), which are bit-identical to it:
+// uniform weights count exact integers, and weighted sums run in
+// ascending index order. Integer counts also keep the uniform case off a
+// float addition chain, which made it ~1.5× slower.
 func Gower(a, b *Vector, w []float64, mode UnknownMode) float64 {
 	if a.Space != b.Space {
 		panic("core: Gower across spaces")
@@ -67,105 +75,35 @@ func Gower(a, b *Vector, w []float64, mode UnknownMode) float64 {
 		panic(fmt.Sprintf("core: weight length %d != networks %d", len(w), len(a.assign)))
 	}
 	validateMode(mode)
-	return gowerKernel(w, mode)(a.assign, b.assign)
-}
-
-// gowerKernel selects one of four monomorphic inner loops, hoisting the
-// UnknownMode switch and the nil-weight branch out of the per-network
-// loop. The pessimistic/uniform kernel — the default in every scenario —
-// reduces to an int32 compare and an integer count; counts below 2^53 are
-// exactly representable, so the final division is bit-identical to the
-// old per-element float accumulation. Callers validate the mode at their
-// boundary (validateMode), so an out-of-range mode cannot reach here.
-func gowerKernel(w []float64, mode UnknownMode) func(a, b []int32) float64 {
-	switch {
-	case mode == PessimisticUnknown && w == nil:
-		return gowerPessimisticUniform
-	case mode == PessimisticUnknown:
-		return func(a, b []int32) float64 { return gowerPessimisticWeighted(a, b, w) }
-	case mode == KnownOnly && w == nil:
-		return gowerKnownOnlyUniform
-	case mode == KnownOnly:
-		return func(a, b []int32) float64 { return gowerKnownOnlyWeighted(a, b, w) }
-	default:
-		// Unreachable after the boundary checks; keep loud rather than
-		// returning the old silent-zero kernel.
-		panic(fmt.Sprintf("core: invalid UnknownMode %d (want PessimisticUnknown or KnownOnly)", int(mode)))
-	}
-}
-
-func gowerPessimisticUniform(a, b []int32) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	match := 0
-	b = b[:len(a)]
-	for i, x := range a {
-		// Kept branch-free (each flag is a SETcc, one jump per element):
-		// the branchy form's speed depends on where the linker places
-		// the loop.
+	knownOnly := mode == KnownOnly
+	y := b.assign[:len(a.assign)]
+	var match, total float64 // weighted sums, in ascending index order
+	var matched, counted int // uniform weights: exact integer counts
+	for i, x := range a.assign {
+		if knownOnly && (x == Unknown || y[i] == Unknown) {
+			continue
+		}
+		// Flags, not a branch, for the data-dependent match test: each
+		// is a SETcc.
 		eq, known := 0, 0
-		if x == b[i] {
+		if x == y[i] {
 			eq = 1
 		}
 		if x != Unknown {
 			known = 1
 		}
-		match += eq & known
-	}
-	return float64(match) / float64(len(a))
-}
-
-func gowerPessimisticWeighted(a, b []int32, w []float64) float64 {
-	var match, total float64
-	b = b[:len(a)]
-	w = w[:len(a)]
-	for i, x := range a {
-		wi := w[i]
-		total += wi
-		if x != Unknown && x == b[i] {
-			match += wi
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return match / total
-}
-
-func gowerKnownOnlyUniform(a, b []int32) float64 {
-	match, total := 0, 0
-	b = b[:len(a)]
-	for i, x := range a {
-		y := b[i]
-		if x == Unknown || y == Unknown {
+		if w == nil {
+			counted++
+			matched += eq & known
 			continue
 		}
-		total++
-		if x == y {
-			match++
+		total += w[i]
+		if eq&known == 1 {
+			match += w[i]
 		}
 	}
-	if total == 0 {
-		return 0
-	}
-	return float64(match) / float64(total)
-}
-
-func gowerKnownOnlyWeighted(a, b []int32, w []float64) float64 {
-	var match, total float64
-	b = b[:len(a)]
-	w = w[:len(a)]
-	for i, x := range a {
-		y := b[i]
-		if x == Unknown || y == Unknown {
-			continue
-		}
-		wi := w[i]
-		total += wi
-		if x == y {
-			match += wi
-		}
+	if w == nil {
+		match, total = float64(matched), float64(counted)
 	}
 	if total == 0 {
 		return 0
@@ -181,64 +119,17 @@ type SimMatrix struct {
 	vals   []float64 // row-major N×N
 }
 
-// SimKernel selects the Φ engine implementation. Every kernel produces
-// the bit-identical matrix (see equivalence_test.go and bitset_test.go);
-// the choice only affects speed.
+// SimKernel is the type of the deprecated Kernel option fields.
+//
+// Deprecated: there is one Φ engine, the packed kernels; no value selects
+// another.
 type SimKernel int
-
-const (
-	// KernelAuto (the default) resolves to the process default kernel:
-	// the packed-bitset engine when it is expected to be profitable for
-	// the space's site-alphabet size, the scalar kernels otherwise.
-	KernelAuto SimKernel = iota
-	// KernelBitset forces the packed popcount engine.
-	KernelBitset
-	// KernelScalar forces the pre-bitset scalar kernels — the rollback
-	// and benchmarking reference path.
-	KernelScalar
-)
-
-func (k SimKernel) String() string {
-	switch k {
-	case KernelAuto:
-		return "auto"
-	case KernelBitset:
-		return "bitset"
-	case KernelScalar:
-		return "scalar"
-	}
-	return fmt.Sprintf("sim-kernel(%d)", int(k))
-}
-
-// defaultKernel is the process-wide resolution of KernelAuto,
-// overridable with SetDefaultKernel (the `fenrir -kernel` debug lever).
-var defaultKernel atomic.Int32 // a SimKernel; KernelAuto = heuristic
-
-// SetDefaultKernel overrides how KernelAuto resolves for the whole
-// process: KernelBitset or KernelScalar force that engine everywhere,
-// KernelAuto restores the profitability heuristic. It exists as an
-// operational rollback lever; outputs are bit-identical either way.
-func SetDefaultKernel(k SimKernel) { defaultKernel.Store(int32(k)) }
-
-// resolveKernel turns an options-level kernel request into a concrete
-// engine for a space with the given site/network counts.
-func resolveKernel(k SimKernel, numSites, numNetworks int) SimKernel {
-	if k == KernelAuto {
-		k = SimKernel(defaultKernel.Load())
-	}
-	if k == KernelAuto {
-		if packedProfitable(numSites, numNetworks) {
-			return KernelBitset
-		}
-		return KernelScalar
-	}
-	return k
-}
 
 // MatrixOptions tunes the parallel similarity engine.
 type MatrixOptions struct {
-	// Kernel selects the Φ engine (auto, bitset, scalar). All choices
-	// produce the bit-identical matrix; see SimKernel.
+	// Kernel is ignored.
+	//
+	// Deprecated: SimilarityMatrixParallel always uses the packed engine.
 	Kernel SimKernel
 	// Parallelism is the number of worker goroutines filling the matrix.
 	// 0 (the default) sizes the pool to runtime.GOMAXPROCS(0); 1 runs
@@ -253,7 +144,7 @@ type MatrixOptions struct {
 	// contiguous so each worker streams the same few assign slices.
 	TileRows int
 	// Obs receives engine instrumentation: per-tile fill timing, pair
-	// counts, worker/tile gauges, and kernel-choice counters. nil (the
+	// counts, and worker/tile gauges. nil (the
 	// default) disables instrumentation entirely — the hot loop is
 	// untouched and the matrix is bit-identical either way.
 	Obs *obs.Registry
@@ -262,23 +153,6 @@ type MatrixOptions struct {
 	// where the quadratic fill spent its time. nil — or a registry not
 	// tracing — records nothing.
 	Span *obs.Span
-}
-
-// kernelName labels the monomorphic Gower kernel gowerKernel selects,
-// for the engine's kernel-choice counter.
-func kernelName(w []float64, mode UnknownMode) string {
-	switch {
-	case mode == PessimisticUnknown && w == nil:
-		return "pessimistic-uniform"
-	case mode == PessimisticUnknown:
-		return "pessimistic-weighted"
-	case mode == KnownOnly && w == nil:
-		return "known-only-uniform"
-	case mode == KnownOnly:
-		return "known-only-weighted"
-	default:
-		panic(fmt.Sprintf("core: invalid UnknownMode %d (want PessimisticUnknown or KnownOnly)", int(mode)))
-	}
 }
 
 // SimilarityMatrix computes Φ for every vector pair in the series.
@@ -292,70 +166,44 @@ func SimilarityMatrix(s *Series, w []float64, mode UnknownMode) *SimMatrix {
 
 // SimilarityMatrixParallel computes the all-pairs Φ matrix by splitting
 // the upper triangle of the T×T pair space into row tiles dispatched to
-// a worker pool over an atomic tile counter. The Gower kernel (mode ×
+// a worker pool over an atomic tile counter. Every vector is packed once
+// into one bit-sliced slab (bitset.go) and the packed kernel (mode ×
 // weighting) is selected once, outside the pair loop. All vectors must
 // share the series' Space; a mixed-space series panics here with a clear
-// message rather than deep inside the kernel.
+// message rather than deep inside the kernel. opts.Kernel is ignored.
 func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts MatrixOptions) *SimMatrix {
 	validateMode(mode)
 	n := len(s.Vectors)
 	m := &SimMatrix{N: n, Epochs: make([]int, n), vals: make([]float64, n*n)}
-	assigns := make([][]int32, n)
 	for i, v := range s.Vectors {
 		if v.Space != s.Space {
 			panic(fmt.Sprintf("core: SimilarityMatrix: vector %d (epoch %d) belongs to a different Space than its series", i, int(v.T)))
 		}
 		m.Epochs[i] = int(v.T)
-		assigns[i] = v.assign
 	}
 	if n == 0 {
 		return m
 	}
-	if w != nil && len(w) != len(assigns[0]) {
-		panic(fmt.Sprintf("core: weight length %d != networks %d", len(w), len(assigns[0])))
+	nets := len(s.Vectors[0].assign)
+	if w != nil && len(w) != nets {
+		panic(fmt.Sprintf("core: weight length %d != networks %d", len(w), nets))
 	}
-	engine := resolveKernel(opts.Kernel, s.Space.NumSites(), len(assigns[0]))
+	// The slab is rebuilt per call rather than cached on the Series: its
+	// Vectors are mutable, and no other batch stage would reuse it.
+	rows := packSlab(s.Vectors)
+	kern := packedGowerKernel(w, mode, nets)
 
-	// fill computes the upper-triangle segments of rows [lo,hi); mirror
-	// selects whether it also writes the symmetric cells. The serial path
-	// mirrors inline; the parallel path fills the upper triangle only and
-	// mirrors in one blocked pass after the join, so concurrent tiles
-	// never write into each other's rows (the mirror of row i scatters
-	// over every later row — under the old scheme, a guaranteed source of
-	// false sharing between workers).
-	var fill func(lo, hi int, mirror bool)
-	if engine == KernelBitset {
-		packed := make([]*packedVector, n)
-		for i, a := range assigns {
-			packed[i] = packAssign(a)
-		}
-		kern := packedGowerKernel(w, mode)
-		fill = func(lo, hi int, mirror bool) {
-			for i := lo; i < hi; i++ {
-				m.vals[i*n+i] = 1
-				pi := packed[i]
-				for j := i + 1; j < n; j++ {
-					phi := kern(pi, packed[j])
-					m.vals[i*n+j] = phi
-					if mirror {
-						m.vals[j*n+i] = phi
-					}
-				}
-			}
-		}
-	} else {
-		kern := gowerKernel(w, mode)
-		fill = func(lo, hi int, mirror bool) {
-			for i := lo; i < hi; i++ {
-				m.vals[i*n+i] = 1
-				ai := assigns[i]
-				for j := i + 1; j < n; j++ {
-					phi := kern(ai, assigns[j])
-					m.vals[i*n+j] = phi
-					if mirror {
-						m.vals[j*n+i] = phi
-					}
-				}
+	// fill computes the upper-triangle segments of rows [lo,hi). Every
+	// path fills only the upper triangle and mirrors it in one blocked
+	// pass at the end (mirrorLower): concurrent tiles never write into
+	// each other's rows, and even the serial fill avoids a column-strided
+	// store per pair, which at T=1024 cost as much as the kernels.
+	fill := func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			m.vals[i*n+i] = 1
+			ri := &rows[i]
+			for j := i + 1; j < n; j++ {
+				m.vals[i*n+j] = kern(ri, &rows[j])
 			}
 		}
 	}
@@ -371,16 +219,14 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 		// Instrumentation wraps the tile-fill closure rather than the
 		// per-pair loop: one monotonic time.Since per tile, never per
 		// pair, and only when a registry is attached.
-		opts.Obs.Counter(`fenrir_gower_kernel_total{kernel="` + kernelName(w, mode) + `"}`).Inc()
-		opts.Obs.Counter(`fenrir_similarity_engine_total{engine="` + engine.String() + `"}`).Inc()
 		opts.Obs.Counter("fenrir_similarity_matrices_total").Inc()
 		opts.Obs.Gauge("fenrir_similarity_workers").Set(float64(p))
 		tileDur := opts.Obs.Histogram("fenrir_similarity_tile_seconds")
 		pairs := opts.Obs.Counter("fenrir_similarity_pairs_total")
 		base := fill
-		fill = func(lo, hi int, mirror bool) {
+		fill = func(lo, hi int) {
 			t0 := time.Now()
-			base(lo, hi, mirror)
+			base(lo, hi)
 			tileDur.ObserveSince(t0)
 			np := 0
 			for i := lo; i < hi; i++ {
@@ -393,8 +239,9 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 		tsp := opts.Span.Child("tile")
 		tsp.SetAttr("row0", 0)
 		tsp.SetAttr("rows", n)
-		fill(0, n, true)
+		fill(0, n)
 		tsp.End()
+		mirrorLower(m.vals, n)
 		return m
 	}
 
@@ -425,7 +272,7 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 			tsp.SetLane(lane)
 			tsp.SetAttr("row0", tiles[t].lo)
 			tsp.SetAttr("rows", tiles[t].hi-tiles[t].lo)
-			fill(tiles[t].lo, tiles[t].hi, false)
+			fill(tiles[t].lo, tiles[t].hi)
 			tsp.End()
 		}
 	}

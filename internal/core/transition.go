@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // TransitionMatrix is the paper's T(t,t',s,s') (§2.7): how many networks
 // were at site s at time t and at site s' at time t'. The site axis
@@ -174,25 +177,37 @@ type Flow struct {
 	Count    float64
 }
 
-// LargestFlows returns up to k off-diagonal flows sorted descending.
+// LargestFlows returns up to k off-diagonal flows sorted descending by
+// count, ties broken by From then To (cells are unique, so the order is
+// total). k <= 0 returns every flow. For k > 0 the k best are kept by a
+// bounded insertion instead of sorting every cell: change explanations
+// ask for 5 flows out of up to sites² cells.
 func (tm *TransitionMatrix) LargestFlows(k int) []Flow {
+	before := func(a, b Flow) bool {
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	}
 	var flows []Flow
 	for key, v := range tm.counts {
-		if key[0] != key[1] && v > 0 {
-			flows = append(flows, Flow{From: tm.Sites[key[0]], To: tm.Sites[key[1]], Count: v})
+		if key[0] == key[1] || v <= 0 {
+			continue
+		}
+		f := Flow{From: tm.Sites[key[0]], To: tm.Sites[key[1]], Count: v}
+		if k <= 0 {
+			flows = append(flows, f)
+			continue
+		}
+		if i := sort.Search(len(flows), func(i int) bool { return before(f, flows[i]) }); i < k {
+			flows = slices.Insert(flows, i, f)[:min(len(flows)+1, k)]
 		}
 	}
-	sort.Slice(flows, func(i, j int) bool {
-		if flows[i].Count != flows[j].Count {
-			return flows[i].Count > flows[j].Count
-		}
-		if flows[i].From != flows[j].From {
-			return flows[i].From < flows[j].From
-		}
-		return flows[i].To < flows[j].To
-	})
-	if k > 0 && len(flows) > k {
-		flows = flows[:k]
+	if k <= 0 {
+		sort.Slice(flows, func(i, j int) bool { return before(flows[i], flows[j]) })
 	}
 	return flows
 }

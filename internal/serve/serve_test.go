@@ -504,7 +504,7 @@ func TestServeRestartByteIdentical(t *testing.T) {
 // increasing epochs, while readers hammer every query endpoint.
 func TestServeConcurrentIngestAndQuery(t *testing.T) {
 	reg := obs.NewRegistry()
-	_, ts := testServer(t, Config{Obs: reg, SnapshotDir: t.TempDir(), SnapshotEvery: 16})
+	s, ts := testServer(t, Config{Obs: reg, SnapshotDir: t.TempDir(), SnapshotEvery: 16})
 	nets := specNets(40)
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/live", defaultSpec(40)); code != http.StatusCreated {
 		t.Fatal("create failed")
@@ -571,6 +571,11 @@ func TestServeConcurrentIngestAndQuery(t *testing.T) {
 	}
 	if reg.Counter("fenrir_snapshot_writes_total").Value() == 0 {
 		t.Fatal("periodic checkpoints never fired")
+	}
+	// The last periodic checkpoint can still be writing once history
+	// shows every epoch; drain so no write races the TempDir cleanup.
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -11,6 +11,17 @@ import (
 	"fenrir/internal/wire"
 )
 
+// waitServed waits for the server's answered count to reach want: the
+// serve loop counts a query after its response is written, so a client
+// can hold the response before the count moves.
+func waitServed(srv *Server, want int) int {
+	deadline := time.Now().Add(2 * time.Second)
+	for srv.Served() < want && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	return srv.Served()
+}
+
 func echoHandler(q *wire.DNSMessage, _ net.Addr) *wire.DNSMessage {
 	return &wire.DNSMessage{
 		ID: q.ID, QR: true, AA: true,
@@ -42,8 +53,8 @@ func TestQueryOverRealSocket(t *testing.T) {
 	if err != nil || a != 0x01020304 {
 		t.Fatalf("A = %x err=%v", a, err)
 	}
-	if srv.Served() != 1 {
-		t.Fatalf("served = %d", srv.Served())
+	if n := waitServed(srv, 1); n != 1 {
+		t.Fatalf("served = %d", n)
 	}
 }
 
@@ -81,8 +92,8 @@ func TestConcurrentClients(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if srv.Served() != n {
-		t.Fatalf("served = %d, want %d", srv.Served(), n)
+	if got := waitServed(srv, n); got != n {
+		t.Fatalf("served = %d, want %d", got, n)
 	}
 }
 
