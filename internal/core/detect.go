@@ -62,7 +62,8 @@ type detector struct {
 	// order (at most opts.Window), and sorted the same values ascending,
 	// equal values in arrival order — exactly the stable sort of history,
 	// so the baseline median is read off it instead of recomputed. Both
-	// buffers are owned by the detector and reused across rebuilds.
+	// buffers grow with use, never with opts.Window (which may come from
+	// an API request or a snapshot), and are reused across rebuilds.
 	history  []float64
 	sorted   []float64
 	cooldown int
@@ -82,9 +83,7 @@ func newDetector(opts DetectOptions, w []float64) *detector {
 		opts.MinDrop = 0.05
 	}
 	return &detector{
-		opts:    opts,
-		history: make([]float64, 0, opts.Window+1),
-		sorted:  make([]float64, 0, opts.Window+1),
+		opts: opts,
 		ex: explainer{w: w, phi: func(cur, c *Vector) float64 {
 			return Gower(cur, c, w, opts.Mode)
 		}},

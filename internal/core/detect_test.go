@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"fenrir/internal/rng"
@@ -230,13 +231,14 @@ func TestMedian(t *testing.T) {
 // sorted window through long random streams — few distinct values, so
 // equal values are common, plus signed zeros — with window evictions and
 // gap resets, and checks the median after every push against the
-// sort-a-copy reference, bit for bit, and that the window buffers never
-// grow past the window.
+// sort-a-copy reference, bit for bit, and that the window buffers stop
+// growing once the window has first overflowed.
 func TestWindowMedianMatchesSortedCopy(t *testing.T) {
 	for _, window := range []int{1, 2, 3, 7, 30} {
 		r := rng.New(uint64(window))
 		d := newDetector(DetectOptions{Window: window}, nil)
 		var ref []float64
+		var warm [2]int // buffer capacities after the first eviction
 		for step := 0; step < 2000; step++ {
 			if r.Bool(0.01) {
 				d.reset()
@@ -249,16 +251,47 @@ func TestWindowMedianMatchesSortedCopy(t *testing.T) {
 			}
 			d.push(x)
 			ref = append(ref, x)
-			if len(ref) > window {
+			evicted := len(ref) > window
+			if evicted {
 				ref = ref[1:]
 			}
 			got, want := d.median(), refMedian(ref)
 			if math.Float64bits(got) != math.Float64bits(want) {
 				t.Fatalf("window=%d step %d: median %v, reference %v over %v", window, step, got, want, ref)
 			}
-			if len(d.history) > window || cap(d.history) > window+1 || cap(d.sorted) > window+1 {
-				t.Fatalf("window=%d: buffers grew to len %d cap %d/%d", window, len(d.history), cap(d.history), cap(d.sorted))
+			if len(d.history) > window {
+				t.Fatalf("window=%d step %d: history holds %d values", window, step, len(d.history))
 			}
+			caps := [2]int{cap(d.history), cap(d.sorted)}
+			switch {
+			case warm == [2]int{} && evicted:
+				warm = caps
+			case warm != [2]int{} && caps != warm:
+				t.Fatalf("window=%d step %d: buffers grew after warm-up, cap %v then %v", window, step, warm, caps)
+			}
+		}
+	}
+}
+
+// TestHugeDetectWindowAllocatesNothingUpFront: the baseline window
+// comes from outside the program (a tenant's JSON spec, a snapshot), so
+// a detector must not size anything by it before pairs arrive. A
+// MaxInt window used to overflow the preallocation and panic, and 1<<40
+// asked for two 8 TiB buffers.
+func TestHugeDetectWindowAllocatesNothingUpFront(t *testing.T) {
+	for _, window := range []int{1 << 40, math.MaxInt} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		d := newDetector(DetectOptions{Window: window}, nil)
+		for _, x := range []float64{0.9, 0.8, 1, 0.95} {
+			d.push(x)
+		}
+		runtime.ReadMemStats(&after)
+		if got := d.median(); got != 0.925 {
+			t.Fatalf("window=%d: median %v, want 0.925", window, got)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+			t.Fatalf("window=%d: a detector with four pairs allocated %d bytes", window, grew)
 		}
 	}
 }

@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"math"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -449,6 +451,56 @@ func TestRestoreMonitorInvalidDetectMode(t *testing.T) {
 	st.Detect.Mode = UnknownMode(99)
 	if _, err := RestoreMonitor(st); err == nil {
 		t.Fatal("invalid detection mode accepted")
+	}
+}
+
+// TestRestoreMonitorHugeDetectWindow: a snapshot's baseline window is
+// untrusted input. A MaxInt window must restore without a panic and
+// without anything sized by it, then detect exactly like a monitor
+// built with that window and fed the same stream.
+func TestRestoreMonitorHugeDetectWindow(t *testing.T) {
+	space, vs := monitorFixtureVectors(40)
+	opts := DefaultDetectOptions()
+	opts.Window = math.MaxInt
+	ref := NewMonitor(space, sched(40), nil, PessimisticUnknown, opts)
+	first := NewMonitor(space, sched(40), nil, PessimisticUnknown, DefaultDetectOptions())
+	var want, got []ChangeEvent
+	for i, v := range vs {
+		ev, ok, err := ref.Append(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i < 17 {
+			if _, _, err := first.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		} else if ok {
+			want = append(want, ev)
+		}
+	}
+	st := first.State()
+	st.Detect.Window = math.MaxInt
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rest, err := RestoreMonitor(st)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Fatalf("restoring 17 epochs allocated %d bytes", grew)
+	}
+	for _, v := range vs[17:] {
+		ev, ok, err := rest.Append(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			got = append(got, ev)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("events after restore %+v, want %+v", got, want)
 	}
 }
 

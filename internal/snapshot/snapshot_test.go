@@ -573,8 +573,16 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	if err := EncodeSeries(&serBuf, core.NewSeries(space, testSched(12), vs, nil)); err != nil {
 		f.Fatal(err)
 	}
+	// A baseline window no detector may size anything by.
+	huge := mon.State()
+	huge.Detect.Window = math.MaxInt
+	var hugeBuf bytes.Buffer
+	if err := EncodeMonitor(&hugeBuf, huge); err != nil {
+		f.Fatal(err)
+	}
 	f.Add(monBuf.Bytes())
 	f.Add(serBuf.Bytes())
+	f.Add(hugeBuf.Bytes())
 	f.Add(hugeCountSnapshot(f))
 	f.Add(hugeFrameSnapshot(f))
 
