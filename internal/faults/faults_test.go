@@ -47,8 +47,14 @@ func TestNilInjectorIsPassThrough(t *testing.T) {
 	if inj.Report() != nil {
 		t.Fatal("nil Report nonzero")
 	}
-	if inj.NewBackoff("x", DefaultRetryPolicy()) != nil {
-		t.Fatal("nil injector built a backoff")
+	// Without a fault layer a backoff grants exactly the engine's
+	// zero-fault retries, immediately and unbudgeted.
+	zb := inj.NewBackoff("x", 2)
+	if !zb.Allow(1) || !zb.Allow(2) || zb.Allow(3) {
+		t.Fatal("nil injector's backoff did not grant exactly 2 retries")
+	}
+	if zb.SpentMs() != 0 {
+		t.Fatal("zero-fault backoff spent budget")
 	}
 	inj.Quarantine("r", 3) // must not panic
 	var bo *Backoff
@@ -225,7 +231,8 @@ func TestBlackoutWindowsAreStatelessAndAligned(t *testing.T) {
 
 func TestBackoffBudget(t *testing.T) {
 	inj := New(Profile{Name: "t", LossStart: 0.5}, 1, nil)
-	b := inj.NewBackoff("s", RetryPolicy{MaxAttempts: 4, BaseBackoffMs: 100, MaxBackoffMs: 150, BudgetMs: 1000})
+	b := &Backoff{inj: inj, substrate: "s",
+		pol: RetryPolicy{MaxAttempts: 4, BaseBackoffMs: 100, MaxBackoffMs: 150, BudgetMs: 1000}}
 	// attempt 1: 100ms, attempt 2: 200→capped 150, attempt 3: capped 150;
 	// attempt 4 hits MaxAttempts.
 	for i := 1; i <= 3; i++ {
@@ -241,7 +248,8 @@ func TestBackoffBudget(t *testing.T) {
 	}
 
 	// Budget exhaustion cuts retries before MaxAttempts.
-	b = inj.NewBackoff("s", RetryPolicy{MaxAttempts: 10, BaseBackoffMs: 100, MaxBackoffMs: 100, BudgetMs: 250})
+	b = &Backoff{inj: inj, substrate: "s",
+		pol: RetryPolicy{MaxAttempts: 10, BaseBackoffMs: 100, MaxBackoffMs: 100, BudgetMs: 250}}
 	allowed := 0
 	for i := 1; i <= 9; i++ {
 		if b.Allow(i) {
@@ -252,9 +260,19 @@ func TestBackoffBudget(t *testing.T) {
 		t.Fatalf("allowed %d retries on a 250 ms budget of 100 ms steps, want 2", allowed)
 	}
 
+	// Under a fault layer every engine runs DefaultRetryPolicy, whatever
+	// its zero-fault retry count.
+	b = inj.NewBackoff("d", 0)
+	if !b.Allow(1) || !b.Allow(2) || b.Allow(3) {
+		t.Fatal("fault-layer backoff is not DefaultRetryPolicy's 3 attempts")
+	}
+	if got := b.SpentMs(); got != 150 {
+		t.Fatalf("default policy spent = %v ms, want 150", got)
+	}
+
 	rep := inj.Report()
-	if rep.Retries["s"] != 5 {
-		t.Fatalf("retries recorded = %d, want 5", rep.Retries["s"])
+	if rep.Retries["s"] != 5 || rep.Retries["d"] != 2 {
+		t.Fatalf("retries recorded = %v, want s:5 d:2", rep.Retries)
 	}
 }
 

@@ -15,21 +15,20 @@ type RetryPolicy struct {
 	MaxBackoffMs  float64
 	// BudgetMs caps the cumulative backoff spent by one Backoff instance
 	// (one engine on one substrate); past it, retries stop even if
-	// MaxAttempts remain.
+	// MaxAttempts remain. Zero means no budget.
 	BudgetMs float64
 }
 
-// DefaultRetryPolicy is the bounded budget wired into the scenario
-// runners: up to 3 attempts, 50 ms → 800 ms exponential backoff, 30 s
-// total per substrate.
+// DefaultRetryPolicy is the bounded budget every engine runs under an
+// active fault layer: up to 3 attempts, 50 ms → 800 ms exponential
+// backoff, 30 s total per substrate.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxAttempts: 3, BaseBackoffMs: 50, MaxBackoffMs: 800, BudgetMs: 30000}
 }
 
-// Backoff meters retries for one engine on one substrate. A nil *Backoff
-// never allows a retry, which is how engines keep their legacy fixed-count
-// retry loops (and their exact dataplane call sequence) when no fault
-// layer is active.
+// Backoff meters retries for one engine on one substrate. Engines run one
+// loop, `if ok || !b.Allow(attempt+1) { break }`; a nil *Backoff never
+// allows a retry.
 type Backoff struct {
 	pol       RetryPolicy
 	inj       *Injector
@@ -37,13 +36,14 @@ type Backoff struct {
 	spentMs   float64
 }
 
-// NewBackoff builds a retry meter for substrate. Nil injector: nil — the
-// legacy (fixed Retries field) path stays in force.
-func (inj *Injector) NewBackoff(substrate string, pol RetryPolicy) *Backoff {
-	if inj == nil {
-		return nil
-	}
-	if pol.MaxAttempts <= 0 {
+// NewBackoff builds the retry meter for one engine on substrate. Under a
+// fault layer it runs DefaultRetryPolicy. Without one (nil injector) it
+// grants exactly `retries` immediate retries with no budget — the
+// engine's zero-fault probe sequence, so the dataplane sees the same
+// calls as a fixed-count loop.
+func (inj *Injector) NewBackoff(substrate string, retries int) *Backoff {
+	pol := RetryPolicy{MaxAttempts: retries + 1}
+	if inj != nil {
 		pol = DefaultRetryPolicy()
 	}
 	return &Backoff{pol: pol, inj: inj, substrate: substrate}

@@ -177,7 +177,7 @@ func TestCollectDegradesGracefullyUnderStreamFaults(t *testing.T) {
 	_, svc, rib, c := world(t)
 	inj := faults.New(faults.Profile{Name: "t", CorruptRate: 0.7, TruncateRate: 0.7}, 31, nil)
 	c.Faults = inj
-	c.Backoff = inj.NewBackoff("bgpfeed", faults.DefaultRetryPolicy())
+	c.Backoff = inj.NewBackoff("bgpfeed", 0)
 	snap, err := c.Collect(svc, rib)
 	if err != nil {
 		t.Fatalf("faulted collect errored instead of degrading: %v", err)

@@ -31,11 +31,8 @@ type Mapper struct {
 	// (e.g. a front-end id or a site name). Unknown addresses become
 	// "other".
 	DecodeFrontEnd func(addr netaddr.Addr) (string, bool)
-	// Retries per query. Ignored when Backoff is set.
-	Retries int
-	// Backoff, when set, meters retries under a bounded
-	// exponential-backoff budget; nil keeps the legacy fixed-count loop
-	// and its exact dataplane call sequence.
+	// Backoff meters per-query retries (see faults.Injector.NewBackoff);
+	// nil never retries.
 	Backoff *faults.Backoff
 }
 
@@ -69,14 +66,7 @@ func (m *Mapper) Sweep(space *core.Space, epoch timeline.Epoch) *core.Vector {
 		var err error
 		for attempt := 0; ; attempt++ {
 			resp, _, err = m.Net.QueryDNS(m.ObserverAS, m.ServerAddr, q, int(epoch))
-			if err == nil {
-				break
-			}
-			if m.Backoff != nil {
-				if !m.Backoff.Allow(attempt + 1) {
-					break
-				}
-			} else if attempt >= m.Retries {
+			if err == nil || !m.Backoff.Allow(attempt+1) {
 				break
 			}
 		}

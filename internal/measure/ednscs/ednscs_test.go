@@ -6,6 +6,7 @@ import (
 	"fenrir/internal/astopo"
 	"fenrir/internal/core"
 	"fenrir/internal/dataplane"
+	"fenrir/internal/faults"
 	"fenrir/internal/netaddr"
 	"fenrir/internal/websim"
 )
@@ -70,7 +71,7 @@ func world(t testing.TB, lossRate float64) (*dataplane.Net, *websim.GeoPolicy, *
 			l, ok := byAddr[a]
 			return l, ok
 		},
-		Retries: 2,
+		Backoff: (*faults.Injector)(nil).NewBackoff("ednscs", 2),
 	}
 	return n, pol, site, m
 }
@@ -134,7 +135,7 @@ func TestSweepDrainAndStickyReturn(t *testing.T) {
 
 func TestSweepLossLeavesUnknown(t *testing.T) {
 	_, _, _, m := world(t, 1.0)
-	m.Retries = 0
+	m.Backoff = nil
 	space := m.Space()
 	v := m.Sweep(space, 0)
 	if v.KnownCount() != 0 {

@@ -52,18 +52,17 @@ type Prober struct {
 	SrcAddr netaddr.Addr
 	// MaxHops mirrors the paper's 10-hop cap.
 	MaxHops int
-	// Retries per TTL (scamper default behaviour: retry silent hops).
-	// Ignored when Backoff is set.
-	Retries int
-	// Backoff, when set, meters per-TTL retries under a bounded
-	// exponential-backoff budget instead of the fixed Retries count. Nil
-	// keeps the legacy probe sequence exactly.
+	// Backoff meters per-TTL retries of silent hops (see
+	// faults.Injector.NewBackoff); nil never retries.
 	Backoff *faults.Backoff
 }
 
-// NewProber constructs a prober with the paper's parameters.
+// NewProber constructs a prober with the paper's parameters: a 10-hop cap
+// and, as scamper does by default, one retry per silent hop.
 func NewProber(net dataplane.Plane, srcAS astopo.ASN, srcAddr netaddr.Addr) *Prober {
-	return &Prober{Net: net, SrcAS: srcAS, SrcAddr: srcAddr, MaxHops: 10, Retries: 1}
+	var noFaults *faults.Injector
+	return &Prober{Net: net, SrcAS: srcAS, SrcAddr: srcAddr, MaxHops: 10,
+		Backoff: noFaults.NewBackoff("traceroute", 1)}
 }
 
 // Trace probes one destination block.
@@ -76,15 +75,8 @@ func (p *Prober) Trace(dst netaddr.Block, epoch timeline.Epoch) Trace {
 		got := false
 		for attempt := 0; ; attempt++ {
 			res = p.Net.ProbeTTL(p.SrcAS, p.SrcAddr, target, basePort+uint16(ttl), ttl, int(epoch))
-			if res.Kind != dataplane.Timeout {
-				got = true
-				break
-			}
-			if p.Backoff != nil {
-				if !p.Backoff.Allow(attempt + 1) {
-					break
-				}
-			} else if attempt >= p.Retries {
+			got = res.Kind != dataplane.Timeout
+			if got || !p.Backoff.Allow(attempt+1) {
 				break
 			}
 		}

@@ -24,25 +24,23 @@ type Mapper struct {
 	Net     dataplane.Plane
 	Service string
 	Hitlist []netaddr.Block
-	// Retries is how many additional probes a silent block gets within
-	// one census; Verfploeter deployments retry to suppress transient
-	// loss (retries cannot recover a genuinely unresponsive block).
-	// Ignored when Backoff is set.
-	Retries int
-	// Backoff, when set, replaces the fixed Retries count with a bounded
-	// retry-with-exponential-backoff budget (see internal/faults). Nil
-	// keeps the legacy loop — and its exact dataplane call sequence —
-	// unchanged.
+	// Backoff meters the extra probes a silent block gets within one
+	// census (see faults.Injector.NewBackoff); nil never retries.
+	// Verfploeter deployments retry to suppress transient loss; retries
+	// cannot recover a genuinely unresponsive block.
 	Backoff *faults.Backoff
 }
 
-// NewMapper builds a mapper. It panics if the service is unknown — a
-// wiring bug, not a runtime condition.
+// NewMapper builds a mapper that gives a silent block one retry per
+// census. It panics if the service is unknown — a wiring bug, not a
+// runtime condition.
 func NewMapper(net dataplane.Plane, service string, hitlist []netaddr.Block) *Mapper {
 	if net.Service(service) == nil {
 		panic(fmt.Sprintf("verfploeter: unknown service %q", service))
 	}
-	return &Mapper{Net: net, Service: service, Hitlist: hitlist, Retries: 1}
+	var noFaults *faults.Injector
+	return &Mapper{Net: net, Service: service, Hitlist: hitlist,
+		Backoff: noFaults.NewBackoff("verfploeter", 1)}
 }
 
 // Space builds the analysis space: one Fenrir network per hitlist /24.
@@ -81,7 +79,8 @@ func (m *Mapper) Census(space *core.Space, epoch timeline.Epoch) (*core.Vector, 
 		target := b.Host(1) // the hitlist representative address
 		for attempt := 0; ; attempt++ {
 			res := m.Net.Ping(fromAS, srcAddr, target, uint16(epoch), uint16(i), int(epoch))
-			if res.Kind == dataplane.EchoReply {
+			ok := res.Kind == dataplane.EchoReply
+			if ok {
 				if res.Site == "" {
 					// A reply that did not arrive via the service prefix
 					// would be a simulator bug; classify as other.
@@ -89,13 +88,8 @@ func (m *Mapper) Census(space *core.Space, epoch timeline.Epoch) (*core.Vector, 
 				} else {
 					v.Set(i, res.Site)
 				}
-				break
 			}
-			if m.Backoff != nil {
-				if !m.Backoff.Allow(attempt + 1) {
-					break
-				}
-			} else if attempt >= m.Retries {
+			if ok || !m.Backoff.Allow(attempt+1) {
 				break
 			}
 		}

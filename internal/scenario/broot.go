@@ -177,7 +177,7 @@ func RunBRoot(cfg BRootConfig) (*BRootResult, error) {
 	}
 	inj := newInjector(cfg.Seed, cfg.Faults, cfg.FaultSeed, cfg.Obs)
 	mapper := verfploeter.NewMapper(inj.Wrap(w.Net, "verfploeter"), "b-root", hitlist)
-	mapper.Backoff = inj.NewBackoff("verfploeter", faults.DefaultRetryPolicy())
+	mapper.Backoff = inj.NewBackoff("verfploeter", 1)
 	space := mapper.Space()
 
 	var vps []atlas.VP
@@ -185,7 +185,7 @@ func RunBRoot(cfg BRootConfig) (*BRootResult, error) {
 	if cfg.LatencyEvery > 0 {
 		vps = atlas.DeployVPs(w.Net, cfg.AtlasVPs, cfg.Seed^0xa71a5)
 		mesh = &atlas.Mesh{Net: inj.Wrap(w.Net, "atlas"), Service: "b-root", VPs: vps,
-			Backoff: inj.NewBackoff("atlas", faults.DefaultRetryPolicy())}
+			Backoff: inj.NewBackoff("atlas", 0)}
 	}
 	meshSpace := func() *core.Space {
 		if mesh == nil {

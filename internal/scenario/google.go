@@ -129,8 +129,7 @@ func RunGoogle(cfg GoogleConfig) (*GoogleResult, error) {
 			l, ok := idx[a]
 			return l, ok
 		},
-		Retries: 1,
-		Backoff: inj.NewBackoff("ednscs", faults.DefaultRetryPolicy()),
+		Backoff: inj.NewBackoff("ednscs", 1),
 	}
 	space := mapper.Space()
 

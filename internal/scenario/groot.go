@@ -138,7 +138,7 @@ func RunGRoot(cfg GRootConfig) (*GRootResult, error) {
 	inj := newInjector(cfg.Seed, cfg.Faults, cfg.FaultSeed, cfg.Obs)
 	vps := atlas.DeployVPs(w.Net, cfg.VPs, cfg.Seed^0x6a7145)
 	mesh := &atlas.Mesh{Net: inj.Wrap(w.Net, "atlas"), Service: "g-root", VPs: vps,
-		Backoff: inj.NewBackoff("atlas", faults.DefaultRetryPolicy())}
+		Backoff: inj.NewBackoff("atlas", 0)}
 	space := mesh.Space()
 
 	// Third-party shift: CMH's host tier-2 gains a peering that pulls

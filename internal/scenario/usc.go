@@ -176,8 +176,7 @@ func RunUSC(cfg USCConfig) (*USCResult, error) {
 	}
 	inj := newInjector(cfg.Seed, cfg.Faults, cfg.FaultSeed, cfg.Obs)
 	prober := traceroute.NewProber(inj.Wrap(w.Net, "traceroute"), ASNUSC, netaddr.MustParseAddr("128.125.1.1"))
-	prober.Retries = 0
-	prober.Backoff = inj.NewBackoff("traceroute", faults.DefaultRetryPolicy())
+	prober.Backoff = inj.NewBackoff("traceroute", 0)
 	space := traceroute.Space(hitlist)
 
 	res := &USCResult{Schedule: sched, ChangeEpoch: change}

@@ -113,7 +113,7 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	inj := newInjector(cfg.Seed, cfg.Faults, cfg.FaultSeed, cfg.Obs)
 	vps := atlas.DeployVPs(w.Net, cfg.VPs, cfg.Seed^0x7a5)
 	mesh := &atlas.Mesh{Net: inj.Wrap(w.Net, "atlas"), Service: "b-root", VPs: vps,
-		Backoff: inj.NewBackoff("atlas", faults.DefaultRetryPolicy())}
+		Backoff: inj.NewBackoff("atlas", 0)}
 	space := mesh.Space()
 	sched := timeline.NewSchedule(date("2023-03-01"), daysDur(1)/48, cfg.Epochs)
 

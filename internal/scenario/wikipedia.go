@@ -143,7 +143,7 @@ func RunWikipedia(cfg WikipediaConfig) (*WikipediaResult, error) {
 			l, ok := byAddr[a]
 			return l, ok
 		},
-		Backoff: inj.NewBackoff("ednscs", faults.DefaultRetryPolicy()),
+		Backoff: inj.NewBackoff("ednscs", 0),
 	}
 	space := mapper.Space()
 
