@@ -88,7 +88,7 @@ func main() {
 	fmt.Printf("\nfinal: %d observations held, last event at epoch %d, total ingest %v\n",
 		final.History, int(final.LastEvent), final.TotalIngest.Round(time.Millisecond))
 
-	cur := mon.CurrentMode(fenrir.DefaultAdaptiveOptions())
+	cur := mon.LiveModes().ModeOf(mon.Len() - 1)
 	fmt.Printf("\ncurrent mode: #%d with %d observations across %d range(s)\n",
 		cur.ID, len(cur.Epochs), len(cur.Ranges))
 

@@ -346,21 +346,6 @@ func (m *Monitor) Matrix() *SimMatrix {
 	return out
 }
 
-// Modes runs mode discovery over the history so far.
-func (m *Monitor) Modes(opts AdaptiveOptions) *ModesResult {
-	return DiscoverModes(m.Matrix(), opts)
-}
-
-// CurrentMode returns the mode containing the latest observation, or nil
-// before any observation arrives.
-func (m *Monitor) CurrentMode(opts AdaptiveOptions) *Mode {
-	n := m.Len()
-	if n == 0 {
-		return nil
-	}
-	return m.Modes(opts).ModeOf(n - 1)
-}
-
 // Space returns the space the monitor's vectors live in.
 func (m *Monitor) Space() *Space { return m.space }
 

@@ -81,13 +81,13 @@ func TestMonitorDetectsChangeOnAppend(t *testing.T) {
 func TestMonitorCurrentMode(t *testing.T) {
 	space, vs := monitorFixtureVectors(24)
 	mon := NewMonitor(space, sched(24), nil, PessimisticUnknown, DefaultDetectOptions())
-	if mon.CurrentMode(DefaultAdaptiveOptions()) != nil {
+	if live := mon.LiveModes(); len(live.Modes) != 0 || live.ModeOf(0) != nil {
 		t.Fatal("empty monitor has a current mode")
 	}
 	for _, v := range vs {
 		mon.Append(v)
 	}
-	cur := mon.CurrentMode(DefaultAdaptiveOptions())
+	cur := mon.LiveModes().ModeOf(mon.Len() - 1)
 	if cur == nil {
 		t.Fatal("no current mode")
 	}

@@ -57,9 +57,9 @@ func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
 				if got := mon.engine.rebuilds - before; got != 1 {
 					t.Fatalf("%s: repeat query without append rebuilt (%d rebuilds)", where, got)
 				}
-				batch := mon.Modes(opts)
+				batch := DiscoverModes(mon.Matrix(), opts)
 				if live.Threshold != batch.Threshold || !reflect.DeepEqual(live.Modes, batch.Modes) {
-					t.Fatalf("%s: LiveModes diverged from Modes: %+v vs %+v", where, live, batch)
+					t.Fatalf("%s: LiveModes diverged from DiscoverModes: %+v vs %+v", where, live, batch)
 				}
 			}
 		}
