@@ -18,6 +18,7 @@ import (
 
 	"fenrir/internal/core"
 	"fenrir/internal/rng"
+	"fenrir/internal/scenario"
 	"fenrir/internal/timeline"
 )
 
@@ -37,7 +38,7 @@ func benchBRootConfig(seed uint64) BRootConfig {
 // standing up the five datasets of Table 2.
 func BenchmarkTable2Datasets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := RunGRoot(benchGRootConfig(1)); err != nil {
+		if _, err := scenario.RunGRoot(benchGRootConfig(1)); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := RunBRoot(benchBRootConfig(1)); err != nil {
@@ -46,8 +47,8 @@ func BenchmarkTable2Datasets(b *testing.B) {
 	}
 }
 
-func benchGRootConfig(seed uint64) GRootConfig {
-	cfg := DefaultGRootConfig(seed)
+func benchGRootConfig(seed uint64) scenario.GRootConfig {
+	cfg := scenario.DefaultGRootConfig(seed)
 	cfg.EpochMinutes = 60
 	cfg.Days = 6
 	cfg.VPs = 80
@@ -58,7 +59,7 @@ func benchGRootConfig(seed uint64) GRootConfig {
 // BenchmarkFig1GRootCatchments regenerates Figure 1's catchment series.
 func BenchmarkFig1GRootCatchments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := RunGRoot(benchGRootConfig(2))
+		res, err := scenario.RunGRoot(benchGRootConfig(2))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -70,7 +71,7 @@ func BenchmarkFig1GRootCatchments(b *testing.B) {
 
 // BenchmarkTable3TransitionMatrices regenerates the drain transitions.
 func BenchmarkTable3TransitionMatrices(b *testing.B) {
-	res, err := RunGRoot(benchGRootConfig(2))
+	res, err := scenario.RunGRoot(benchGRootConfig(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,12 +85,12 @@ func BenchmarkTable3TransitionMatrices(b *testing.B) {
 
 // BenchmarkTable4Validation regenerates the ground-truth study.
 func BenchmarkTable4Validation(b *testing.B) {
-	cfg := DefaultValidationConfig(3)
+	cfg := scenario.DefaultValidationConfig(3)
 	cfg.Epochs = 700
 	cfg.VPs = 60
 	cfg.StubsPerRegion = 8
 	for i := 0; i < b.N; i++ {
-		res, err := RunValidation(cfg)
+		res, err := scenario.RunValidation(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -231,7 +232,7 @@ func syntheticSeriesSites(nEpochs, nNets, nSites int, unknownFrac float64, seed 
 func BenchmarkAblationUnknownHandling(b *testing.B) {
 	s := syntheticSeries(2, 5000, 0.45, 1)
 	a, v := s.Vectors[0], s.Vectors[1]
-	for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
+	for _, mode := range []core.UnknownMode{core.PessimisticUnknown, core.KnownOnly} {
 		b.Run(mode.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				core.Gower(a, v, nil, mode)

@@ -2,9 +2,7 @@ package fenrir
 
 import (
 	"fenrir/internal/clean"
-	"fenrir/internal/core"
 	"fenrir/internal/faults"
-	"fenrir/internal/measure/traceroute"
 	"fenrir/internal/obs"
 )
 
@@ -23,51 +21,14 @@ type (
 	// FaultReport summarizes what a run injected, retried, and
 	// quarantined, keyed by substrate and fault kind.
 	FaultReport = faults.Report
-	// RetryPolicy bounds the engines' retry-with-exponential-backoff
-	// budgets under injected faults.
-	RetryPolicy = faults.RetryPolicy
 	// QuarantineReport details the observations the ingest quarantine
 	// replaced with unknowns, keyed by offending site label.
 	QuarantineReport = clean.QuarantineReport
 )
 
-// Named fault profiles and the typed errors the fault layer and the
-// hardened ingest boundaries surface instead of panicking.
-var (
-	// FaultProfileByName resolves "none", "light", "heavy", "blackout",
-	// or "corrupt" to a profile.
-	FaultProfileByName = faults.ByName
-	// FaultProfileNames lists the named profiles.
-	FaultProfileNames = faults.Names
-	// DefaultRetryPolicy is the budget the scenario runners give each
-	// substrate: 3 attempts, 50 ms base backoff doubling to 800 ms,
-	// 30 s total budget.
-	DefaultRetryPolicy = faults.DefaultRetryPolicy
-
-	// ErrInjected marks errors produced by the fault layer itself
-	// (match with errors.Is).
-	ErrInjected = faults.ErrInjected
-	// ErrForeignSpace reports a vector built over a different Space
-	// than the series being assembled.
-	ErrForeignSpace = core.ErrForeignSpace
-)
-
-// Typed errors from the hardened ingest boundaries.
-type (
-	// DuplicateEpochError reports two vectors claiming the same epoch.
-	DuplicateEpochError = core.DuplicateEpochError
-	// NotInSpaceError reports a traceroute destination outside the
-	// measurement space.
-	NotInSpaceError = traceroute.NotInSpaceError
-)
-
-// TryNewSeries assembles a series like NewSeries but returns typed errors
-// (ErrForeignSpace, DuplicateEpochError) instead of panicking — the
-// graceful-degradation entry point for callers ingesting untrusted
-// observation batches.
-func TryNewSeries(space *Space, sched Schedule, vectors []*Vector) (*Series, error) {
-	return core.TryNewSeries(space, sched, vectors, nil)
-}
+// FaultProfileByName resolves "none", "light", "heavy", "blackout", or
+// "corrupt" to a profile.
+var FaultProfileByName = faults.ByName
 
 // Quarantine replaces observations whose site label fails valid with
 // unknowns, returning the cleaned series and a report of what was removed.

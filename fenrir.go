@@ -73,8 +73,6 @@ type (
 	Series = core.Series
 	// SimMatrix is an all-pairs Φ matrix.
 	SimMatrix = core.SimMatrix
-	// MatrixOptions tunes the parallel similarity engine.
-	MatrixOptions = core.MatrixOptions
 	// Mode is a recurring routing result discovered by clustering.
 	Mode = core.Mode
 	// ModesResult is the outcome of mode discovery.
@@ -103,17 +101,12 @@ type (
 	Schedule = timeline.Schedule
 )
 
-// Φ unknown-handling modes (§2.6.1 and the paper's stated ongoing work).
-const (
-	PessimisticUnknown = core.PessimisticUnknown
-	KnownOnly          = core.KnownOnly
-)
+// PessimisticUnknown is the paper's Φ (§2.6.1): unobserved networks never
+// match.
+const PessimisticUnknown = core.PessimisticUnknown
 
-// Reserved site labels.
-const (
-	SiteError = core.SiteError
-	SiteOther = core.SiteOther
-)
+// SiteError is the reserved site label of a probe that failed.
+const SiteError = core.SiteError
 
 // NewSpace creates a Space over the given network identifiers.
 func NewSpace(networks []string) *Space { return core.NewSpace(networks) }
@@ -131,20 +124,10 @@ func Gower(a, b *Vector, w []float64, mode UnknownMode) float64 {
 	return core.Gower(a, b, w, mode)
 }
 
-// SimilarityMatrixParallel computes the all-pairs Φ matrix with a tiled
-// worker pool; see MatrixOptions. All parallelism settings produce the
-// bit-identical matrix.
-func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts MatrixOptions) *SimMatrix {
-	return core.SimilarityMatrixParallel(s, w, mode, opts)
-}
-
 // Transition computes the transition matrix between two vectors.
 func Transition(a, b *Vector, w []float64) *TransitionMatrix {
 	return core.Transition(a, b, w)
 }
-
-// UniformWeights returns the all-ones weight vector for a space.
-func UniformWeights(s *Space) []float64 { return weight.Uniform(s) }
 
 // CountWeights weighs networks by represented-unit counts (§2.5).
 func CountWeights(s *Space, counts map[string]float64, def float64) []float64 {
@@ -275,12 +258,6 @@ func (a *Analysis) Report() string {
 	}
 	return out
 }
-
-// Heatmap renders just the similarity heatmap at the given resolution.
-func (a *Analysis) Heatmap(dim int) string { return report.Heatmap(a.Matrix, dim) }
-
-// StackPlot renders the per-epoch catchment aggregates as CSV.
-func (a *Analysis) StackPlot() string { return report.StackPlot(a.Series) }
 
 func formatChange(c ChangeEvent) string {
 	out := fmt.Sprintf("change at epoch %d: Phi dropped to %.2f (baseline %.2f)\n",

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fenrir/internal/core"
+	"fenrir/internal/report"
 )
 
 func testSchedule(n int) Schedule {
@@ -63,7 +66,7 @@ func TestAnalyzeEndToEnd(t *testing.T) {
 			t.Errorf("report missing %q:\n%s", want, rep)
 		}
 	}
-	if !strings.Contains(a.StackPlot(), "epoch,AMS,LAX") {
+	if !strings.Contains(report.StackPlot(a.Series), "epoch,AMS,LAX") {
 		t.Error("stack plot header wrong")
 	}
 }
@@ -96,7 +99,7 @@ func TestAnalyzeMicroCatchmentSuppression(t *testing.T) {
 	if len(a.Suppressed) != 1 || a.Suppressed[0] != "TINY" {
 		t.Fatalf("suppressed = %v", a.Suppressed)
 	}
-	if agg := a.Series.Vectors[0].Aggregate(); agg[SiteOther] != 1 {
+	if agg := a.Series.Vectors[0].Aggregate(); agg[core.SiteOther] != 1 {
 		t.Fatalf("aggregate after suppression = %v", agg)
 	}
 }
@@ -118,9 +121,5 @@ func TestFacadeGowerAndTransition(t *testing.T) {
 	tm := Transition(a, b, nil)
 	if tm.At("a", "b") != 1 || tm.At("a", "a") != 1 {
 		t.Fatalf("transition cells wrong")
-	}
-	w := UniformWeights(space)
-	if len(w) != 2 || w[0] != 1 {
-		t.Fatalf("UniformWeights = %v", w)
 	}
 }

@@ -43,29 +43,6 @@ func LoadMonitor(path string) (*core.Monitor, error) {
 	return m, nil
 }
 
-// SaveSeries atomically writes a series snapshot to path.
-func SaveSeries(path string, s *core.Series) (int, error) {
-	var buf bytes.Buffer
-	if err := EncodeSeries(&buf, s); err != nil {
-		return 0, err
-	}
-	return buf.Len(), writeAtomic(path, buf.Bytes())
-}
-
-// LoadSeries reads a series snapshot file.
-func LoadSeries(path string) (*core.Series, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	s, err := DecodeSeries(f)
-	if err != nil {
-		return nil, fmt.Errorf("snapshot %s: %w", path, err)
-	}
-	return s, nil
-}
-
 // writeAtomic writes data to path via a same-directory temp file and
 // rename, fsyncing before the swap.
 func writeAtomic(path string, data []byte) error {

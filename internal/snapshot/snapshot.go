@@ -1,6 +1,5 @@
 // Package snapshot is Fenrir's checkpoint codec: a versioned,
-// deterministic on-disk format for observation series and streaming
-// Monitor state, so a long-running daemon can checkpoint periodically
+// deterministic on-disk format for streaming Monitor state, so a long-running daemon can checkpoint periodically
 // and warm-restart into exactly the state an uninterrupted run would
 // hold — the same save/resume discipline a training job applies to
 // model weights, applied to the triangular Φ history.
@@ -9,8 +8,8 @@
 //
 //	magic   "FENRSNP1" (8 bytes)
 //	version uint16     (currently 2, the only version readers accept)
-//	kind    uint8      (1 = series, 2 = monitor)
-//	frames  …          one per section, in a fixed kind-specific order
+//	kind    uint8      (2 = monitor; 1, a bare series, is retired)
+//	frames  …          one per section, in a fixed order
 //
 // Monitor snapshots end with a "window" frame: the sliding-window
 // bound, the eviction count, the live mode engine's sweep
@@ -51,11 +50,8 @@ const (
 
 var magic = [8]byte{'F', 'E', 'N', 'R', 'S', 'N', 'P', '1'}
 
-// Snapshot kinds.
-const (
-	kindSeries  = 1
-	kindMonitor = 2
-)
+// kindMonitor is the header's kind byte for a monitor snapshot.
+const kindMonitor = 2
 
 // ErrBadMagic reports a file that is not a Fenrir snapshot at all.
 var ErrBadMagic = errors.New("snapshot: bad magic (not a fenrir snapshot)")

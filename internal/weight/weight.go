@@ -9,16 +9,6 @@ import (
 	"fenrir/internal/core"
 )
 
-// Uniform returns the all-ones default weight vector ("each observation is
-// equivalent").
-func Uniform(s *core.Space) []float64 {
-	w := make([]float64, s.NumNetworks())
-	for i := range w {
-		w[i] = 1
-	}
-	return w
-}
-
 // ByCount weighs each network by a represented-unit count, e.g. the number
 // of /24 blocks a vantage point's prefix spans (one Atlas VP in a /16
 // counts as 256 blocks). Networks absent from counts get defaultCount.

@@ -9,18 +9,6 @@ import (
 
 func space3() *core.Space { return core.NewSpace([]string{"a", "b", "c"}) }
 
-func TestUniform(t *testing.T) {
-	w := Uniform(space3())
-	if len(w) != 3 {
-		t.Fatalf("len = %d", len(w))
-	}
-	for _, x := range w {
-		if x != 1 {
-			t.Fatalf("w = %v", w)
-		}
-	}
-}
-
 func TestByCount(t *testing.T) {
 	s := space3()
 	w := ByCount(s, map[string]float64{"a": 256, "c": 4}, 1)

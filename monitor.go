@@ -2,27 +2,29 @@ package fenrir
 
 import (
 	"fenrir/internal/core"
+	"fenrir/internal/snapshot"
 )
 
 // Monitor re-exports the streaming pipeline: append observations as they
 // arrive, get change events immediately, and query the current routing
-// mode without batch recomputation. Each append packs the new vector
-// into bit-planes once and extends the Φ history with popcount kernels
-// — O(history·networks/64) words per observation, with change detection
-// advanced incrementally rather than replayed over the full history.
-// Monitor is safe for concurrent use; poll Snapshot for live ingest
-// statistics, or attach a Registry with Instrument. See
+// mode (LiveModes) without batch recomputation. Each append packs the new
+// vector into bit-planes once and extends the Φ history with popcount
+// kernels — O(history·networks/64) words per observation, with change
+// detection advanced incrementally rather than replayed over the full
+// history. Monitor is safe for concurrent use; poll Snapshot for live
+// ingest statistics, or attach a Registry with Instrument. See
 // examples/monitoring.
 type Monitor = core.Monitor
-
-// MonitorSnapshot is a point-in-time view of a monitor's ingest and
-// detection statistics.
-type MonitorSnapshot = core.MonitorSnapshot
 
 // MonitorOptions is the full monitor configuration, including the
 // sliding-window bound (Window) and the live mode engine's sweep
 // settings (Adaptive).
 type MonitorOptions = core.MonitorOptions
+
+// MonitorState is a complete export of a Monitor — configuration,
+// history, the triangular Φ values bit for bit, and ingest statistics.
+// Monitor.State produces one for SaveMonitor.
+type MonitorState = core.MonitorState
 
 // NewMonitor starts a streaming monitor over a space. w may be nil for
 // uniform weights; detect tunes the change criterion.
@@ -43,5 +45,11 @@ func NewBoundedMonitor(space *Space, sched Schedule, opts MonitorOptions) *Monit
 // validation.
 var DefaultDetectOptions = core.DefaultDetectOptions
 
-// DefaultAdaptiveOptions re-exports the §2.6.2 clustering defaults.
-var DefaultAdaptiveOptions = core.DefaultAdaptiveOptions
+// SaveMonitor / LoadMonitor checkpoint a monitor to the versioned,
+// CRC-framed snapshot file format (atomic same-directory rename on
+// write). Encoding is deterministic: the same state always produces
+// identical bytes. See DESIGN.md §8.
+var (
+	SaveMonitor = snapshot.SaveMonitor
+	LoadMonitor = snapshot.LoadMonitor
+)

@@ -1,23 +1,19 @@
 package fenrir
 
 import (
-	"fenrir/internal/dataset"
 	"fenrir/internal/scenario"
 )
 
-// The scenario runners reproduce the paper's five studies end-to-end on
-// the simulated Internet; cmd/experiments drives them to regenerate every
-// table and figure. They are re-exported here so downstream users can
-// embed the studies (e.g. as regression benchmarks for their own
-// deployments of the analysis pipeline).
+// The scenario runners reproduce the paper's studies end-to-end on the
+// simulated Internet; cmd/experiments drives all of them to regenerate
+// every table and figure. The four re-exported here are the ones the
+// examples embed (e.g. as regression benchmarks for a deployment of the
+// analysis pipeline).
 type (
 	// BRootConfig/BRootResult reproduce Figures 3 and 4 (five years of
 	// anycast catchments and per-site latency).
 	BRootConfig = scenario.BRootConfig
 	BRootResult = scenario.BRootResult
-	// GRootConfig/GRootResult reproduce Figure 1 and Table 3.
-	GRootConfig = scenario.GRootConfig
-	GRootResult = scenario.GRootResult
 	// USCConfig/USCResult reproduce Figure 2 and the appendix Sankeys.
 	USCConfig = scenario.USCConfig
 	USCResult = scenario.USCResult
@@ -27,31 +23,16 @@ type (
 	// WikipediaConfig/WikipediaResult reproduce Figure 6.
 	WikipediaConfig = scenario.WikipediaConfig
 	WikipediaResult = scenario.WikipediaResult
-	// ValidationConfig/ValidationResult reproduce Table 4.
-	ValidationConfig = scenario.ValidationConfig
-	ValidationResult = scenario.ValidationResult
 )
 
 // Scenario runners and their default configurations.
 var (
-	RunBRoot                = scenario.RunBRoot
-	DefaultBRootConfig      = scenario.DefaultBRootConfig
-	RunGRoot                = scenario.RunGRoot
-	DefaultGRootConfig      = scenario.DefaultGRootConfig
-	RunUSC                  = scenario.RunUSC
-	DefaultUSCConfig        = scenario.DefaultUSCConfig
-	RunGoogle               = scenario.RunGoogle
-	DefaultGoogleConfig     = scenario.DefaultGoogleConfig
-	RunWikipedia            = scenario.RunWikipedia
-	DefaultWikipediaConfig  = scenario.DefaultWikipediaConfig
-	RunValidation           = scenario.RunValidation
-	DefaultValidationConfig = scenario.DefaultValidationConfig
-)
-
-// SaveSeries writes a series to w in the portable CSV dataset format
-// (see internal/dataset); LoadSeries reads it back. This is how scenario
-// datasets are released for analysis outside the simulator.
-var (
-	SaveSeries = dataset.Save
-	LoadSeries = dataset.Load
+	RunBRoot               = scenario.RunBRoot
+	DefaultBRootConfig     = scenario.DefaultBRootConfig
+	RunUSC                 = scenario.RunUSC
+	DefaultUSCConfig       = scenario.DefaultUSCConfig
+	RunGoogle              = scenario.RunGoogle
+	DefaultGoogleConfig    = scenario.DefaultGoogleConfig
+	RunWikipedia           = scenario.RunWikipedia
+	DefaultWikipediaConfig = scenario.DefaultWikipediaConfig
 )
