@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -39,6 +41,84 @@ func TestSpaceBasics(t *testing.T) {
 	}
 	if s.NumSites() != 1 {
 		t.Errorf("NumSites = %d", s.NumSites())
+	}
+}
+
+// TestSpaceConcurrentIntern: the daemon interns site labels from
+// concurrent ingest handlers while query handlers render them. Writers
+// race to intern an overlapping set of new labels (enough to grow the
+// table several times) while readers walk the alphabet; under -race
+// nothing may conflict, and every label must get exactly one index.
+func TestSpaceConcurrentIntern(t *testing.T) {
+	const writers, readers, labels = 4, 4, 500
+	space := NewSpace([]string{"n0"})
+	seen := space.NewVector(0)
+	seen.Set(0, "seed")
+	name := func(l int) string { return fmt.Sprintf("site-%03d", l) }
+
+	stop := make(chan struct{})
+	var rg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rg.Add(1)
+		go func() {
+			defer rg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				for i := 0; i < space.NumSites(); i++ {
+					if space.SiteName(int32(i)) == "" {
+						t.Errorf("site %d has no label", i)
+						return
+					}
+				}
+				if s, ok := seen.Site(0); !ok || s != "seed" {
+					t.Errorf("Vector.Site = %q/%v, want seed", s, ok)
+					return
+				}
+			}
+		}()
+	}
+	got := make([][]int32, writers)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			idx := make([]int32, labels)
+			// Each writer starts at a different offset, so every label
+			// is interned first by one writer and looked up by the rest.
+			for k := 0; k < labels; k++ {
+				l := (k + w*labels/writers) % labels
+				idx[l] = space.SiteIndex(name(l))
+			}
+			got[w] = idx
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	rg.Wait()
+
+	if space.NumSites() != labels+1 {
+		t.Fatalf("NumSites = %d, want %d", space.NumSites(), labels+1)
+	}
+	owner := make(map[int32]string)
+	for l := 0; l < labels; l++ {
+		i := got[0][l]
+		for w := 1; w < writers; w++ {
+			if got[w][l] != i {
+				t.Fatalf("%s: writer %d got index %d, writer 0 got %d", name(l), w, got[w][l], i)
+			}
+		}
+		if prev, dup := owner[i]; dup {
+			t.Fatalf("index %d given to both %s and %s", i, prev, name(l))
+		}
+		owner[i] = name(l)
+		if space.SiteName(i) != name(l) || space.SiteIndex(name(l)) != i {
+			t.Fatalf("%s: index %d does not round-trip", name(l), i)
+		}
 	}
 }
 
