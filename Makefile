@@ -115,7 +115,9 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzUnmarshalDNS \
 	./internal/wire:FuzzUnmarshalBGP \
 	./internal/wire:FuzzReadMRT \
-	./internal/snapshot:FuzzDecodeSnapshot
+	./internal/snapshot:FuzzDecodeSnapshot \
+	./internal/serve:FuzzIngestBody \
+	./internal/serve:FuzzTenantSpec
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -274,7 +274,10 @@ func monitorFromSpec(spec TenantSpec, defaultWindow int) (*core.Monitor, error) 
 	if window < 0 {
 		return nil, fmt.Errorf("spec: window must be non-negative")
 	}
-	space := core.NewSpace(spec.Networks)
+	space, err := core.TryNewSpace(spec.Networks)
+	if err != nil {
+		return nil, fmt.Errorf("spec: %v", err)
+	}
 	sched := timeline.NewSchedule(spec.Start.UTC(), time.Duration(spec.IntervalSeconds)*time.Second, spec.Epochs)
 	return core.NewMonitorOpts(space, sched, core.MonitorOptions{
 		Weights: spec.Weights, Mode: mode, Detect: detect, Window: window,

@@ -16,12 +16,25 @@ import (
 	"fenrir/internal/obs"
 )
 
+// testServer starts a daemon behind an httptest server. Cleanup closes
+// the listener, then drains the daemon so no tenant worker outlives the
+// test: a periodic checkpoint must not write into a SnapshotDir that
+// t.TempDir's cleanup is removing. Cleanups run last-in first-out, and
+// the caller made any TempDir before calling here, so the drain runs
+// before its removal. After the test's own Drain, this second one only
+// re-checkpoints unchanged state. A failed test skips it: a hand-built
+// tenant whose worker the test never started would block it.
 func testServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		if !t.Failed() {
+			s.Drain() //nolint:errcheck // tests that care call Drain themselves
+		}
+	})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -295,6 +308,11 @@ func TestServeTenantAdmin(t *testing.T) {
 		t.Fatalf("empty spec accepted: %d", code)
 	}
 	spec := defaultSpec(4)
+	spec.Networks[3] = spec.Networks[0] // used to panic the handler
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
+		t.Fatalf("duplicate network accepted: %d", code)
+	}
+	spec = defaultSpec(4)
 	spec.Weights = []float64{1, 2} // wrong length
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
 		t.Fatalf("mismatched weights accepted: %d", code)
@@ -430,7 +448,7 @@ func TestServeBackpressure(t *testing.T) {
 	waitHistory(t, ts, "slow", 3)
 }
 
-func mustJSON(t *testing.T, v any) []byte {
+func mustJSON(t testing.TB, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)
 	if err != nil {

@@ -51,6 +51,9 @@ func TestBackpressureRetryAfterHeader(t *testing.T) {
 	sh := s.shardFor("stall")
 	tn := &tenant{name: "stall", srv: s, sh: sh, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
 	tn.cond = sync.NewCond(&tn.mu)
+	// No worker ever runs, so none closes done; close it before the
+	// cleanup drain (cleanups run last-in first-out) waits on it.
+	t.Cleanup(func() { close(tn.done) })
 	sh.mu.Lock()
 	sh.tenants["stall"] = tn
 	sh.mu.Unlock()
