@@ -104,10 +104,10 @@ func (w *World) Tier2sInRegion(region string) []astopo.ASN {
 }
 
 // analyze runs the shared similarity→cluster tail of a scenario under
-// stage spans, threading the registry into the engine so tile timings,
-// kernel counters, and sweep statistics land next to the spans. r may
-// be nil (the un-instrumented default): every obs call then no-ops and
-// the results are bit-identical.
+// stage spans, threading the registry into the engine so tile timings
+// and sweep statistics land next to the spans. r may be nil (the
+// un-instrumented default): every obs call then no-ops and the results
+// are bit-identical.
 func analyze(r *obs.Registry, s *core.Series, parallelism int) (*core.SimMatrix, *core.ModesResult) {
 	spSim := r.StartSpan("similarity")
 	m := core.SimilarityMatrixParallel(s, nil, core.PessimisticUnknown,
