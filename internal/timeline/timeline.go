@@ -6,7 +6,6 @@ package timeline
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
 
@@ -93,16 +92,6 @@ func (g *Gaps) Missing(e Epoch) bool { return g != nil && g.missing[e] }
 
 // Count returns the number of missing epochs.
 func (g *Gaps) Count() int { return len(g.missing) }
-
-// List returns the missing epochs in order.
-func (g *Gaps) List() []Epoch {
-	out := make([]Epoch, 0, len(g.missing))
-	for e := range g.missing {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
 
 // Range is a half-open epoch interval [From, To), used to name the spans
 // that clustering discovers (routing modes) and that scenarios script.
