@@ -238,15 +238,6 @@ func DefaultAdaptiveOptions() AdaptiveOptions {
 // by applying a height-filtered merge subset is order-independent, so
 // sorted application matches Cut's execution-order application exactly.
 func ClusterAdaptive(m *SimMatrix, opts AdaptiveOptions) (threshold float64, clusters [][]int) {
-	opts = normalizeAdaptive(opts)
-	dg := HAC(m, opts.Linkage)
-	return sweepDendrogram(dg, opts)
-}
-
-// normalizeAdaptive applies the §2.6.2 defaults ClusterAdaptive always
-// applied, so sweeps driven elsewhere (the live mode engine) select the
-// same thresholds for the same zero-valued options.
-func normalizeAdaptive(opts AdaptiveOptions) AdaptiveOptions {
 	if opts.MaxClusters <= 0 {
 		opts.MaxClusters = 15
 	}
@@ -256,13 +247,15 @@ func normalizeAdaptive(opts AdaptiveOptions) AdaptiveOptions {
 	if opts.Step <= 0 {
 		opts.Step = 0.01
 	}
-	return opts
+	dg := HAC(m, opts.Linkage)
+	return sweepDendrogram(dg, opts)
 }
 
 // sweepDendrogram is the threshold sweep of ClusterAdaptive over an
-// already-built dendrogram; opts must be normalized. Factored out so the
-// live mode engine can sweep a dendrogram restored from a snapshot
-// without recomputing HAC.
+// already-built dendrogram; opts must be normalized (MaxClusters,
+// MinMembers and Step positive). The live mode engine (online.go) runs it
+// with DefaultAdaptiveOptions over the dendrogram it builds from a
+// monitor's Φ triangle.
 func sweepDendrogram(dg *Dendrogram, opts AdaptiveOptions) (threshold float64, clusters [][]int) {
 	// Representative leaf of every dendrogram node, in execution order
 	// (same mapping Cut builds).

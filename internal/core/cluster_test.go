@@ -107,30 +107,34 @@ func TestLinkagesDifferOnChain(t *testing.T) {
 
 func TestHACMatchesNaiveAgglomeration(t *testing.T) {
 	// Cross-check NN-chain against a naive O(N^3) implementation on
-	// random matrices, comparing cut results at several thresholds.
-	for seed := uint64(1); seed <= 5; seed++ {
-		r := rng.New(seed)
-		n := 12
-		m := NewSimMatrix(n)
-		for i := 0; i < n; i++ {
-			for j := i + 1; j < n; j++ {
-				m.Set(i, j, r.Float64())
+	// random matrices, for every linkage, comparing cut results at
+	// several thresholds.
+	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			r := rng.New(seed)
+			n := 12
+			m := NewSimMatrix(n)
+			for i := 0; i < n; i++ {
+				for j := i + 1; j < n; j++ {
+					m.Set(i, j, r.Float64())
+				}
 			}
-		}
-		fast := HAC(m, AverageLinkage)
-		slow := naiveHAC(m)
-		for _, th := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
-			a := fast.Cut(th)
-			b := slow.Cut(th)
-			if !sameClusters(a, b) {
-				t.Fatalf("seed %d threshold %v: nn-chain %v != naive %v", seed, th, a, b)
+			fast := HAC(m, linkage)
+			slow := naiveHAC(m, linkage)
+			for _, th := range []float64{0.1, 0.3, 0.5, 0.7, 0.9} {
+				a := fast.Cut(th)
+				b := slow.Cut(th)
+				if !sameClusters(a, b) {
+					t.Fatalf("%v seed %d threshold %v: nn-chain %v != naive %v", linkage, seed, th, a, b)
+				}
 			}
 		}
 	}
 }
 
-// naiveHAC is a reference O(N^3) average-linkage implementation.
-func naiveHAC(m *SimMatrix) *Dendrogram {
+// naiveHAC is a reference O(N^3) implementation: merge the closest
+// active pair, then apply the linkage's Lance–Williams update.
+func naiveHAC(m *SimMatrix, linkage Linkage) *Dendrogram {
 	n := m.N
 	d := make([][]float64, n)
 	for i := range d {
@@ -172,7 +176,15 @@ func naiveHAC(m *SimMatrix) *Dendrogram {
 			if !active[k] || k == bi || k == bj {
 				continue
 			}
-			nd := (ni*d[bi][k] + nj*d[bj][k]) / (ni + nj)
+			var nd float64
+			switch linkage {
+			case SingleLinkage:
+				nd = math.Min(d[bi][k], d[bj][k])
+			case CompleteLinkage:
+				nd = math.Max(d[bi][k], d[bj][k])
+			default:
+				nd = (ni*d[bi][k] + nj*d[bj][k]) / (ni + nj)
+			}
 			d[bi][k], d[k][bi] = nd, nd
 		}
 		size[bi] += size[bj]

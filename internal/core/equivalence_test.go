@@ -257,18 +257,18 @@ func TestClusterAdaptiveInstrumentedEquivalence(t *testing.T) {
 	}
 }
 
-// TestSimilarityMatrixTileSizes drives explicit tile shapes through the
-// worker pool, including degenerate 1-row tiles and tiles larger than
-// the matrix.
+// TestSimilarityMatrixTileSizes drives the balanced tile shapes of
+// several pool sizes through the worker pool, down to one tile per row
+// (P equal to the row count) and a P the engine clamps to it.
 func TestSimilarityMatrixTileSizes(t *testing.T) {
 	s := randomSeries(t, 31, 40, 0.3, 9)
 	ref := naiveSimilarityMatrix(s, nil, PessimisticUnknown)
-	for _, tile := range []int{1, 2, 5, 31, 100} {
-		got := SimilarityMatrixParallel(s, nil, PessimisticUnknown, MatrixOptions{Parallelism: 4, TileRows: tile})
+	for _, p := range []int{2, 3, 5, 31, 100} {
+		got := SimilarityMatrixParallel(s, nil, PessimisticUnknown, MatrixOptions{Parallelism: p})
 		for i := 0; i < ref.N; i++ {
 			for j := 0; j < ref.N; j++ {
 				if got.At(i, j) != ref.At(i, j) {
-					t.Fatalf("tile=%d: Φ(%d,%d) = %v, reference %v", tile, i, j, got.At(i, j), ref.At(i, j))
+					t.Fatalf("P=%d: Φ(%d,%d) = %v, reference %v", p, i, j, got.At(i, j), ref.At(i, j))
 				}
 			}
 		}

@@ -60,10 +60,10 @@ type Monitor struct {
 	// computed over exactly the suffix a fresh monitor fed only those
 	// epochs would hold. 0 means unbounded.
 	window int
-	// engine caches the live mode clustering (online.go) for the current
+	// engine caches the live mode partition (online.go) for the current
 	// history: every append or eviction invalidates it, and the next
 	// LiveModes call re-clusters the cached Φ triangle once.
-	engine *modeEngine
+	engine modeEngine
 	// evictions counts observations dropped by the window (TrimBefore
 	// counts too; both retire Φ rows the same way).
 	evictions uint64
@@ -89,8 +89,8 @@ func NewMonitor(space *Space, sched timeline.Schedule, w []float64, mode Unknown
 }
 
 // MonitorOptions is the full monitor configuration. The zero value is a
-// valid unbounded monitor with uniform weights and default adaptive
-// clustering.
+// valid unbounded monitor with uniform weights. Live modes always use
+// DefaultAdaptiveOptions (§2.6.2).
 type MonitorOptions struct {
 	// Weights is the per-network weight vector (nil for uniform).
 	Weights []float64
@@ -105,10 +105,6 @@ type MonitorOptions struct {
 	// case instead of O(T²) for a stream of length T. 0 (or negative)
 	// means unbounded.
 	Window int
-	// Adaptive configures the live mode engine behind LiveModes; the
-	// zero value means DefaultAdaptiveOptions (§2.6.2). Obs and Span
-	// are ignored — the registry attached via Instrument is used.
-	Adaptive AdaptiveOptions
 }
 
 // NewMonitorOpts starts an empty monitor with explicit options; see
@@ -129,7 +125,6 @@ func NewMonitorOpts(space *Space, sched timeline.Schedule, opts MonitorOptions) 
 		detKern: packedGowerKernel(w, opts.Detect.Mode, space.NumNetworks()),
 		det:     newDetector(opts.Detect, w),
 		window:  opts.Window,
-		engine:  newModeEngine(opts.Adaptive),
 	}
 	m.det.ex.phi = m.centroidPhiLocked
 	return m
@@ -392,14 +387,6 @@ type MonitorState struct {
 	// the number of observations it has retired so far.
 	Window    int
 	Evictions uint64
-	// Adaptive is the live mode engine's sweep configuration
-	// (normalized; Obs/Span always nil).
-	Adaptive AdaptiveOptions
-	// EngineMerges, when EngineValid, is the engine's live dendrogram
-	// over len(Vectors) leaves — persisting it lets a restored monitor
-	// answer LiveModes by re-sweeping instead of re-clustering.
-	EngineValid  bool
-	EngineMerges []Merge
 }
 
 // State exports the monitor's full state. The similarity rows are
@@ -411,7 +398,7 @@ func (m *Monitor) State() MonitorState {
 	for i, row := range m.sim {
 		sim[i] = append([]float64(nil), row...)
 	}
-	st := MonitorState{
+	return MonitorState{
 		Space:    m.space,
 		Schedule: m.sched,
 		Weights:  append([]float64(nil), m.w...),
@@ -423,13 +410,7 @@ func (m *Monitor) State() MonitorState {
 		TotalIngest: m.totalIngest, LastIngest: m.lastIngest,
 		LastEvent: m.lastEvent, HasEvent: m.hasEvent,
 		Window: m.window, Evictions: m.evictions,
-		Adaptive: m.engine.opts,
 	}
-	if dg := m.engine.dg; dg != nil {
-		st.EngineValid = true
-		st.EngineMerges = append([]Merge(nil), dg.Merges...)
-	}
-	return st
 }
 
 // ApplyDefaultWindow bounds an unbounded exported state the way a fresh
@@ -439,10 +420,7 @@ func (m *Monitor) State() MonitorState {
 // retired — the same suffix, Φ triangle, and eviction accounting a
 // windowed monitor fed the identical stream would hold, because Gower
 // similarity is pairwise and the retained triangle is history-free. A
-// state that already has a window, or w <= 0, is left untouched. The
-// live-engine dendrogram is dropped when history is trimmed (its leaves
-// no longer line up); the next mode query re-clusters the bounded
-// suffix, exactly as after any eviction.
+// state that already has a window, or w <= 0, is left untouched.
 func (st *MonitorState) ApplyDefaultWindow(w int) {
 	if w <= 0 || st.Window != 0 {
 		return
@@ -459,8 +437,6 @@ func (st *MonitorState) ApplyDefaultWindow(w int) {
 	}
 	st.Sim = sim
 	st.Evictions += uint64(cut)
-	st.EngineValid = false
-	st.EngineMerges = nil
 }
 
 // RestoreMonitor rebuilds a monitor from an exported state, validating
@@ -496,26 +472,6 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 		return nil, fmt.Errorf("core: restore monitor: %d vectors exceed window %d",
 			len(st.Vectors), st.Window)
 	}
-	if st.EngineValid {
-		n := len(st.Vectors)
-		want := n - 1
-		if want < 0 {
-			want = 0
-		}
-		if len(st.EngineMerges) != want {
-			return nil, fmt.Errorf("core: restore monitor: %d engine merges for %d vectors",
-				len(st.EngineMerges), n)
-		}
-		for k, mg := range st.EngineMerges {
-			// Node ids reference leaves (< n) or earlier merges (n+j, j<k).
-			if mg.A < 0 || mg.A >= n+k || mg.B < 0 || mg.B >= n+k {
-				return nil, fmt.Errorf("core: restore monitor: engine merge %d references node out of range", k)
-			}
-			if !(mg.Height >= 0) {
-				return nil, fmt.Errorf("core: restore monitor: engine merge %d has invalid height", k)
-			}
-		}
-	}
 	for i, v := range st.Vectors {
 		if v.Space != st.Space {
 			return nil, fmt.Errorf("core: restore monitor: vector %d from foreign space", i)
@@ -530,12 +486,9 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 	}
 	m := NewMonitorOpts(st.Space, st.Schedule, MonitorOptions{
 		Weights: st.Weights, Mode: st.Mode, Detect: st.Detect,
-		Window: st.Window, Adaptive: st.Adaptive,
+		Window: st.Window,
 	})
 	m.evictions = st.Evictions
-	if st.EngineValid {
-		m.engine.restore(&Dendrogram{N: len(st.Vectors), Merges: append([]Merge(nil), st.EngineMerges...)})
-	}
 	m.vectors = append([]*Vector(nil), st.Vectors...)
 	// Rebuild the packed rows from the restored vectors — the snapshot
 	// codec persists only the raw assignment rows, so packing happens
@@ -643,101 +596,47 @@ func (m *Monitor) evictLocked(cut int) {
 }
 
 // LiveModes is mode discovery served from the live engine: the first
-// query after an append or eviction re-clusters the cached Φ triangle,
-// and later queries against the same history reuse that dendrogram and
-// its threshold sweep. The result is
-// byte-identical to Modes(opts) for the engine's configured
-// AdaptiveOptions — pinned by the equivalence tests — except that the
-// returned ModesResult carries a nil Matrix (the O(T²) dense matrix is
-// exactly what this path avoids materializing), so CrossPhi is not
-// available on it.
+// query after an append, an eviction or a restore re-clusters the cached
+// Φ triangle, and later queries against the same history reuse that
+// partition. The result is byte-identical to
+// DiscoverModes(m.Matrix(), DefaultAdaptiveOptions()) — pinned by the
+// equivalence tests — except that the returned ModesResult carries a nil
+// Matrix (the O(T²) dense matrix is exactly what this path avoids
+// materializing), so CrossPhi is not available on it.
 func (m *Monitor) LiveModes() *ModesResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	threshold, clusters := m.liveClustersLocked()
-	return m.modesResultLocked(threshold, clusters)
-}
-
-// LiveThreshold returns the engine's current (threshold, clusters)
-// without assembling Mode structures — the cheapest live view, used by
-// tests and by callers that only need the partition.
-func (m *Monitor) LiveThreshold() (float64, [][]int) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.liveClustersLocked()
-}
-
-// liveClustersLocked brings the engine up to date with the retained
-// history and returns the swept partition. Callers hold mu.
-func (m *Monitor) liveClustersLocked() (float64, [][]int) {
-	e := m.engine
-	rebuilt := e.dg == nil
-	if rebuilt {
-		e.rebuildFromTriangle(m.sim, len(m.vectors))
-	}
 	var sp *obs.Span
 	if m.obs != nil {
 		sp = m.obs.TraceRoot().Child("recluster")
-		if rebuilt {
+		if !m.engine.valid {
 			sp.SetAttr("path", "rebuild")
 			m.obs.Counter("fenrir_monitor_mode_rebuilds_total").Inc()
 		} else {
 			sp.SetAttr("path", "cached")
 		}
 	}
-	threshold, clusters, churn := e.sweep(m.obs, sp)
-	if sp != nil {
+	threshold, clusters, churn := m.engine.partition(m.sim, sp)
+	if m.obs != nil {
 		sp.SetAttr("threshold", threshold)
 		sp.SetAttr("clusters", len(clusters))
 		sp.End()
+		if churn {
+			m.obs.Counter("fenrir_monitor_mode_churn_total").Inc()
+		}
 	}
-	if churn && m.obs != nil {
-		m.obs.Counter("fenrir_monitor_mode_churn_total").Inc()
-	}
-	return threshold, clusters
+	return assembleModes(threshold, clusters,
+		func(r int) timeline.Epoch { return m.vectors[r].T }, m.triPhiRangeLocked)
 }
 
-// modesResultLocked assembles a ModesResult from a partition over the
-// retained rows, mirroring DiscoverModes exactly but reading Φ ranges
-// from the triangular rows instead of a dense matrix. Callers hold mu.
-func (m *Monitor) modesResultLocked(threshold float64, clusters [][]int) *ModesResult {
-	res := &ModesResult{Threshold: threshold}
-	for _, rows := range clusters {
-		mode := Mode{Rows: rows}
-		for _, r := range rows {
-			mode.Epochs = append(mode.Epochs, m.vectors[r].T)
-		}
-		sort.Slice(mode.Epochs, func(i, j int) bool { return mode.Epochs[i] < mode.Epochs[j] })
-		mode.Ranges = consecutiveRanges(mode.Epochs)
-		if len(rows) >= 2 {
-			mode.InternalLo, mode.InternalHi = m.triPhiRangeLocked(rows, rows)
-		} else {
-			mode.InternalLo, mode.InternalHi = 1, 1
-		}
-		res.Modes = append(res.Modes, mode)
-	}
-	sort.Slice(res.Modes, func(i, j int) bool { return res.Modes[i].Epochs[0] < res.Modes[j].Epochs[0] })
-	for i := range res.Modes {
-		res.Modes[i].ID = i + 1
-	}
-	return res
-}
-
-// triPhiRangeLocked is SimMatrix.PhiRange over the monitor's triangular
-// rows: the [min,max] Φ across a×b, diagonal excluded. Callers hold mu.
-func (m *Monitor) triPhiRangeLocked(a, b []int) (lo, hi float64) {
+// triPhiRangeLocked is SimMatrix.PhiRange(rows, rows) over the monitor's
+// triangular rows: the [min,max] Φ across distinct pairs of rows.
+// Callers hold mu.
+func (m *Monitor) triPhiRangeLocked(rows []int) (lo, hi float64) {
 	ok := false
-	for _, i := range a {
-		for _, j := range b {
-			if i == j {
-				continue
-			}
-			v := 0.0
-			if i > j {
-				v = m.sim[i][j]
-			} else {
-				v = m.sim[j][i]
-			}
+	for a, i := range rows {
+		for _, j := range rows[:a] {
+			v := m.sim[max(i, j)][min(i, j)]
 			if !ok {
 				lo, hi, ok = v, v, true
 				continue

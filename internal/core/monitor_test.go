@@ -607,8 +607,8 @@ func TestApplyDefaultWindowMatchesFreshWindowed(t *testing.T) {
 			}
 		}
 	}
-	ta, ca := windowed.LiveThreshold()
-	tb, cb := rest.LiveThreshold()
+	ta, ca := livePartition(windowed)
+	tb, cb := livePartition(rest)
 	if ta != tb || !reflect.DeepEqual(ca, cb) {
 		t.Fatalf("live clusters diverge: %v/%v vs %v/%v", ta, ca, tb, cb)
 	}

@@ -9,6 +9,18 @@ import (
 	"fenrir/internal/timeline"
 )
 
+// livePartition reads the live (threshold, clusters) off LiveModes: each
+// mode's Rows is one cluster, and modes come in first-epoch order, which
+// is the first-row order ClusterAdaptive returns clusters in.
+func livePartition(m *Monitor) (float64, [][]int) {
+	res := m.LiveModes()
+	clusters := make([][]int, len(res.Modes))
+	for i, mode := range res.Modes {
+		clusters[i] = mode.Rows
+	}
+	return res.Threshold, clusters
+}
+
 // assertSamePartition fails unless the live and batch partitions are
 // byte-identical: the exact threshold float and the exact cluster lists.
 func assertSamePartition(t *testing.T, where string, liveT float64, liveC [][]int, batchT float64, batchC [][]int) {
@@ -24,43 +36,42 @@ func assertSamePartition(t *testing.T, where string, liveT float64, liveC [][]in
 // TestLiveModesMatchBatchEveryEpoch is the tentpole equivalence proof
 // for the growing (unbounded) monitor: at every epoch, the online
 // engine's (threshold, clusters) must be byte-identical to batch
-// ClusterAdaptive over the materialized matrix. It also pins the cache
-// contract both ways: the first query after each append re-clusters
-// exactly once (a stale cache would fail equivalence), and a repeat
-// query with no append in between re-clusters nothing.
+// ClusterAdaptive with the default §2.6.2 sweep over the materialized
+// matrix. It also pins the cache contract both ways: the first query
+// after each append re-clusters exactly once (a stale cache would fail
+// equivalence), and a repeat query with no append in between
+// re-clusters nothing. The other linkages are the batch ablations' and
+// are pinned against the naive oracle in TestHACMatchesNaiveAgglomeration.
 func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
-	for _, linkage := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
-		for _, seed := range []uint64{7, 19} {
-			space, vs := gapSeries(80, seed)
-			opts := DefaultAdaptiveOptions()
-			opts.Linkage = linkage
-			mon := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
-				Mode: PessimisticUnknown, Detect: DefaultDetectOptions(), Adaptive: opts,
-			})
-			for k, v := range vs {
-				if _, _, err := mon.Append(v); err != nil {
-					t.Fatal(err)
-				}
-				where := fmt.Sprintf("linkage=%v seed=%d epoch=%d", linkage, seed, k)
-				before := mon.engine.rebuilds
-				liveT, liveC := mon.LiveThreshold()
-				if got := mon.engine.rebuilds - before; got != 1 {
-					t.Fatalf("%s: post-append query rebuilt %d times, want 1", where, got)
-				}
-				batchT, batchC := ClusterAdaptive(mon.Matrix(), opts)
-				assertSamePartition(t, where, liveT, liveC, batchT, batchC)
+	opts := DefaultAdaptiveOptions()
+	for _, seed := range []uint64{7, 19} {
+		space, vs := gapSeries(80, seed)
+		mon := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
+			Mode: PessimisticUnknown, Detect: DefaultDetectOptions(),
+		})
+		for k, v := range vs {
+			if _, _, err := mon.Append(v); err != nil {
+				t.Fatal(err)
+			}
+			where := fmt.Sprintf("seed=%d epoch=%d", seed, k)
+			before := mon.engine.rebuilds
+			liveT, liveC := livePartition(mon)
+			if got := mon.engine.rebuilds - before; got != 1 {
+				t.Fatalf("%s: post-append query rebuilt %d times, want 1", where, got)
+			}
+			batchT, batchC := ClusterAdaptive(mon.Matrix(), opts)
+			assertSamePartition(t, where, liveT, liveC, batchT, batchC)
 
-				// The full ModesResult must match DiscoverModes field
-				// for field (modulo the intentionally nil Matrix), and
-				// this second query must be served from the cache.
-				live := mon.LiveModes()
-				if got := mon.engine.rebuilds - before; got != 1 {
-					t.Fatalf("%s: repeat query without append rebuilt (%d rebuilds)", where, got)
-				}
-				batch := DiscoverModes(mon.Matrix(), opts)
-				if live.Threshold != batch.Threshold || !reflect.DeepEqual(live.Modes, batch.Modes) {
-					t.Fatalf("%s: LiveModes diverged from DiscoverModes: %+v vs %+v", where, live, batch)
-				}
+			// The full ModesResult must match DiscoverModes field for
+			// field (modulo the intentionally nil Matrix), and this
+			// second query must be served from the cache.
+			live := mon.LiveModes()
+			if got := mon.engine.rebuilds - before; got != 1 {
+				t.Fatalf("%s: repeat query without append rebuilt (%d rebuilds)", where, got)
+			}
+			batch := DiscoverModes(mon.Matrix(), opts)
+			if live.Threshold != batch.Threshold || !reflect.DeepEqual(live.Modes, batch.Modes) {
+				t.Fatalf("%s: LiveModes diverged from DiscoverModes: %+v vs %+v", where, live, batch)
 			}
 		}
 	}
@@ -129,8 +140,8 @@ func windowedMatchesFreshSuffix(t *testing.T, W int, seed uint64, simMode, detMo
 			t.Fatalf("seed=%d epoch %d: windowed history %d, want %d", seed, k, win.Len(), k+1-lo)
 		}
 
-		liveT, liveC := win.LiveThreshold()
-		freshT, freshC := fresh.LiveThreshold()
+		liveT, liveC := livePartition(win)
+		freshT, freshC := livePartition(fresh)
 		assertSamePartition(t, "windowed-vs-fresh", liveT, liveC, freshT, freshC)
 
 		// Batch over the suffix series at several parallelism levels.
@@ -183,7 +194,7 @@ func TestWindowedMonitorHeapBounded(t *testing.T) {
 			t.Fatal(err)
 		}
 		if e%512 == 0 {
-			mon.LiveThreshold() // keep the engine live while bounded
+			mon.LiveModes() // keep the engine live while bounded
 		}
 	}
 	runtime.GC()
@@ -308,8 +319,8 @@ func TestTrimBeforeRingBitIdentical(t *testing.T) {
 		if !reflect.DeepEqual(ring.Matrix(), ref.Matrix()) {
 			t.Fatalf("%s: ring matrix diverged from reference", step)
 		}
-		rT, rC := ring.LiveThreshold()
-		fT, fC := ref.LiveThreshold()
+		rT, rC := livePartition(ring)
+		fT, fC := livePartition(ref)
 		assertSamePartition(t, step, rT, rC, fT, fC)
 	}
 
@@ -345,11 +356,12 @@ func TestTrimBeforeRingBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMonitorWindowStateRoundTrip pins State/RestoreMonitor for the new
-// fields: window, evictions, and the persisted engine dendrogram. The
-// restored monitor must answer LiveModes identically without a rebuild
-// (the persisted merges are swept directly), and must keep evicting and
-// re-clustering in lockstep with the original afterwards.
+// TestMonitorWindowStateRoundTrip pins State/RestoreMonitor for the
+// window and evictions, and the restore contract of the live engine:
+// nothing of it is exported, so the restored monitor's first LiveModes
+// re-clusters exactly once, answers exactly as the original did, and a
+// repeat read is served from the cache. Afterwards the restored monitor
+// must keep evicting and re-clustering in lockstep with the original.
 func TestMonitorWindowStateRoundTrip(t *testing.T) {
 	const W = 16
 	space, vs := gapSeries(64, 47)
@@ -360,20 +372,22 @@ func TestMonitorWindowStateRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wantT, wantC := mon.LiveThreshold() // builds the engine pre-export
+	want := mon.LiveModes() // builds the engine pre-export
 
 	st := mon.State()
-	if st.Window != W || !st.EngineValid {
-		t.Fatalf("state window=%d engineValid=%v, want %d/true", st.Window, st.EngineValid, W)
+	if st.Window != W {
+		t.Fatalf("state window=%d, want %d", st.Window, W)
 	}
 	rest, err := RestoreMonitor(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotT, gotC := rest.LiveThreshold()
-	assertSamePartition(t, "restored", gotT, gotC, wantT, wantC)
-	if rest.engine.rebuilds != 0 {
-		t.Fatalf("restored engine rebuilt %d times answering from persisted merges", rest.engine.rebuilds)
+	if got := rest.LiveModes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored LiveModes %+v != original %+v", got, want)
+	}
+	rest.LiveModes()
+	if rest.engine.rebuilds != 1 {
+		t.Fatalf("restored engine rebuilt %d times over two reads, want 1", rest.engine.rebuilds)
 	}
 	if rest.Window() != W || rest.Snapshot().Evictions != mon.Snapshot().Evictions {
 		t.Fatalf("restored window/evictions diverged")
@@ -385,8 +399,8 @@ func TestMonitorWindowStateRoundTrip(t *testing.T) {
 		if (err1 == nil) != (err2 == nil) || ok1 != ok2 || !reflect.DeepEqual(ev1, ev2) {
 			t.Fatalf("post-restore append at %d diverged", v.T)
 		}
-		aT, aC := mon.LiveThreshold()
-		bT, bC := rest.LiveThreshold()
+		aT, aC := livePartition(mon)
+		bT, bC := livePartition(rest)
 		assertSamePartition(t, "post-restore", aT, aC, bT, bC)
 	}
 }
@@ -410,6 +424,6 @@ func BenchmarkMonitorAppendWindowed(b *testing.B) {
 		if _, _, err := mon.Append(v); err != nil {
 			b.Fatal(err)
 		}
-		mon.LiveThreshold()
+		mon.LiveModes()
 	}
 }

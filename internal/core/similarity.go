@@ -138,11 +138,6 @@ type MatrixOptions struct {
 	// bit-identical matrix: parallelism only changes which goroutine
 	// computes which tile, never the per-pair arithmetic.
 	Parallelism int
-	// TileRows is the number of consecutive matrix rows per work unit.
-	// 0 picks a size yielding several tiles per worker so the atomic
-	// tile counter load-balances the triangular row costs. Rows are
-	// contiguous so each worker streams the same few assign slices.
-	TileRows int
 	// Obs receives engine instrumentation: per-tile fill timing, pair
 	// counts, and worker/tile gauges. nil (the
 	// default) disables instrumentation entirely — the hot loop is
@@ -245,16 +240,7 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 		return m
 	}
 
-	var tiles []rowSpan
-	if opts.TileRows > 0 {
-		// Explicit tile shape: fixed consecutive-row tiles, kept for
-		// tests and for callers that tuned a shape.
-		for lo := 0; lo < n; lo += opts.TileRows {
-			tiles = append(tiles, rowSpan{lo, min(lo+opts.TileRows, n)})
-		}
-	} else {
-		tiles = balancedTriangleTiles(n, p)
-	}
+	tiles := balancedTriangleTiles(n, p)
 	opts.Obs.Gauge("fenrir_similarity_tile_rows").Set(float64(n) / float64(len(tiles)))
 
 	// Tiles are claimed off an atomic counter by the persistent worker

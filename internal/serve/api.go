@@ -236,6 +236,10 @@ func monitorFromSpec(spec TenantSpec, defaultWindow int) (*core.Monitor, error) 
 	if spec.IntervalSeconds < 0 {
 		return nil, fmt.Errorf("spec: interval_seconds must be positive")
 	}
+	if int64(spec.IntervalSeconds) > math.MaxInt64/int64(time.Second) {
+		// time.Duration would wrap negative, and NewSchedule panics on it.
+		return nil, fmt.Errorf("spec: interval_seconds %d overflows a duration", spec.IntervalSeconds)
+	}
 	if spec.Epochs == 0 {
 		spec.Epochs = 1 << 20
 	}

@@ -322,6 +322,11 @@ func TestServeTenantAdmin(t *testing.T) {
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
 		t.Fatalf("bad unknown_mode accepted: %d", code)
 	}
+	spec = defaultSpec(4)
+	spec.IntervalSeconds = 9_700_000_000 // wraps time.Duration negative; used to panic the handler
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
+		t.Fatalf("overflowing interval_seconds accepted: %d", code)
+	}
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", defaultSpec(4)); code != http.StatusCreated {
 		t.Fatal("valid spec rejected")
 	}
@@ -927,7 +932,9 @@ func TestServeWindowedTenant(t *testing.T) {
 // TestNoSharedMonitorHistoryGauge: every tenant's monitor reports into
 // the daemon's one registry, so an unlabeled history gauge would hold
 // whichever tenant appended last. History is per-tenant state and is
-// served as "history" in each tenant's status instead.
+// served as "history" in each tenant's status instead. The same goes
+// for the live mode sweep: a /mode read must not leave its tenant's
+// threshold and cluster count in the unlabeled batch cluster gauges.
 func TestNoSharedMonitorHistoryGauge(t *testing.T) {
 	_, ts := testServer(t, Config{Obs: obs.NewRegistry()})
 	nets := specNets(20)
@@ -937,14 +944,20 @@ func TestNoSharedMonitorHistoryGauge(t *testing.T) {
 		}
 		mustIngest(t, ts, name, nets, 0, n, n/2)
 		waitHistory(t, ts, name, n)
+		if code, body := doReq(t, ts, http.MethodGet, "/v1/tenants/"+name+"/mode", nil); code != http.StatusOK {
+			t.Fatalf("mode %s: %d %s", name, code, body)
+		}
 	}
 	code, body := doReq(t, ts, http.MethodGet, "/metrics", nil)
 	if code != http.StatusOK {
 		t.Fatalf("metrics: %d %s", code, body)
 	}
 	for _, line := range strings.Split(string(body), "\n") {
-		if f := strings.Fields(line); len(f) > 0 && f[0] == "fenrir_monitor_history" {
-			t.Fatalf("/metrics carries an unlabeled tenant history gauge: %q", line)
+		if f := strings.Fields(line); len(f) > 0 {
+			switch f[0] {
+			case "fenrir_monitor_history", "fenrir_cluster_threshold", "fenrir_cluster_count":
+				t.Fatalf("/metrics carries an unlabeled per-tenant gauge: %q", line)
+			}
 		}
 	}
 }

@@ -7,16 +7,17 @@
 // Format (all integers little-endian):
 //
 //	magic   "FENRSNP1" (8 bytes)
-//	version uint16     (currently 2, the only version readers accept)
+//	version uint16     (3 is written; readers accept 2 and 3)
 //	kind    uint8      (2 = monitor; 1, a bare series, is retired)
 //	frames  …          one per section, in a fixed order
 //
-// Monitor snapshots end with a "window" frame: the sliding-window
-// bound, the eviction count, the live mode engine's sweep
-// configuration, and (when the engine held a clustering of the current
-// history at checkpoint time) its dendrogram, so a warm restart answers
-// its first mode query without re-clustering. Version-1 files, which
-// predate that frame, are rejected with *UnsupportedVersionError.
+// Monitor snapshots end with a "window" frame: the sliding-window bound
+// and the eviction count. Nothing of the live mode engine is persisted:
+// a restored monitor re-clusters on its first mode query, as it does
+// after any append. Version 2 differs only in that frame, which went on
+// with the engine's sweep configuration and, optionally, its dendrogram;
+// readers check that tail's shape and discard it. Version-1 files, which
+// predate the window frame, are rejected with *UnsupportedVersionError.
 //
 // Each frame is `len uint32 | payload | crc uint32` where crc is the
 // IEEE CRC-32 of the payload, so truncation and corruption are caught
@@ -44,7 +45,7 @@ import (
 // Version is the current snapshot format version; MinVersion is the
 // oldest version readers still accept.
 const (
-	Version    = 2
+	Version    = 3
 	MinVersion = 2
 )
 
@@ -105,23 +106,25 @@ func writeHeader(w io.Writer, kind uint8) error {
 	return err
 }
 
-// readHeader validates magic and version and returns the kind.
-func readHeader(r io.Reader) (kind uint8, err error) {
+// readHeader validates magic and version and returns the kind and the
+// version.
+func readHeader(r io.Reader) (kind uint8, version uint16, err error) {
 	var m [8]byte
 	if _, err := io.ReadFull(r, m[:]); err != nil {
-		return 0, ErrBadMagic
+		return 0, 0, ErrBadMagic
 	}
 	if m != magic {
-		return 0, ErrBadMagic
+		return 0, 0, ErrBadMagic
 	}
 	var hdr [3]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, corrupt("header", "truncated after magic")
+		return 0, 0, corrupt("header", "truncated after magic")
 	}
-	if v := binary.LittleEndian.Uint16(hdr[:2]); v < MinVersion || v > Version {
-		return 0, &UnsupportedVersionError{Version: v}
+	version = binary.LittleEndian.Uint16(hdr[:2])
+	if version < MinVersion || version > Version {
+		return 0, 0, &UnsupportedVersionError{Version: version}
 	}
-	return hdr[2], nil
+	return hdr[2], version, nil
 }
 
 // writeFrame emits one CRC-checked frame.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,7 @@ import (
 
 	"fenrir/internal/core"
 	"fenrir/internal/faults"
+	"fenrir/internal/obs"
 	"fenrir/internal/rng"
 	"fenrir/internal/timeline"
 )
@@ -292,11 +294,26 @@ func TestSaveLoadMonitorFile(t *testing.T) {
 	}
 }
 
-// TestWindowedMonitorRoundTrip pins the version-2 window frame: a
-// windowed monitor with a live mode engine must round-trip window,
-// evictions, sweep configuration, and the engine dendrogram, and the
-// restored monitor must keep answering mode queries and evicting in
-// lockstep with the original.
+// lastFrame returns the payload of a snapshot's trailing frame, walking
+// the frame lengths from the 11-byte header.
+func lastFrame(t *testing.T, raw []byte) []byte {
+	t.Helper()
+	off, payload := 11, []byte(nil)
+	for off < len(raw) {
+		n := int(binary.LittleEndian.Uint32(raw[off:]))
+		payload = raw[off+4 : off+4+n]
+		off += 4 + n + 4
+	}
+	return payload
+}
+
+// TestWindowedMonitorRoundTrip pins the version-3 window frame: it
+// carries the window and the eviction count and nothing else — no sweep
+// configuration and no dendrogram, even when the live engine held a
+// partition at checkpoint time. The restored monitor's first mode read
+// rebuilds exactly once and matches the original, a repeat read is
+// served from the cache, and the restored monitor keeps answering mode
+// queries and evicting in lockstep with the original.
 func TestWindowedMonitorRoundTrip(t *testing.T) {
 	const W = 10
 	space, vs := fixture(21, 30, nil)
@@ -304,27 +321,37 @@ func TestWindowedMonitorRoundTrip(t *testing.T) {
 		Mode: core.PessimisticUnknown, Detect: core.DefaultDetectOptions(), Window: W,
 	})
 	appendAll(t, mon, vs[:24])
-	wantT, wantC := mon.LiveThreshold() // engine live at checkpoint time
+	want := mon.LiveModes() // engine live at checkpoint time
 
 	var buf bytes.Buffer
 	if err := EncodeMonitor(&buf, mon.State()); err != nil {
 		t.Fatal(err)
 	}
+	if v := binary.LittleEndian.Uint16(buf.Bytes()[8:10]); v != 3 {
+		t.Fatalf("encoded version %d, want 3", v)
+	}
+	if win := lastFrame(t, buf.Bytes()); len(win) != 16 {
+		t.Fatalf("window frame is %d bytes, want 16 (window and evictions only)", len(win))
+	}
 	st, err := DecodeMonitor(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Window != W || !st.EngineValid || len(st.EngineMerges) != W-1 {
-		t.Fatalf("decoded window=%d engineValid=%v merges=%d, want %d/true/%d",
-			st.Window, st.EngineValid, len(st.EngineMerges), W, W-1)
+	if st.Window != W || st.Evictions != 24-W {
+		t.Fatalf("decoded window=%d evictions=%d, want %d/%d", st.Window, st.Evictions, W, 24-W)
 	}
 	rest, err := core.RestoreMonitor(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotT, gotC := rest.LiveThreshold()
-	if gotT != wantT || !deepEqualClusters(gotC, wantC) {
-		t.Fatalf("restored live partition (%v %v) != original (%v %v)", gotT, gotC, wantT, wantC)
+	reg := obs.NewRegistry()
+	rest.Instrument(reg)
+	if got := rest.LiveModes(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored LiveModes %+v != original %+v", got, want)
+	}
+	rest.LiveModes()
+	if n := reg.Counter("fenrir_monitor_mode_rebuilds_total").Value(); n != 1 {
+		t.Fatalf("restored monitor rebuilt %d times over two reads, want 1", n)
 	}
 	cont := rebind(rest.Space(), vs[24:])
 	for i, v := range vs[24:] {
@@ -333,14 +360,65 @@ func TestWindowedMonitorRoundTrip(t *testing.T) {
 		if ok1 != ok2 || (err1 == nil) != (err2 == nil) || e1.Phi != e2.Phi {
 			t.Fatalf("post-restore append at %d diverged", v.T)
 		}
-		aT, aC := mon.LiveThreshold()
-		bT, bC := rest.LiveThreshold()
-		if aT != bT || !deepEqualClusters(aC, bC) {
-			t.Fatalf("post-restore partition at %d diverged", v.T)
+		if a, b := mon.LiveModes(), rest.LiveModes(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("post-restore modes at %d diverged: %+v vs %+v", v.T, a, b)
 		}
 	}
 	if rest.Window() != W {
 		t.Fatalf("restored window = %d, want %d", rest.Window(), W)
+	}
+}
+
+// v2Fixtures are version-2 files written by the version-2 encoder from
+// the FuzzDecodeSnapshot monitor — fixture(13, 12), window 8 — after a
+// mode read, so each window frame carries the engine's sweep
+// configuration, flag 1 and 7 merges. The second is the same state with
+// a NaN sweep step.
+var v2Fixtures = []string{"v2-window8.fsnap", "v2-window8-nan-step.fsnap"}
+
+// TestVersion2SnapshotsRestore: a daemon upgraded onto its own snapshot
+// dir must still start, so version-2 files decode and restore, and their
+// sweep configuration and dendrogram are discarded, never trusted. The
+// first LiveModes must return promptly — the NaN step used to hang it
+// with the monitor mutex held — and equal batch DiscoverModes with the
+// default sweep.
+func TestVersion2SnapshotsRestore(t *testing.T) {
+	for _, name := range v2Fixtures {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := binary.LittleEndian.Uint16(raw[8:10]); v != 2 {
+			t.Fatalf("%s: fixture version %d, want 2", name, v)
+		}
+		// Window, evictions, four sweep fields, flag and 7 merges.
+		if win := lastFrame(t, raw); len(win) != 16+25+1+4+7*16 || win[41] != 1 {
+			t.Fatalf("%s: window frame of %d bytes does not carry a 7-merge dendrogram", name, len(win))
+		}
+		st, err := DecodeMonitor(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Window != 8 || st.Evictions != 4 || len(st.Vectors) != 8 {
+			t.Fatalf("%s: decoded window=%d evictions=%d history=%d, want 8/4/8",
+				name, st.Window, st.Evictions, len(st.Vectors))
+		}
+		m, err := core.RestoreMonitor(st)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := make(chan *core.ModesResult, 1)
+		go func() { got <- m.LiveModes() }()
+		select {
+		case live := <-got:
+			want := core.DiscoverModes(m.Matrix(), core.DefaultAdaptiveOptions())
+			want.Matrix = nil
+			if !reflect.DeepEqual(live, want) {
+				t.Fatalf("%s: LiveModes %+v != DiscoverModes %+v", name, live, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: first LiveModes still running after 10s", name)
+		}
 	}
 }
 
@@ -384,23 +462,6 @@ func TestUnboundedSnapshotRestoresUnderDefaultWindow(t *testing.T) {
 	if a, b := fresh.Snapshot(), rest.Snapshot(); a.Evictions != b.Evictions || a.History != b.History {
 		t.Fatalf("windowed restore diverges from fresh windowed monitor: %+v vs %+v", a, b)
 	}
-}
-
-func deepEqualClusters(a, b [][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // TestVersion1MonitorRejected pins the retirement of format version 1:
@@ -554,8 +615,9 @@ func TestHugeElementCountRejectedCheaply(t *testing.T) {
 }
 
 // FuzzDecodeSnapshot: no input may panic the decoders. Every error is
-// one of the typed snapshot errors, and every decoded monitor state is
-// either accepted or rejected with an error by core.RestoreMonitor.
+// one of the typed snapshot errors, every decoded monitor state is
+// either accepted or rejected with an error by core.RestoreMonitor, and
+// every accepted monitor answers its first mode read.
 func FuzzDecodeSnapshot(f *testing.F) {
 	space, vs := fixture(13, 12, nil)
 	mon := core.NewMonitorOpts(space, testSched(12), core.MonitorOptions{
@@ -566,7 +628,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	mon.LiveThreshold() // persist a live engine dendrogram too
 	var monBuf bytes.Buffer
 	if err := EncodeMonitor(&monBuf, mon.State()); err != nil {
 		f.Fatal(err)
@@ -583,6 +644,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(hugeCountSnapshot(f))
 	f.Add(duplicateNetworkSnapshot(f))
 	f.Add(hugeFrameSnapshot(f))
+	for _, name := range v2Fixtures {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	typed := func(t *testing.T, err error) {
 		var ce *CorruptError
@@ -592,10 +660,13 @@ func FuzzDecodeSnapshot(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if st, err := DecodeMonitor(bytes.NewReader(data)); err != nil {
+		st, err := DecodeMonitor(bytes.NewReader(data))
+		if err != nil {
 			typed(t, err)
-		} else {
-			core.RestoreMonitor(st) //nolint:errcheck // accept or reject, never panic
+			return
+		}
+		if m, err := core.RestoreMonitor(st); err == nil {
+			m.LiveModes()
 		}
 	})
 }

@@ -17,8 +17,7 @@ import (
 type Monitor = core.Monitor
 
 // MonitorOptions is the full monitor configuration, including the
-// sliding-window bound (Window) and the live mode engine's sweep
-// settings (Adaptive).
+// sliding-window bound (Window).
 type MonitorOptions = core.MonitorOptions
 
 // MonitorState is a complete export of a Monitor — configuration,

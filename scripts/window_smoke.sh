@@ -2,10 +2,11 @@
 # window_smoke.sh — end-to-end smoke test of the sliding-window serving
 # path. Same kill-and-restore discipline as serve_smoke.sh, but every
 # tenant is windowed: the daemon evicts history as it ingests, the
-# checkpoint carries the window bound, eviction count, and live engine
-# state, and a daemon that is hard-killed mid-stream and restarted must
-# answer every deterministic query byte-identically to a windowed daemon
-# that ingested the same stream uninterrupted. Used by
+# checkpoint carries the window bound and eviction count (the live mode
+# engine re-clusters after a restore), and a daemon that is hard-killed
+# mid-stream and restarted must answer every deterministic query
+# byte-identically to a windowed daemon that ingested the same stream
+# uninterrupted. Used by
 # `make window-smoke` / `make check`.
 set -e
 cd "$(dirname "$0")/.."
@@ -136,7 +137,7 @@ kill -TERM "$control_pid"
 wait "$control_pid" 2>/dev/null || true
 
 # --- Victim: ingests 21 epochs (already past the bound, so evictions
-# --- and live engine state are in the checkpoint), then dies hard. ---
+# --- are in the checkpoint), then dies hard. ---
 state="$work/victim-state"
 "$bin" -serve 127.0.0.1:0 -snapshot-dir "$state" -snapshot-every 5 -window "$WINDOW" \
     2>"$work/victim.log" &
@@ -146,7 +147,8 @@ victim_url=$(wait_api "$work/victim.log")
 
 req PUT "$victim_url/v1/tenants/smoke" "$(spec_json)" 201 "victim create tenant"
 ingest "$victim_url" smoke 0 21
-# Query /mode before the kill so the engine is live in the checkpoint.
+# Query /mode before the kill: the engine is live at checkpoint time, but
+# the checkpoint carries none of it, so the restored daemon re-clusters.
 req GET "$victim_url/v1/tenants/smoke/mode" "" 200 "victim mode query"
 req POST "$victim_url/v1/tenants/smoke/checkpoint" "" 200 "victim checkpoint"
 kill -KILL "$victim_pid"
