@@ -26,12 +26,13 @@ race:
 
 # The perf-critical benches: the packed similarity engine sweep (serial
 # vs auto, plus the large-alphabet row), the fixed-depth windowed
-# append, the incremental threshold sweep, and the end-to-end Analyze
-# pipeline. Output is parsed into BENCH_core.json, each row with the
-# GOMAXPROCS and CPU count it ran with; a failing bench run aborts
-# loudly instead of writing an empty file.
+# append, the /mode read that re-clusters that window, the incremental
+# threshold sweep, and the end-to-end Analyze pipeline. Output is
+# parsed into BENCH_core.json, each row with the GOMAXPROCS and CPU
+# count it ran with; a failing bench run aborts loudly instead of
+# writing an empty file.
 bench:
-	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|AnalyzePipeline' -benchmem . > bench.out 2>&1 \
+	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|AnalyzePipeline' -benchmem . > bench.out 2>&1 \
 		|| { cat bench.out >&2; rm -f bench.out; exit 1; }
 	@./scripts/bench2json.sh < bench.out > BENCH_core.json.tmp \
 		|| { rm -f bench.out BENCH_core.json.tmp; exit 1; }
@@ -40,8 +41,8 @@ bench:
 	@cat BENCH_core.json
 
 # Perf regression gate: fail if the serial T=1024 similarity row, the
-# large-alphabet similarity row, or the windowed append row runs >15%
-# slower than its committed BENCH_core.json baseline.
+# large-alphabet similarity row, the windowed append row, or the mode
+# read row runs >15% slower than its committed BENCH_core.json baseline.
 benchguard:
 	./scripts/benchguard.sh
 

@@ -358,6 +358,30 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 // (cloned with a fresh epoch, which the per-op numbers include), so mode
 // changes keep firing at the series' own rate however large b.N grows.
 func BenchmarkMonitorAppendHot(b *testing.B) {
+	mon, next := hotMonitor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hotAppend(b, mon, next, i)
+	}
+}
+
+// BenchmarkMonitorModeRead measures the served /mode read after an
+// append: MonitorAppendHot's fixture, where each op appends one vector
+// and then calls LiveModes, which re-clusters the whole W=1024 window
+// (condensed Φ triangle, NN-chain HAC, §2.6.2 sweep, mode assembly).
+func BenchmarkMonitorModeRead(b *testing.B) {
+	mon, next := hotMonitor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hotAppend(b, mon, next, i)
+		mon.LiveModes()
+	}
+}
+
+// hotMonitor is the W=1024 fixture of the hot monitor benches: a
+// monitor prefilled to its window, and the 200 further epochs its ops
+// cycle through.
+func hotMonitor(b *testing.B) (*core.Monitor, []*Vector) {
 	const W, nets, cycle = 1024, 256, 200
 	s := syntheticSeries(W+cycle, nets, 0.3, 12)
 	mon := core.NewMonitorOpts(s.Space, NewSchedule(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), 24*time.Hour, 1<<30),
@@ -367,14 +391,16 @@ func BenchmarkMonitorAppendHot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	next := s.Vectors[W:]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := next[i%cycle].Clone()
-		v.T = timeline.Epoch(W + i)
-		if _, _, err := mon.Append(v); err != nil {
-			b.Fatal(err)
-		}
+	return mon, s.Vectors[W:]
+}
+
+// hotAppend is op i's append: next[i mod len(next)] cloned with epoch
+// W+i, so epochs keep rising past the prefilled window.
+func hotAppend(b *testing.B, mon *core.Monitor, next []*Vector, i int) {
+	v := next[i%len(next)].Clone()
+	v.T = timeline.Epoch(mon.Window() + i)
+	if _, _, err := mon.Append(v); err != nil {
+		b.Fatal(err)
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"fenrir/internal/obs"
@@ -48,93 +49,130 @@ type Dendrogram struct {
 }
 
 // HAC builds a dendrogram from a similarity matrix using the nearest-
-// neighbour-chain algorithm (O(N²) time, O(N²) memory), with distances
-// d = 1 − Φ. All three supported linkages are reducible, so NN-chain
-// yields the exact same tree as naive O(N³) agglomeration.
+// neighbour-chain algorithm (O(N²) time), with distances d = 1 − Φ. All
+// three supported linkages are reducible, so NN-chain yields the exact
+// same tree as naive O(N³) agglomeration. Memory is one condensed
+// n(n−1)/2 triangle of distances (see nnChain), filled in one sequential
+// pass over the matrix's lower triangle.
 func HAC(m *SimMatrix, linkage Linkage) *Dendrogram {
 	n := m.N
-	d := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i != j {
-				d[i*n+j] = 1 - m.At(i, j)
-			}
+	d := make([]float64, 0, n*(n-1)/2)
+	for i := 1; i < n; i++ {
+		for _, phi := range m.vals[i*n : i*n+i] {
+			d = append(d, 1-phi)
 		}
 	}
-	return hacDistances(d, n, linkage)
+	return nnChain(d, n, linkage)
 }
 
-// hacDistances is HAC over a dense distance buffer (d[i*n+j], diagonal
-// zero, clobbered during the run).
-func hacDistances(d []float64, n int, linkage Linkage) *Dendrogram {
-	size := make([]int, n)
-	active := make([]bool, n)
-	id := make([]int, n) // current dendrogram node id of row i
-	for i := 0; i < n; i++ {
-		size[i] = 1
-		active[i] = true
-		id[i] = i
-	}
-	dg := &Dendrogram{N: n}
-	nextID := n
+// tri is the slot of pair (i, j), j < i, in a condensed lower triangle:
+// row i holds its i distances to rows 0..i−1 and starts at i(i−1)/2.
+func tri(i, j int) int { return i*(i-1)/2 + j }
 
+// slot is tri for a pair given in either order.
+func slot(i, j int) int {
+	if i < j {
+		i, j = j, i
+	}
+	return tri(i, j)
+}
+
+// nnChain is NN-chain HAC over a condensed distance triangle: d[tri(i, j)]
+// holds the distance between rows i and j for j < i, and is clobbered by
+// the run. The nearest neighbour of a chain's top is the smallest
+// distance, ties going to the smaller row index; NaN sorts after every
+// number, so a NaN distance cannot send the chain round a cycle. Scans
+// and Lance–Williams updates visit only the live rows, kept as an
+// ascending list; a merge keeps the row of the chain element below the
+// top for the new cluster and retires the top's.
+func nnChain(d []float64, n int, linkage Linkage) *Dendrogram {
+	dg := &Dendrogram{N: n}
+	if n < 2 {
+		return dg
+	}
+	dg.Merges = make([]Merge, 0, n-1)
+	size := make([]int, n)
+	id := make([]int, n) // current dendrogram node id of row i
+	live := make([]int, n)
+	for i := range live {
+		size[i] = 1
+		id[i] = i
+		live[i] = i
+	}
 	chain := make([]int, 0, n)
-	remaining := n
-	for remaining > 1 {
+	for len(live) > 1 {
 		if len(chain) == 0 {
-			for i := 0; i < n; i++ {
-				if active[i] {
-					chain = append(chain, i)
-					break
-				}
+			chain = append(chain, live[0])
+		}
+		top := chain[len(chain)-1]
+		// Nearest live neighbour of top, scanning in ascending row order
+		// so the first of equal distances wins: rows below top read top's
+		// own row, rows above it read their entry in column top.
+		best, bestD := -1, math.Inf(1)
+		at := sort.SearchInts(live, top)
+		row := d[tri(top, 0):tri(top, top)]
+		for _, j := range live[:at] {
+			if dj := row[j]; dj < bestD {
+				best, bestD = j, dj
 			}
 		}
-		for {
-			top := chain[len(chain)-1]
-			// Find nearest active neighbour of top.
-			best, bestD := -1, 0.0
-			for j := 0; j < n; j++ {
-				if !active[j] || j == top {
+		for _, j := range live[at+1:] {
+			if dj := d[tri(j, top)]; dj < bestD {
+				best, bestD = j, dj
+			}
+		}
+		if best < 0 {
+			// No distance below +Inf: the first +Inf wins, else the
+			// first row (every distance is NaN).
+			for _, j := range live {
+				if j == top {
 					continue
 				}
-				dj := d[top*n+j]
-				if best == -1 || dj < bestD || (dj == bestD && j < best) {
+				if dj := d[slot(top, j)]; best < 0 || math.IsNaN(bestD) && !math.IsNaN(dj) {
 					best, bestD = j, dj
 				}
 			}
-			if len(chain) >= 2 && best == chain[len(chain)-2] {
-				// Reciprocal nearest neighbours: merge top and best.
-				a, b := chain[len(chain)-2], chain[len(chain)-1]
-				chain = chain[:len(chain)-2]
-				dg.Merges = append(dg.Merges, Merge{A: id[a], B: id[b], Height: bestD})
-				// Fold b into a with Lance–Williams.
-				na, nb := float64(size[a]), float64(size[b])
-				for k := 0; k < n; k++ {
-					if !active[k] || k == a || k == b {
-						continue
-					}
-					da, db := d[a*n+k], d[b*n+k]
-					var nd float64
-					switch linkage {
-					case SingleLinkage:
-						nd = min(da, db)
-					case CompleteLinkage:
-						nd = max(da, db)
-					default:
-						nd = (na*da + nb*db) / (na + nb)
-					}
-					d[a*n+k] = nd
-					d[k*n+a] = nd
-				}
-				size[a] += size[b]
-				active[b] = false
-				id[a] = nextID
-				nextID++
-				remaining--
-				break
-			}
-			chain = append(chain, best)
 		}
+		if len(chain) < 2 || best != chain[len(chain)-2] {
+			chain = append(chain, best)
+			continue
+		}
+		// Reciprocal nearest neighbours: fold top into the row below it
+		// on the chain with Lance–Williams. A live row k below both a and
+		// b pairs with them in rows a and b, one above both in its own
+		// row, and one in between in one of each.
+		a, b := chain[len(chain)-2], top
+		chain = chain[:len(chain)-2]
+		dg.Merges = append(dg.Merges, Merge{A: id[a], B: id[b], Height: bestD})
+		na, nb := float64(size[a]), float64(size[b])
+		fold := func(ia, ib int) {
+			da, db := d[ia], d[ib]
+			switch linkage {
+			case SingleLinkage:
+				d[ia] = min(da, db)
+			case CompleteLinkage:
+				d[ia] = max(da, db)
+			default:
+				d[ia] = (na*da + nb*db) / (na + nb)
+			}
+		}
+		lo, hi := min(a, b), max(a, b)
+		ra, rb := tri(a, 0), tri(b, 0)
+		i := 0
+		for ; live[i] < lo; i++ {
+			fold(ra+live[i], rb+live[i])
+		}
+		for i++; live[i] < hi; i++ {
+			fold(slot(a, live[i]), slot(b, live[i]))
+		}
+		for i++; i < len(live); i++ {
+			rk := tri(live[i], 0)
+			fold(rk+a, rk+b)
+		}
+		size[a] += size[b]
+		id[a] = n + len(dg.Merges) - 1
+		at = sort.SearchInts(live, b)
+		live = append(live[:at], live[at+1:]...)
 	}
 	// Merges are recorded in NN-chain execution order. For the reducible
 	// linkages supported here the dendrogram has no inversions, so a cut

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"reflect"
+	"runtime"
 	"testing"
+	"time"
 
 	"fenrir/internal/rng"
 	"fenrir/internal/timeline"
@@ -193,6 +197,222 @@ func naiveHAC(m *SimMatrix, linkage Linkage) *Dendrogram {
 		next++
 	}
 	return dg
+}
+
+// denseNNChain is the dense NN-chain HAC that the condensed triangle
+// replaced, kept as the exact oracle: the same chain rule (smallest
+// distance, then smallest index) over an n×n distance copy whose
+// Lance–Williams update writes row and column.
+func denseNNChain(m *SimMatrix, linkage Linkage) *Dendrogram {
+	n := m.N
+	d := make([]float64, n*n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				d[i*n+j] = 1 - m.At(i, j)
+			}
+		}
+	}
+	size := make([]int, n)
+	active := make([]bool, n)
+	id := make([]int, n)
+	for i := 0; i < n; i++ {
+		size[i] = 1
+		active[i] = true
+		id[i] = i
+	}
+	dg := &Dendrogram{N: n}
+	nextID := n
+	chain := make([]int, 0, n)
+	remaining := n
+	for remaining > 1 {
+		if len(chain) == 0 {
+			for i := 0; i < n; i++ {
+				if active[i] {
+					chain = append(chain, i)
+					break
+				}
+			}
+		}
+		for {
+			top := chain[len(chain)-1]
+			best, bestD := -1, 0.0
+			for j := 0; j < n; j++ {
+				if !active[j] || j == top {
+					continue
+				}
+				dj := d[top*n+j]
+				if best == -1 || dj < bestD || (dj == bestD && j < best) {
+					best, bestD = j, dj
+				}
+			}
+			if len(chain) >= 2 && best == chain[len(chain)-2] {
+				a, b := chain[len(chain)-2], chain[len(chain)-1]
+				chain = chain[:len(chain)-2]
+				dg.Merges = append(dg.Merges, Merge{A: id[a], B: id[b], Height: bestD})
+				na, nb := float64(size[a]), float64(size[b])
+				for k := 0; k < n; k++ {
+					if !active[k] || k == a || k == b {
+						continue
+					}
+					da, db := d[a*n+k], d[b*n+k]
+					var nd float64
+					switch linkage {
+					case SingleLinkage:
+						nd = min(da, db)
+					case CompleteLinkage:
+						nd = max(da, db)
+					default:
+						nd = (na*da + nb*db) / (na + nb)
+					}
+					d[a*n+k] = nd
+					d[k*n+a] = nd
+				}
+				size[a] += size[b]
+				active[b] = false
+				id[a] = nextID
+				nextID++
+				remaining--
+				break
+			}
+			chain = append(chain, best)
+		}
+	}
+	return dg
+}
+
+// servedMonitor is a Window=W monitor fed 3W/2+10 observations of the
+// serve-deep routing model — 256 networks over 5 sites, 30% of cells
+// unobserved, 2% flipped to a random site, and a move to another of 4
+// recurring modes every 10 epochs — so its Φ triangle has been slid by
+// evictions.
+func servedMonitor(t testing.TB, W int, seed uint64) *Monitor {
+	t.Helper()
+	const networks, numModes = 256, 4
+	r := rng.New(seed)
+	space := NewSpace(nets(networks))
+	sites := []string{"A", "B", "C", "D", "E"}
+	modes := make([][]string, numModes)
+	for k := range modes {
+		modes[k] = make([]string, networks)
+		for i := range modes[k] {
+			modes[k][i] = sites[r.Intn(len(sites))]
+		}
+	}
+	mon := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
+		Mode: PessimisticUnknown, Detect: DefaultDetectOptions(), Window: W,
+	})
+	cur := 0
+	for e := 0; e < W+W/2+10; e++ {
+		if e > 0 && e%10 == 0 {
+			cur = (cur + 1 + r.Intn(numModes-1)) % numModes
+		}
+		v := space.NewVector(timeline.Epoch(e))
+		for i, site := range modes[cur] {
+			switch {
+			case r.Bool(0.3):
+			case r.Bool(0.02):
+				v.Set(i, sites[r.Intn(len(sites))])
+			default:
+				v.Set(i, site)
+			}
+		}
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return mon
+}
+
+// TestHACMatchesDenseNNChain pins the condensed-triangle NN-chain to the
+// dense one it replaced, merge for merge: the whole Dendrogram (pairs,
+// heights and order) must be equal for every linkage. The inputs are
+// the serve-deep model's windowed monitors, whose live mode read must
+// also equal the batch one, and random matrices over five Φ values,
+// where ties between equal distances decide most scans.
+func TestHACMatchesDenseNNChain(t *testing.T) {
+	linkages := []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage}
+	same := func(where string, m *SimMatrix) {
+		t.Helper()
+		for _, l := range linkages {
+			got, want := HAC(m, l), denseNNChain(m, l)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %v: condensed dendrogram diverged from dense NN-chain", where, l)
+			}
+		}
+	}
+	for _, W := range []int{2, 3, 64, 300, 1024} {
+		mon := servedMonitor(t, W, uint64(W))
+		m := mon.Matrix()
+		same(fmt.Sprintf("W=%d", W), m)
+		live, batch := mon.LiveModes(), DiscoverModes(m, DefaultAdaptiveOptions())
+		batch.Matrix = nil
+		if !reflect.DeepEqual(live, batch) {
+			t.Fatalf("W=%d: LiveModes %+v != DiscoverModes %+v", W, live, batch)
+		}
+	}
+	phis := []float64{0, 0.25, 0.5, 0.75, 1}
+	for seed := uint64(0); seed < 200; seed++ {
+		r := rng.New(seed)
+		n := int(seed % 42)
+		m := NewSimMatrix(n)
+		for i := 0; i < n; i++ {
+			for j := i + 1; j < n; j++ {
+				m.Set(i, j, phis[r.Intn(len(phis))])
+			}
+		}
+		same(fmt.Sprintf("seed=%d n=%d", seed, n), m)
+	}
+}
+
+// TestModeRebuildAllocatesOneTriangle pins the live re-cluster's memory
+// to one condensed distance triangle: a W=1024 rebuild may allocate the
+// n(n−1)/2 float64 triangle plus 1 MiB for everything else (chain, live
+// list, sweep and mode assembly), never a dense n×n copy.
+func TestModeRebuildAllocatesOneTriangle(t *testing.T) {
+	const W = 1024
+	mon := servedMonitor(t, W, 5)
+	before := mon.engine.rebuilds
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	mon.LiveModes()
+	runtime.ReadMemStats(&ms1)
+	if got := mon.engine.rebuilds - before; got != 1 {
+		t.Fatalf("read rebuilt %d times, want 1", got)
+	}
+	limit := uint64(W*(W-1)/2*8 + 1<<20)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= limit {
+		t.Fatalf("W=%d rebuild allocated %d bytes, want < %d", W, grew, limit)
+	}
+}
+
+// TestHACNaNDistanceTerminates is the regression test for a NaN
+// distance sending NN-chain round a cycle: with the dense scan's
+// "first candidate, then strictly smaller" rule a NaN that came first
+// could never be displaced, so on this 4-row matrix the chain cycled
+// 0 → 2 → 3 → 0 forever, growing without bound. NaN now sorts after
+// every number. A spinning HAC cannot be stopped, so the deadline
+// panics, ending the test binary, rather than fail and leave it running.
+func TestHACNaNDistanceTerminates(t *testing.T) {
+	m := NewSimMatrix(4)
+	for _, p := range []struct {
+		i, j int
+		d    float64
+	}{{0, 1, 0.1}, {0, 2, 0.1}, {0, 3, 0.1}, {1, 2, 0.2}, {1, 3, math.NaN()}, {2, 3, 0.1}} {
+		m.Set(p.i, p.j, 1-p.d)
+	}
+	for _, l := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
+		done := make(chan *Dendrogram, 1)
+		go func() { done <- HAC(m, l) }()
+		select {
+		case dg := <-done:
+			if len(dg.Merges) != 3 {
+				t.Fatalf("%v: %d merges, want 3", l, len(dg.Merges))
+			}
+		case <-time.After(500 * time.Millisecond):
+			panic(fmt.Sprintf("%v: HAC still running after 500ms", l))
+		}
+	}
 }
 
 func TestClusterAdaptiveFindsBlocks(t *testing.T) {

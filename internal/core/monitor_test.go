@@ -454,6 +454,49 @@ func TestRestoreMonitorInvalidDetectMode(t *testing.T) {
 	}
 }
 
+// TestRestoreMonitorRejectsNonFinite: a restored state must give finite
+// Φ values to HAC. A non-finite Φ, or weights that can produce one
+// (negative, non-finite, or summing past the largest float64), is an
+// error; the same state with them mended restores.
+func TestRestoreMonitorRejectsNonFinite(t *testing.T) {
+	space, vs := monitorFixtureVectors(3)
+	w := make([]float64, space.NumNetworks())
+	for i := range w {
+		w[i] = float64(1 + i%3)
+	}
+	mon := NewMonitor(space, sched(3), w, PessimisticUnknown, DefaultDetectOptions())
+	for _, v := range vs {
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := RestoreMonitor(mon.State()); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		edit func(*MonitorState)
+	}{
+		{"NaN Φ", func(st *MonitorState) { st.Sim[2][1] = math.NaN() }},
+		{"+Inf Φ", func(st *MonitorState) { st.Sim[1][0] = math.Inf(1) }},
+		{"-Inf Φ", func(st *MonitorState) { st.Sim[2][0] = math.Inf(-1) }},
+		{"negative weight", func(st *MonitorState) { st.Weights[1] = -1 }},
+		{"NaN weight", func(st *MonitorState) { st.Weights[0] = math.NaN() }},
+		{"+Inf weight", func(st *MonitorState) { st.Weights[2] = math.Inf(1) }},
+		{"overflowing weights", func(st *MonitorState) {
+			for i := range st.Weights {
+				st.Weights[i] = 1e308
+			}
+		}},
+	} {
+		st := mon.State()
+		tc.edit(&st)
+		if _, err := RestoreMonitor(st); err == nil {
+			t.Errorf("%s: restored", tc.name)
+		}
+	}
+}
+
 // TestRestoreMonitorHugeDetectWindow: a snapshot's baseline window is
 // untrusted input. A MaxInt window must restore without a panic and
 // without anything sized by it, then detect exactly like a monitor

@@ -47,13 +47,13 @@ func (e *modeEngine) invalidate() { e.valid = false }
 // structure (threshold or cluster count) moved since the previous call.
 func (e *modeEngine) partition(sim [][]float64, sp *obs.Span) (threshold float64, clusters [][]int, churn bool) {
 	if !e.valid {
+		// The triangle is laid out as the rows are: row i's distances
+		// to rows 0..i−1 follow row i−1's, one sequential pass.
 		n := len(sim)
-		d := make([]float64, n*n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < i; j++ {
-				dist := 1 - sim[i][j]
-				d[i*n+j] = dist
-				d[j*n+i] = dist
+		d := make([]float64, 0, n*(n-1)/2)
+		for _, row := range sim {
+			for _, phi := range row {
+				d = append(d, 1-phi)
 			}
 		}
 		// No registry: the daemon's one registry would otherwise hold
@@ -61,7 +61,7 @@ func (e *modeEngine) partition(sim [][]float64, sp *obs.Span) (threshold float64
 		// series. fenrir_monitor_mode_rebuilds_total counts these sweeps.
 		opts := DefaultAdaptiveOptions()
 		opts.Span = sp
-		e.threshold, e.clusters = sweepDendrogram(hacDistances(d, n, opts.Linkage), opts)
+		e.threshold, e.clusters = sweepDendrogram(nnChain(d, n, opts.Linkage), opts)
 		e.valid = true
 		e.rebuilds++
 	}

@@ -249,6 +249,9 @@ func monitorFromSpec(spec TenantSpec, defaultWindow int) (*core.Monitor, error) 
 	if spec.Weights != nil && len(spec.Weights) != len(spec.Networks) {
 		return nil, fmt.Errorf("spec: %d weights for %d networks", len(spec.Weights), len(spec.Networks))
 	}
+	if err := core.CheckWeights(spec.Weights); err != nil {
+		return nil, fmt.Errorf("spec: %v", err)
+	}
 	mode, err := parseUnknownMode(spec.UnknownMode, "unknown_mode")
 	if err != nil {
 		return nil, err

@@ -318,6 +318,16 @@ func TestServeTenantAdmin(t *testing.T) {
 		t.Fatalf("mismatched weights accepted: %d", code)
 	}
 	spec = defaultSpec(4)
+	spec.Weights = []float64{1, -1, 1, 1}
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
+		t.Fatalf("negative weight accepted: %d", code)
+	}
+	spec = defaultSpec(3)
+	spec.Weights = []float64{1e308, 1e308, 1e308} // sums to +Inf: every Φ would be NaN or 0
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
+		t.Fatalf("overflowing weights accepted: %d", code)
+	}
+	spec = defaultSpec(4)
 	spec.UnknownMode = "optimistic"
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/ok", spec); code != http.StatusBadRequest {
 		t.Fatalf("bad unknown_mode accepted: %d", code)

@@ -586,6 +586,42 @@ func TestDuplicateNetworkRejected(t *testing.T) {
 	}
 }
 
+// nanSimSnapshot is a monitor snapshot, every frame's CRC intact, whose
+// sim frame holds a NaN Φ.
+func nanSimSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	space, vs := fixture(5, 6, nil)
+	mon := newMon(space, 6)
+	for _, v := range vs {
+		if _, _, err := mon.Append(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	st := mon.State()
+	st.Sim[4][1] = math.NaN()
+	var buf bytes.Buffer
+	if err := EncodeMonitor(&buf, st); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestNaNSimRejected: a NaN Φ is untrusted input the CRC cannot catch.
+// The file decodes, and core.RestoreMonitor must refuse it; it used to
+// restore into a monitor whose every mode read could hang NN-chain HAC.
+func TestNaNSimRejected(t *testing.T) {
+	st, err := DecodeMonitor(bytes.NewReader(nanSimSnapshot(t)))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if !math.IsNaN(st.Sim[4][1]) {
+		t.Fatalf("sim[4][1] = %v, want the encoded NaN", st.Sim[4][1])
+	}
+	if _, err := core.RestoreMonitor(st); err == nil {
+		t.Fatal("restored a monitor with a NaN Φ")
+	}
+}
+
 // TestHugeElementCountRejectedCheaply: crafted element counts and frame
 // lengths must be bounded by the bytes actually present before anything
 // is allocated — each file decodes to *CorruptError within a small
@@ -644,6 +680,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(hugeCountSnapshot(f))
 	f.Add(duplicateNetworkSnapshot(f))
 	f.Add(hugeFrameSnapshot(f))
+	f.Add(nanSimSnapshot(f))
 	for _, name := range v2Fixtures {
 		raw, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {

@@ -11,6 +11,7 @@
 #   SimilarityMatrix/T=1024/P=1             serial packed Φ matrix
 #   SimilarityMatrix/T=512/N=512/S=128/P=1  large site alphabet (7 planes)
 #   MonitorAppendHot                        windowed append at depth 1024
+#   MonitorModeRead                         append plus /mode re-cluster at depth 1024
 #
 # The minimum over -count runs is the standard noise filter: a loaded
 # box can only make code look slower, never faster, so min-vs-baseline
@@ -84,6 +85,7 @@ status=0
 guard 'SimilarityMatrix/T=1024/P=1' '^BenchmarkSimilarityMatrix$/^T=1024$/^P=1$' || status=1
 guard 'SimilarityMatrix/T=512/N=512/S=128/P=1' '^BenchmarkSimilarityMatrix$/^T=512$/^N=512$/^S=128$/^P=1$' || status=1
 guard 'MonitorAppendHot' '^BenchmarkMonitorAppendHot$' || status=1
+guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' || status=1
 if [ "$status" -ne 0 ]; then
 	exit 1
 fi
