@@ -1,10 +1,10 @@
 # Build, test, and benchmark entry points. `make test` is the tier-1
-# gate (vet + full test suite); `make race` runs the analysis core, the
-# fault layer, the UDP server, and the serve/snapshot layer under the
-# race detector; `make bench` records the core perf trajectory to
-# BENCH_core.json; `make check` adds per-package coverage plus the
-# observability, fault-injection, serve-and-checkpoint, and fuzz smoke
-# tests on top of test + race.
+# gate (vet and gofmt, then the full test suite); `make race` runs the
+# analysis core, the fault layer, the UDP server, and the serve/snapshot
+# layer under the race detector; `make bench` records the core perf
+# trajectory to BENCH_core.json; `make check` adds per-package coverage
+# plus the observability, fault-injection, serve-and-checkpoint, and
+# fuzz smoke tests on top of test + race.
 
 GO ?= go
 
@@ -15,8 +15,11 @@ all: build test
 build:
 	$(GO) build ./...
 
+# vet also fails when any tracked Go file is not gofmt-clean.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+		if [ -n "$$unformatted" ]; then echo "gofmt -l reports:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test: vet
 	$(GO) test ./...
@@ -122,7 +125,8 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzReadMRT \
 	./internal/snapshot:FuzzDecodeSnapshot \
 	./internal/serve:FuzzIngestBody \
-	./internal/serve:FuzzTenantSpec
+	./internal/serve:FuzzTenantSpec \
+	./internal/serve:FuzzRebalanceRequest
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \

@@ -141,8 +141,8 @@ type AnalysisOptions struct {
 	// Unknowns selects Φ's unknown handling.
 	Unknowns UnknownMode
 	// Parallelism sizes the worker pool of the similarity stage: 0 uses
-	// all cores (GOMAXPROCS), 1 forces the serial reference path. The
-	// result is bit-identical at every setting.
+	// all cores (GOMAXPROCS), 1 fills the matrix on the calling
+	// goroutine. The result is bit-identical at every setting.
 	Parallelism int
 	// Kernel is ignored.
 	//

@@ -52,17 +52,16 @@ type Dendrogram struct {
 // neighbour-chain algorithm (O(N²) time), with distances d = 1 − Φ. All
 // three supported linkages are reducible, so NN-chain yields the exact
 // same tree as naive O(N³) agglomeration. Memory is one condensed
-// n(n−1)/2 triangle of distances (see nnChain), filled in one sequential
-// pass over the matrix's lower triangle.
+// n(n−1)/2 triangle of distances (see nnChain), laid out as the matrix's
+// rows and filled in one sequential pass over them.
 func HAC(m *SimMatrix, linkage Linkage) *Dendrogram {
-	n := m.N
-	d := make([]float64, 0, n*(n-1)/2)
-	for i := 1; i < n; i++ {
-		for _, phi := range m.vals[i*n : i*n+i] {
+	d := make([]float64, 0, m.N*(m.N-1)/2)
+	for _, row := range m.rows {
+		for _, phi := range row {
 			d = append(d, 1-phi)
 		}
 	}
-	return nnChain(d, n, linkage)
+	return nnChain(d, m.N, linkage)
 }
 
 // tri is the slot of pair (i, j), j < i, in a condensed lower triangle:
@@ -286,15 +285,7 @@ func ClusterAdaptive(m *SimMatrix, opts AdaptiveOptions) (threshold float64, clu
 		opts.Step = 0.01
 	}
 	dg := HAC(m, opts.Linkage)
-	return sweepDendrogram(dg, opts)
-}
 
-// sweepDendrogram is the threshold sweep of ClusterAdaptive over an
-// already-built dendrogram; opts must be normalized (MaxClusters,
-// MinMembers and Step positive). The live mode engine (online.go) runs it
-// with DefaultAdaptiveOptions over the dendrogram it builds from a
-// monitor's Φ triangle.
-func sweepDendrogram(dg *Dendrogram, opts AdaptiveOptions) (threshold float64, clusters [][]int) {
 	// Representative leaf of every dendrogram node, in execution order
 	// (same mapping Cut builds).
 	rep := make([]int, dg.N+len(dg.Merges))

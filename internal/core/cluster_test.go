@@ -346,8 +346,7 @@ func TestHACMatchesDenseNNChain(t *testing.T) {
 		m := mon.Matrix()
 		same(fmt.Sprintf("W=%d", W), m)
 		live, batch := mon.LiveModes(), DiscoverModes(m, DefaultAdaptiveOptions())
-		batch.Matrix = nil
-		if !reflect.DeepEqual(live, batch) {
+		if !sameModes(live, batch) {
 			t.Fatalf("W=%d: LiveModes %+v != DiscoverModes %+v", W, live, batch)
 		}
 	}
@@ -383,6 +382,39 @@ func TestModeRebuildAllocatesOneTriangle(t *testing.T) {
 	limit := uint64(W*(W-1)/2*8 + 1<<20)
 	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= limit {
 		t.Fatalf("W=%d rebuild allocated %d bytes, want < %d", W, grew, limit)
+	}
+}
+
+// TestMonitorMatrixSharesRows pins Monitor.Matrix to a view of the
+// monitor's Φ rows: at W=1024 it allocates under 64 KiB where a dense
+// copy took 8.4 MB (the serve daemon's /heatmap takes it under the
+// tenant's mutex), and a view taken before further appends and
+// evictions still reads the history it was taken over.
+func TestMonitorMatrixSharesRows(t *testing.T) {
+	const W = 1024
+	mon := servedMonitor(t, W, 5)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	m := mon.Matrix()
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("W=%d Matrix allocated %d bytes, want < %d", W, grew, 64<<10)
+	}
+	s := mon.Series()
+	want := SimilarityMatrix(s, nil, PessimisticUnknown)
+	if !sameMatrix(m, want) {
+		t.Fatal("Matrix differs from the batch matrix of the same history")
+	}
+	last := s.Vectors[len(s.Vectors)-1].T
+	for k, v := range s.Vectors[:W/2] {
+		v = v.Clone()
+		v.T = last + timeline.Epoch(k+1)
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameMatrix(m, want) {
+		t.Fatal("appends and evictions changed an earlier Matrix")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"fenrir/internal/obs"
@@ -49,19 +50,41 @@ func naiveGower(a, b *Vector, w []float64, mode UnknownMode) float64 {
 
 func naiveSimilarityMatrix(s *Series, w []float64, mode UnknownMode) *SimMatrix {
 	n := len(s.Vectors)
-	m := &SimMatrix{N: n, Epochs: make([]int, n), vals: make([]float64, n*n)}
+	m := NewSimMatrix(n)
 	for i, v := range s.Vectors {
 		m.Epochs[i] = int(v.T)
 	}
 	for i := 0; i < n; i++ {
-		m.vals[i*n+i] = 1
 		for j := i + 1; j < n; j++ {
-			phi := naiveGower(s.Vectors[i], s.Vectors[j], w, mode)
-			m.vals[i*n+j] = phi
-			m.vals[j*n+i] = phi
+			m.Set(i, j, naiveGower(s.Vectors[i], s.Vectors[j], w, mode))
 		}
 	}
 	return m
+}
+
+// sameMatrix reports whether a and b cover the same epochs with
+// bit-identical Φ. Matrices are compared by value, not with
+// reflect.DeepEqual: a restored monitor's empty row 0 is nil where an
+// appended one is not.
+func sameMatrix(a, b *SimMatrix) bool {
+	if a.N != b.N || !slices.Equal(a.Epochs, b.Epochs) {
+		return false
+	}
+	for i := 0; i < a.N; i++ {
+		for j := 0; j < i; j++ {
+			if math.Float64bits(a.At(i, j)) != math.Float64bits(b.At(i, j)) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// sameModes reports whether two mode results are identical: the exact
+// threshold, the modes field for field, and their matrices by value.
+func sameModes(a, b *ModesResult) bool {
+	return math.Float64bits(a.Threshold) == math.Float64bits(b.Threshold) &&
+		reflect.DeepEqual(a.Modes, b.Modes) && sameMatrix(a.Matrix, b.Matrix)
 }
 
 // naiveClusterAdaptive is the original sweep: a from-scratch Cut at each
@@ -226,6 +249,9 @@ func TestSimilarityMatrixInstrumentedEquivalence(t *testing.T) {
 		}
 		if w := reg.Gauge("fenrir_similarity_workers").Value(); w != float64(p) {
 			t.Fatalf("P=%d: workers gauge = %v", p, w)
+		}
+		if r, want := reg.Gauge("fenrir_similarity_tile_rows").Value(), float64(ref.N)/float64(len(balancedTriangleTiles(ref.N, p))); r != want {
+			t.Fatalf("P=%d: tile-rows gauge = %v, want %v", p, r, want)
 		}
 	}
 }
@@ -507,7 +533,7 @@ func TestExplanationKernelEquivalence(t *testing.T) {
 					live := mon.Matrix()
 					for _, p := range []int{1, 3, 0} {
 						m := SimilarityMatrixParallel(s, w, mode, MatrixOptions{Parallelism: p})
-						if !reflect.DeepEqual(live.vals, m.vals) {
+						if !sameMatrix(live, m) {
 							t.Fatalf("seed=%d sites=%d mode=%v w=%d P=%d: monitor Φ history differs from the batch matrix",
 								seed, s.Space.NumSites(), mode, wi, p)
 						}

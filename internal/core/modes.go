@@ -39,28 +39,22 @@ type ModesResult struct {
 // (as transient states) but callers typically filter on len(Epochs).
 func DiscoverModes(m *SimMatrix, opts AdaptiveOptions) *ModesResult {
 	threshold, clusters := ClusterAdaptive(m, opts)
-	res := assembleModes(threshold, clusters,
-		func(r int) timeline.Epoch { return timeline.Epoch(m.Epochs[r]) },
-		func(rows []int) (lo, hi float64) { return m.PhiRange(rows, rows) })
-	res.Matrix = m
-	return res
+	return assembleModes(m, threshold, clusters)
 }
 
-// assembleModes turns a partition of similarity rows into modes — the
-// one assembly behind DiscoverModes and Monitor.LiveModes. epoch maps a
-// row to its epoch; phiRange returns the [min,max] Φ within a cluster of
-// at least two rows.
-func assembleModes(threshold float64, clusters [][]int, epoch func(row int) timeline.Epoch, phiRange func(rows []int) (lo, hi float64)) *ModesResult {
-	res := &ModesResult{Threshold: threshold}
+// assembleModes turns a partition of m's rows into modes — the one
+// assembly behind DiscoverModes and Monitor.LiveModes.
+func assembleModes(m *SimMatrix, threshold float64, clusters [][]int) *ModesResult {
+	res := &ModesResult{Threshold: threshold, Matrix: m}
 	for _, rows := range clusters {
 		mode := Mode{Rows: rows}
 		for _, r := range rows {
-			mode.Epochs = append(mode.Epochs, epoch(r))
+			mode.Epochs = append(mode.Epochs, timeline.Epoch(m.Epochs[r]))
 		}
 		sort.Slice(mode.Epochs, func(i, j int) bool { return mode.Epochs[i] < mode.Epochs[j] })
 		mode.Ranges = consecutiveRanges(mode.Epochs)
 		if len(rows) >= 2 {
-			mode.InternalLo, mode.InternalHi = phiRange(rows)
+			mode.InternalLo, mode.InternalHi = m.phiRangeWithin(rows)
 		} else {
 			mode.InternalLo, mode.InternalHi = 1, 1
 		}

@@ -46,7 +46,9 @@ type Monitor struct {
 	// never rebuilds a matrix on the ingest path.
 	packed []packedRow
 	// sim holds the lower-triangular similarity values: sim[i][j] for
-	// j < i. Kept triangular so appends never reallocate earlier rows.
+	// j < i, SimMatrix's layout. Kept triangular so appends never
+	// reallocate earlier rows; a row is never written after its append,
+	// so Matrix views share the rows.
 	sim [][]float64
 
 	detect DetectOptions
@@ -323,21 +325,23 @@ func (m *Monitor) Series() *Series {
 	return m.seriesLocked()
 }
 
-// Matrix materializes the full symmetric similarity matrix. The epochs
+// Matrix returns the similarity matrix of the retained history. It
+// shares the monitor's Φ rows, which are never written after their
+// append, so it costs O(history), not O(history²), and later appends and
+// evictions leave it unchanged. Callers must not Set on it. The epochs
 // array mirrors SimilarityMatrix's.
 func (m *Monitor) Matrix() *SimMatrix {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.matrixLocked()
+}
+
+// matrixLocked is Matrix; callers hold mu.
+func (m *Monitor) matrixLocked() *SimMatrix {
 	n := len(m.vectors)
-	out := &SimMatrix{N: n, Epochs: make([]int, n), vals: make([]float64, n*n)}
+	out := &SimMatrix{N: n, Epochs: make([]int, n), rows: append([][]float64(nil), m.sim...)}
 	for i, v := range m.vectors {
 		out.Epochs[i] = int(v.T)
-		out.vals[i*n+i] = 1
-		for j := 0; j < i; j++ {
-			phi := m.sim[i][j]
-			out.vals[i*n+j] = phi
-			out.vals[j*n+i] = phi
-		}
 	}
 	return out
 }
@@ -627,11 +631,9 @@ func (m *Monitor) evictLocked(cut int) {
 // LiveModes is mode discovery served from the live engine: the first
 // query after an append, an eviction or a restore re-clusters the cached
 // Φ triangle, and later queries against the same history reuse that
-// partition. The result is byte-identical to
+// partition. The result, its Matrix included, is byte-identical to
 // DiscoverModes(m.Matrix(), DefaultAdaptiveOptions()) — pinned by the
-// equivalence tests — except that the returned ModesResult carries a nil
-// Matrix (the O(T²) dense matrix is exactly what this path avoids
-// materializing), so CrossPhi is not available on it.
+// equivalence tests.
 func (m *Monitor) LiveModes() *ModesResult {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -645,7 +647,8 @@ func (m *Monitor) LiveModes() *ModesResult {
 			sp.SetAttr("path", "cached")
 		}
 	}
-	threshold, clusters, churn := m.engine.partition(m.sim, sp)
+	mat := m.matrixLocked()
+	threshold, clusters, churn := m.engine.partition(mat, sp)
 	if m.obs != nil {
 		sp.SetAttr("threshold", threshold)
 		sp.SetAttr("clusters", len(clusters))
@@ -654,31 +657,7 @@ func (m *Monitor) LiveModes() *ModesResult {
 			m.obs.Counter("fenrir_monitor_mode_churn_total").Inc()
 		}
 	}
-	return assembleModes(threshold, clusters,
-		func(r int) timeline.Epoch { return m.vectors[r].T }, m.triPhiRangeLocked)
-}
-
-// triPhiRangeLocked is SimMatrix.PhiRange(rows, rows) over the monitor's
-// triangular rows: the [min,max] Φ across distinct pairs of rows.
-// Callers hold mu.
-func (m *Monitor) triPhiRangeLocked(rows []int) (lo, hi float64) {
-	ok := false
-	for a, i := range rows {
-		for _, j := range rows[:a] {
-			v := m.sim[max(i, j)][min(i, j)]
-			if !ok {
-				lo, hi, ok = v, v, true
-				continue
-			}
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return lo, hi
+	return assembleModes(mat, threshold, clusters)
 }
 
 // Window returns the sliding-window bound (0 = unbounded).

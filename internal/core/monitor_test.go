@@ -233,6 +233,57 @@ func TestMonitorStateRestoreContinuation(t *testing.T) {
 	}
 }
 
+// TestMatrixViewConcurrentWithEvictions reads Matrix and LiveModes views
+// from other goroutines while a windowed monitor appends and evicts.
+// Views share the monitor's Φ rows, which no append or eviction writes,
+// so under the race detector no read may race, and every view must keep
+// answering for the history it was taken over.
+func TestMatrixViewConcurrentWithEvictions(t *testing.T) {
+	const W = 16
+	space, vs := monitorFixtureVectors(128)
+	mon := NewMonitorOpts(space, sched(128), MonitorOptions{
+		Mode: PessimisticUnknown, Detect: DefaultDetectOptions(), Window: W,
+	})
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for k := 0; k < 2; k++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				m := mon.Matrix()
+				if m.N == 0 {
+					continue
+				}
+				held := vs[m.Epochs[0] : m.Epochs[0]+m.N]
+				if !sameMatrix(m, SimilarityMatrix(NewSeries(space, sched(128), held, nil), nil, PessimisticUnknown)) {
+					t.Error("a Matrix view changed under appends and evictions")
+					return
+				}
+				if res := mon.LiveModes(); len(res.Modes) > 1 {
+					res.CrossPhi(res.Modes[0], res.Modes[1])
+				}
+			}
+		}()
+	}
+	for _, v := range vs {
+		if _, _, err := mon.Append(v); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	readers.Wait()
+	if mon.Snapshot().Evictions != uint64(len(vs)-W) {
+		t.Fatalf("evictions = %d, want %d", mon.Snapshot().Evictions, len(vs)-W)
+	}
+}
+
 // TestMonitorConcurrentIngest exercises the monitor's concurrency
 // contract under the race detector: several goroutines take turns
 // appending (epoch order enforced by passing the next index through a

@@ -40,28 +40,18 @@ type modeEngine struct {
 func (e *modeEngine) invalidate() { e.valid = false }
 
 // partition returns the swept (threshold, clusters) for the history whose
-// lower-triangular Φ rows are sim (sim[i][j] for j < i), re-clustering
-// only when the cache is stale: a full HAC over the same distances
-// HAC(m.Matrix(), AverageLinkage) would see, then the §2.6.2 sweep, whose
-// per-threshold spans sp parents. churn reports whether the reported
-// structure (threshold or cluster count) moved since the previous call.
-func (e *modeEngine) partition(sim [][]float64, sp *obs.Span) (threshold float64, clusters [][]int, churn bool) {
+// matrix is m, re-clustering only when the cache is stale:
+// ClusterAdaptive with the default §2.6.2 sweep, whose per-threshold
+// spans sp parents. churn reports whether the reported structure
+// (threshold or cluster count) moved since the previous call.
+func (e *modeEngine) partition(m *SimMatrix, sp *obs.Span) (threshold float64, clusters [][]int, churn bool) {
 	if !e.valid {
-		// The triangle is laid out as the rows are: row i's distances
-		// to rows 0..i−1 follow row i−1's, one sequential pass.
-		n := len(sim)
-		d := make([]float64, 0, n*(n-1)/2)
-		for _, row := range sim {
-			for _, phi := range row {
-				d = append(d, 1-phi)
-			}
-		}
 		// No registry: the daemon's one registry would otherwise hold
 		// whichever tenant was read last in the unlabelled fenrir_cluster_*
 		// series. fenrir_monitor_mode_rebuilds_total counts these sweeps.
 		opts := DefaultAdaptiveOptions()
 		opts.Span = sp
-		e.threshold, e.clusters = sweepDendrogram(nnChain(d, n, opts.Linkage), opts)
+		e.threshold, e.clusters = ClusterAdaptive(m, opts)
 		e.valid = true
 		e.rebuilds++
 	}

@@ -62,15 +62,15 @@ func TestLiveModesMatchBatchEveryEpoch(t *testing.T) {
 			batchT, batchC := ClusterAdaptive(mon.Matrix(), opts)
 			assertSamePartition(t, where, liveT, liveC, batchT, batchC)
 
-			// The full ModesResult must match DiscoverModes field for
-			// field (modulo the intentionally nil Matrix), and this
-			// second query must be served from the cache.
+			// The full ModesResult, its Matrix included, must match
+			// DiscoverModes, and this second query must be served from
+			// the cache.
 			live := mon.LiveModes()
 			if got := mon.engine.rebuilds - before; got != 1 {
 				t.Fatalf("%s: repeat query without append rebuilt (%d rebuilds)", where, got)
 			}
 			batch := DiscoverModes(mon.Matrix(), opts)
-			if live.Threshold != batch.Threshold || !reflect.DeepEqual(live.Modes, batch.Modes) {
+			if !sameModes(live, batch) {
 				t.Fatalf("%s: LiveModes diverged from DiscoverModes: %+v vs %+v", where, live, batch)
 			}
 		}
@@ -316,7 +316,7 @@ func TestTrimBeforeRingBitIdentical(t *testing.T) {
 		if rs.Evictions != fs.Evictions {
 			t.Fatalf("%s: evictions %d != reference %d", step, rs.Evictions, fs.Evictions)
 		}
-		if !reflect.DeepEqual(ring.Matrix(), ref.Matrix()) {
+		if !sameMatrix(ring.Matrix(), ref.Matrix()) {
 			t.Fatalf("%s: ring matrix diverged from reference", step)
 		}
 		rT, rC := livePartition(ring)
@@ -382,7 +382,7 @@ func TestMonitorWindowStateRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := rest.LiveModes(); !reflect.DeepEqual(got, want) {
+	if got := rest.LiveModes(); !sameModes(got, want) {
 		t.Fatalf("restored LiveModes %+v != original %+v", got, want)
 	}
 	rest.LiveModes()

@@ -112,11 +112,14 @@ func Gower(a, b *Vector, w []float64, mode UnknownMode) float64 {
 }
 
 // SimMatrix is a symmetric all-pairs similarity matrix over a series —
-// the data behind the paper's heatmaps.
+// the data behind the paper's heatmaps. It stores the strict lower
+// triangle as rows, rows[i][j] = Φ(i, j) for j < i, with the diagonal
+// fixed at 1: the layout of a Monitor's Φ history, so batch and stream
+// share one store and Monitor.Matrix shares the monitor's rows.
 type SimMatrix struct {
 	Epochs []int // epoch of each row, parallel to the series vectors
 	N      int
-	vals   []float64 // row-major N×N
+	rows   [][]float64 // rows[i] holds Φ(i, j) for j < i
 }
 
 // SimKernel is the type of the deprecated Kernel option fields.
@@ -132,8 +135,8 @@ type MatrixOptions struct {
 	// Deprecated: SimilarityMatrixParallel always uses the packed engine.
 	Kernel SimKernel
 	// Parallelism is the number of worker goroutines filling the matrix.
-	// 0 (the default) sizes the pool to runtime.GOMAXPROCS(0); 1 runs
-	// the exact serial reference path on the calling goroutine. Values
+	// 0 (the default) sizes the pool to runtime.GOMAXPROCS(0); 1 fills
+	// the whole triangle as one tile on the calling goroutine. Values
 	// above the row count are clamped. Every setting produces the
 	// bit-identical matrix: parallelism only changes which goroutine
 	// computes which tile, never the per-pair arithmetic.
@@ -160,16 +163,18 @@ func SimilarityMatrix(s *Series, w []float64, mode UnknownMode) *SimMatrix {
 }
 
 // SimilarityMatrixParallel computes the all-pairs Φ matrix by splitting
-// the upper triangle of the T×T pair space into row tiles dispatched to
+// the lower triangle of the T×T pair space into row tiles dispatched to
 // a worker pool over an atomic tile counter. Every vector is packed once
 // into one bit-sliced slab (bitset.go) and the packed kernel (mode ×
-// weighting) is selected once, outside the pair loop. All vectors must
+// weighting) is selected once, outside the pair loop. Row i is
+// kern(row i, row j) for j < i — the call Monitor.Append makes for each
+// new vector, so batch and stream agree by construction. All vectors must
 // share the series' Space; a mixed-space series panics here with a clear
 // message rather than deep inside the kernel. opts.Kernel is ignored.
 func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts MatrixOptions) *SimMatrix {
 	validateMode(mode)
 	n := len(s.Vectors)
-	m := &SimMatrix{N: n, Epochs: make([]int, n), vals: make([]float64, n*n)}
+	m := NewSimMatrix(n)
 	for i, v := range s.Vectors {
 		if v.Space != s.Space {
 			panic(fmt.Sprintf("core: SimilarityMatrix: vector %d (epoch %d) belongs to a different Space than its series", i, int(v.T)))
@@ -188,17 +193,13 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 	rows := packSlab(s.Vectors)
 	kern := packedGowerKernel(w, mode, nets)
 
-	// fill computes the upper-triangle segments of rows [lo,hi). Every
-	// path fills only the upper triangle and mirrors it in one blocked
-	// pass at the end (mirrorLower): concurrent tiles never write into
-	// each other's rows, and even the serial fill avoids a column-strided
-	// store per pair, which at T=1024 cost as much as the kernels.
+	// fill computes rows [lo,hi). Each tile writes only its own rows, so
+	// concurrent tiles never share an output row.
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			m.vals[i*n+i] = 1
-			ri := &rows[i]
-			for j := i + 1; j < n; j++ {
-				m.vals[i*n+j] = kern(ri, &rows[j])
+			ri, out := &rows[i], m.rows[i]
+			for j := range out {
+				out[j] = kern(ri, &rows[j])
 			}
 		}
 	}
@@ -225,19 +226,10 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 			tileDur.ObserveSince(t0)
 			np := 0
 			for i := lo; i < hi; i++ {
-				np += n - i - 1
+				np += i
 			}
 			pairs.Add(int64(np))
 		}
-	}
-	if p <= 1 {
-		tsp := opts.Span.Child("tile")
-		tsp.SetAttr("row0", 0)
-		tsp.SetAttr("rows", n)
-		fill(0, n)
-		tsp.End()
-		mirrorLower(m.vals, n)
-		return m
 	}
 
 	tiles := balancedTriangleTiles(n, p)
@@ -246,7 +238,8 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 	// Tiles are claimed off an atomic counter by the persistent worker
 	// pool plus the calling goroutine, which always participates — so the
 	// matrix completes even when the pool is busy with another matrix
-	// (helpers are best-effort, correctness never depends on them).
+	// (helpers are best-effort, correctness never depends on them). At
+	// P=1 the one tile is drained on the caller.
 	var next atomic.Int64
 	drain := func(lane int) {
 		for {
@@ -271,20 +264,17 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 	}
 	drain(1)
 	wg.Wait()
-	mirrorLower(m.vals, n)
 	return m
 }
 
 // rowSpan is one work unit: consecutive matrix rows [lo,hi).
 type rowSpan struct{ lo, hi int }
 
-// balancedTriangleTiles splits the upper triangle's n rows into at most
-// p spans carrying near-equal pair counts. Row i contributes n-i-1 pairs,
-// so equal-row tiles front-load ~2× the work into the early tiles; the
+// balancedTriangleTiles splits the lower triangle's n rows into at most
+// p spans carrying near-equal pair counts. Row i holds i pairs, so
+// equal-row tiles would leave ~2× the average work in the last tile; the
 // balanced boundaries instead cut the cumulative pair count at k/p
-// increments. Boundaries are padded up to multiples of 8 rows (one
-// 64-byte cache line of float64 row starts) so adjacent tiles' row
-// ranges never share a line at the seam.
+// increments, and the last span always ends at n.
 func balancedTriangleTiles(n, p int) []rowSpan {
 	if p > n {
 		p = n
@@ -296,53 +286,16 @@ func balancedTriangleTiles(n, p int) []rowSpan {
 		target := total * float64(k) / float64(p)
 		hi := lo
 		for hi < n && (acc < target || hi == lo) {
-			acc += float64(n - hi - 1)
+			acc += float64(hi)
 			hi++
 		}
-		if k < p {
-			// Pad the boundary to an 8-row multiple; the final tile
-			// always ends at n.
-			if rem := hi % 8; rem != 0 && hi+8-rem < n {
-				for i := hi; i < hi+8-rem; i++ {
-					acc += float64(n - i - 1)
-				}
-				hi += 8 - rem
-			}
-		} else {
-			for hi < n {
-				acc += float64(n - hi - 1)
-				hi++
-			}
+		if k == p {
+			hi = n
 		}
 		tiles = append(tiles, rowSpan{lo, hi})
 		lo = hi
 	}
-	if lo < n {
-		tiles = append(tiles, rowSpan{lo, n})
-	}
 	return tiles
-}
-
-// mirrorLower copies the upper triangle onto the lower one in 64×64
-// blocks, keeping both the reads and the writes within a few cache lines
-// per step instead of striding a full row per element.
-func mirrorLower(vals []float64, n int) {
-	const blk = 64
-	for bi := 0; bi < n; bi += blk {
-		iHi := min(bi+blk, n)
-		for bj := bi; bj < n; bj += blk {
-			jHi := min(bj+blk, n)
-			for i := bi; i < iHi; i++ {
-				jLo := bj
-				if jLo <= i {
-					jLo = i + 1
-				}
-				for j := jLo; j < jHi; j++ {
-					vals[j*n+i] = vals[i*n+j]
-				}
-			}
-		}
-	}
 }
 
 // simPool is the persistent worker pool behind every parallel matrix
@@ -380,29 +333,44 @@ func submitSimWork(f func(), wg *sync.WaitGroup) bool {
 	}
 }
 
-// At returns Φ between rows i and j.
-func (m *SimMatrix) At(i, j int) float64 { return m.vals[i*m.N+j] }
-
-// set is used by tests constructing synthetic matrices.
-func (m *SimMatrix) set(i, j int, v float64) {
-	m.vals[i*m.N+j] = v
-	m.vals[j*m.N+i] = v
+// At returns Φ between rows i and j, reading the pair from the row of
+// the larger index; At(i, i) is 1.
+func (m *SimMatrix) At(i, j int) float64 {
+	switch {
+	case i > j:
+		return m.rows[i][j]
+	case i < j:
+		return m.rows[j][i]
+	}
+	return 1
 }
 
 // NewSimMatrix builds an empty matrix for n rows (diagonal = 1), used by
-// tests and by tools that load precomputed matrices.
+// tests and by tools that load precomputed matrices. Its triangle is one
+// n(n−1)/2 slab, row i starting at i(i−1)/2.
 func NewSimMatrix(n int) *SimMatrix {
-	m := &SimMatrix{N: n, Epochs: make([]int, n), vals: make([]float64, n*n)}
-	for i := 0; i < n; i++ {
+	m := &SimMatrix{N: n, Epochs: make([]int, n), rows: make([][]float64, n)}
+	slab := make([]float64, n*(n-1)/2)
+	for i := range m.rows {
 		m.Epochs[i] = i
-		m.vals[i*n+i] = 1
+		m.rows[i] = slab[tri(i, 0):tri(i, i):tri(i, i)]
 	}
 	return m
 }
 
-// Set assigns Φ symmetrically (exported for matrix construction outside
-// the package; analysis code treats matrices as immutable).
-func (m *SimMatrix) Set(i, j int, v float64) { m.set(i, j, v) }
+// Set assigns Φ(i, j) = Φ(j, i) = v (exported for matrix construction
+// outside the package; analysis code treats matrices as immutable). The
+// diagonal is fixed at 1, so Set panics when i == j.
+func (m *SimMatrix) Set(i, j int, v float64) {
+	switch {
+	case i > j:
+		m.rows[i][j] = v
+	case i < j:
+		m.rows[j][i] = v
+	default:
+		panic(fmt.Sprintf("core: SimMatrix.Set(%d, %d): the diagonal is fixed at 1", i, j))
+	}
+}
 
 // PhiRange reports the [min,max] similarity between two index sets —
 // the paper's Φ(M_i, M_j) interval notation for comparing modes. When a
@@ -443,6 +411,28 @@ func (m *SimMatrix) PhiRangeOK(a, b []int) (lo, hi float64, ok bool) {
 		return 0, 0, false
 	}
 	return lo, hi, true
+}
+
+// phiRangeWithin is PhiRange(rows, rows) for distinct rows, reading each
+// pair once, from the row of its larger index.
+func (m *SimMatrix) phiRangeWithin(rows []int) (lo, hi float64) {
+	ok := false
+	for a, i := range rows {
+		for _, j := range rows[:a] {
+			v := m.rows[max(i, j)][min(i, j)]
+			if !ok {
+				lo, hi, ok = v, v, true
+				continue
+			}
+			if v < lo {
+				lo = v
+			}
+			if v > hi {
+				hi = v
+			}
+		}
+	}
+	return lo, hi
 }
 
 // MeanPhi returns the mean off-diagonal similarity between two index sets.

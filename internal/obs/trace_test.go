@@ -115,22 +115,22 @@ func TestValidateMetricName(t *testing.T) {
 		{`m{a="quoted \" brace } comma ,"}`, true},
 		{`m{a=""}`, true},
 
-		{"", false},                 // empty base
-		{"9leading", false},         // digit first
-		{"has space", false},        // bad byte
-		{"has-dash", false},         // bad byte
-		{`m{a="b"`, false},          // unbalanced: no closing brace
-		{`m{a="b"}}`, false},        // unbalanced: extra closing brace
-		{`m{}`, false},              // empty label block
-		{`{a="b"}`, false},          // labels but no base
-		{`m{="b"}`, false},          // empty key
-		{`m{a}`, false},             // key without value
-		{`m{a=b}`, false},           // unquoted value
-		{`m{a="b}`, false},          // unterminated value
-		{`m{a="b" c="d"}`, false},   // missing comma
-		{`m{a="b",}`, false},        // trailing comma → empty key
-		{`m{1a="b"}`, false},        // key starts with digit
-		{`m{a="b"}x`, false},        // trailing junk after block
+		{"", false},               // empty base
+		{"9leading", false},       // digit first
+		{"has space", false},      // bad byte
+		{"has-dash", false},       // bad byte
+		{`m{a="b"`, false},        // unbalanced: no closing brace
+		{`m{a="b"}}`, false},      // unbalanced: extra closing brace
+		{`m{}`, false},            // empty label block
+		{`{a="b"}`, false},        // labels but no base
+		{`m{="b"}`, false},        // empty key
+		{`m{a}`, false},           // key without value
+		{`m{a=b}`, false},         // unquoted value
+		{`m{a="b}`, false},        // unterminated value
+		{`m{a="b" c="d"}`, false}, // missing comma
+		{`m{a="b",}`, false},      // trailing comma → empty key
+		{`m{1a="b"}`, false},      // key starts with digit
+		{`m{a="b"}x`, false},      // trailing junk after block
 	}
 	for _, tc := range cases {
 		err := ValidateMetricName(tc.name)
@@ -532,4 +532,3 @@ func TestTraceAndFlightConcurrent(t *testing.T) {
 		t.Fatalf("trace records = %d, want %d", got, 8*50+1)
 	}
 }
-

@@ -1,12 +1,14 @@
 package report
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"fenrir/internal/core"
 	"fenrir/internal/latency"
+	"fenrir/internal/rng"
 	"fenrir/internal/timeline"
 )
 
@@ -58,6 +60,56 @@ func TestHeatmapDownsamples(t *testing.T) {
 	}
 	if len(lines[1]) != 10 {
 		t.Fatalf("row width = %d", len(lines[1]))
+	}
+}
+
+// TestModesSummaryOfLiveModes is the regression test for CrossPhi on a
+// live result: LiveModes returned a nil Matrix, so summarizing a monitor
+// with two or more modes dereferenced nil. The live summary must equal
+// the batch one over the same history. The monitor is serve-deep shaped
+// (256 networks, 5 sites, 4 recurring modes, 30% unknowns) and fed past
+// its window W.
+func TestModesSummaryOfLiveModes(t *testing.T) {
+	const networks, numModes = 256, 4
+	names := make([]string, networks)
+	for i := range names {
+		names[i] = fmt.Sprintf("net-%03d", i)
+	}
+	space := core.NewSpace(names)
+	sites := []string{"A", "B", "C", "D", "E"}
+	for _, W := range []int{64, 1024} {
+		r := rng.New(uint64(W))
+		modes := make([][]string, numModes)
+		for k := range modes {
+			modes[k] = make([]string, networks)
+			for i := range modes[k] {
+				modes[k][i] = sites[r.Intn(len(sites))]
+			}
+		}
+		sched := timeline.NewSchedule(time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC), time.Hour, 1<<20)
+		mon := core.NewMonitorOpts(space, sched, core.MonitorOptions{
+			Mode: core.PessimisticUnknown, Detect: core.DefaultDetectOptions(), Window: W,
+		})
+		for e := 0; e < W+W/2+10; e++ {
+			v := space.NewVector(timeline.Epoch(e))
+			for i, site := range modes[(e/10)%numModes] {
+				if !r.Bool(0.3) {
+					v.Set(i, site)
+				}
+			}
+			if _, _, err := mon.Append(v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		live := mon.LiveModes()
+		if len(live.Modes) < 2 {
+			t.Fatalf("W=%d: %d modes, want at least 2 for a CrossPhi line", W, len(live.Modes))
+		}
+		got := ModesSummary(live)
+		want := ModesSummary(core.DiscoverModes(mon.Matrix(), core.DefaultAdaptiveOptions()))
+		if got != want {
+			t.Fatalf("W=%d: live summary\n%s\nbatch summary\n%s", W, got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -106,6 +107,17 @@ func sameMatrix(t *testing.T, a, b *core.SimMatrix) {
 			}
 		}
 	}
+}
+
+// sameModes fails unless two mode results are identical: threshold and
+// modes field for field, and their matrices by value (reflect.DeepEqual
+// would tell a restored monitor's nil row 0 from an appended empty one).
+func sameModes(t *testing.T, where string, a, b *core.ModesResult) {
+	t.Helper()
+	if a.Threshold != b.Threshold || !reflect.DeepEqual(a.Modes, b.Modes) {
+		t.Fatalf("%s: modes diverged: %+v vs %+v", where, a, b)
+	}
+	sameMatrix(t, a.Matrix, b.Matrix)
 }
 
 // Property: save → load → continue appending produces the identical
@@ -346,9 +358,7 @@ func TestWindowedMonitorRoundTrip(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rest.Instrument(reg)
-	if got := rest.LiveModes(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("restored LiveModes %+v != original %+v", got, want)
-	}
+	sameModes(t, "restored LiveModes", rest.LiveModes(), want)
 	rest.LiveModes()
 	if n := reg.Counter("fenrir_monitor_mode_rebuilds_total").Value(); n != 1 {
 		t.Fatalf("restored monitor rebuilt %d times over two reads, want 1", n)
@@ -360,9 +370,7 @@ func TestWindowedMonitorRoundTrip(t *testing.T) {
 		if ok1 != ok2 || (err1 == nil) != (err2 == nil) || e1.Phi != e2.Phi {
 			t.Fatalf("post-restore append at %d diverged", v.T)
 		}
-		if a, b := mon.LiveModes(), rest.LiveModes(); !reflect.DeepEqual(a, b) {
-			t.Fatalf("post-restore modes at %d diverged: %+v vs %+v", v.T, a, b)
-		}
+		sameModes(t, fmt.Sprintf("post-restore modes at %d", v.T), mon.LiveModes(), rest.LiveModes())
 	}
 	if rest.Window() != W {
 		t.Fatalf("restored window = %d, want %d", rest.Window(), W)
@@ -411,11 +419,7 @@ func TestVersion2SnapshotsRestore(t *testing.T) {
 		go func() { got <- m.LiveModes() }()
 		select {
 		case live := <-got:
-			want := core.DiscoverModes(m.Matrix(), core.DefaultAdaptiveOptions())
-			want.Matrix = nil
-			if !reflect.DeepEqual(live, want) {
-				t.Fatalf("%s: LiveModes %+v != DiscoverModes %+v", name, live, want)
-			}
+			sameModes(t, name, live, core.DiscoverModes(m.Matrix(), core.DefaultAdaptiveOptions()))
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: first LiveModes still running after 10s", name)
 		}
