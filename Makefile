@@ -1,14 +1,17 @@
 # Build, test, and benchmark entry points. `make test` is the tier-1
-# gate (vet and gofmt, then the full test suite); `make race` runs the
-# analysis core, the fault layer, the UDP server, and the serve/snapshot
-# layer under the race detector; `make bench` records the core perf
-# trajectory to BENCH_core.json; `make check` adds per-package coverage
-# plus the observability, fault-injection, serve-and-checkpoint, and
-# fuzz smoke tests on top of test + race.
+# gate (vet and gofmt, then the full test suite, whose
+# TestLifecycleMatchesModel checks the daemon's create, ingest,
+# checkpoint, rebalance, drain, crash and restart interleavings against a
+# model); `make race` runs the analysis core, the fault layer, the UDP
+# server, and the serve/snapshot layer under the race detector; `make
+# bench` records the core perf trajectory to BENCH_core.json; `make
+# check` adds per-package coverage plus the observability,
+# fault-injection, tracing, provenance, self-observation, and fuzz smoke
+# tests on top of test + race.
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchguard cover obs-smoke faults-smoke serve-smoke window-smoke shard-smoke trace-smoke explain-smoke history-smoke fuzz-smoke serve-load check clean
+.PHONY: all build vet test race bench benchguard cover obs-smoke faults-smoke trace-smoke explain-smoke history-smoke fuzz-smoke serve-load check clean
 
 all: build test
 
@@ -65,28 +68,6 @@ obs-smoke:
 faults-smoke:
 	./scripts/faults_smoke.sh
 
-# End-to-end serving check: kill a checkpointing daemon mid-stream,
-# restart it from the snapshot dir, and assert the restored daemon's
-# query output is byte-identical to an uninterrupted run.
-serve-smoke:
-	./scripts/serve_smoke.sh
-
-# End-to-end sliding-window check: kill a windowed checkpointing daemon
-# mid-stream (evictions and live engine state in the snapshot), restart
-# it, and assert the restored daemon's query output is byte-identical to
-# an uninterrupted windowed run.
-window-smoke:
-	./scripts/window_smoke.sh
-
-# End-to-end sharding check: a 4-shard daemon rebalances a tenant
-# between shards mid-stream (the snapshot file physically moves between
-# shard subdirectories), is hard-killed, restarts from the same state
-# dir, and must answer all five deterministic query endpoints
-# byte-identically to an uninterrupted 4-shard daemon that never
-# rebalanced.
-shard-smoke:
-	./scripts/shard_smoke.sh
-
 # End-to-end tracing check: run a scenario twice with -trace and assert
 # both outputs are valid Chrome trace JSON with tile/sweep/ingest spans
 # nested under the run root, and that the canonical trees (timestamps
@@ -101,10 +82,11 @@ trace-smoke:
 explain-smoke:
 	./scripts/explain_smoke.sh
 
-# End-to-end self-observation check: a daemon with fast history sampling
-# and a seeded tight burn-rate rule; malformed ingest fires the alert,
-# clean traffic resolves it, /v1/query serves windowed functions, and
-# the shutdown manifest carries the alerts block.
+# End-to-end self-observation check: a sharded, windowed, checkpointing
+# daemon with fast history sampling and a seeded tight burn-rate rule;
+# malformed ingest fires the alert, clean traffic resolves it, /v1/query
+# serves windowed functions, and the shutdown manifest carries the serve
+# metrics, flight-recorder events and the alerts block.
 history-smoke:
 	./scripts/history_smoke.sh
 
@@ -140,7 +122,7 @@ fuzz-smoke:
 serve-load:
 	./scripts/serve_load.sh
 
-check: test race cover obs-smoke faults-smoke serve-smoke window-smoke shard-smoke trace-smoke explain-smoke history-smoke fuzz-smoke benchguard
+check: test race cover obs-smoke faults-smoke trace-smoke explain-smoke history-smoke fuzz-smoke benchguard
 
 clean:
 	rm -f BENCH_core.json BENCH_core.json.tmp bench.out cover.out

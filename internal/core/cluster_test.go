@@ -385,10 +385,11 @@ func TestModeRebuildAllocatesOneTriangle(t *testing.T) {
 	}
 }
 
-// TestMonitorMatrixSharesRows pins Monitor.Matrix to a view of the
-// monitor's Φ rows: at W=1024 it allocates under 64 KiB where a dense
-// copy took 8.4 MB (the serve daemon's /heatmap takes it under the
-// tenant's mutex), and a view taken before further appends and
+// TestMonitorMatrixSharesRows pins Monitor.Matrix and Monitor.State to
+// views of the monitor's Φ rows: at W=1024 each allocates under 64 KiB
+// where a dense copy took 8.4 MB and a copied triangle 4.5 MB (the serve
+// daemon's /heatmap and every checkpoint take them under the tenant's
+// mutex), and a view or state taken before further appends and
 // evictions still reads the history it was taken over.
 func TestMonitorMatrixSharesRows(t *testing.T) {
 	const W = 1024
@@ -399,6 +400,12 @@ func TestMonitorMatrixSharesRows(t *testing.T) {
 	runtime.ReadMemStats(&ms1)
 	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= 64<<10 {
 		t.Fatalf("W=%d Matrix allocated %d bytes, want < %d", W, grew, 64<<10)
+	}
+	runtime.ReadMemStats(&ms0)
+	st := mon.State()
+	runtime.ReadMemStats(&ms1)
+	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= 64<<10 {
+		t.Fatalf("W=%d State allocated %d bytes, want < %d", W, grew, 64<<10)
 	}
 	s := mon.Series()
 	want := SimilarityMatrix(s, nil, PessimisticUnknown)
@@ -415,6 +422,13 @@ func TestMonitorMatrixSharesRows(t *testing.T) {
 	}
 	if !sameMatrix(m, want) {
 		t.Fatal("appends and evictions changed an earlier Matrix")
+	}
+	rest, err := RestoreMonitor(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameMatrix(rest.Matrix(), want) {
+		t.Fatal("appends and evictions changed an earlier State")
 	}
 }
 

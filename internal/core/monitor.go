@@ -394,15 +394,13 @@ type MonitorState struct {
 	Evictions uint64
 }
 
-// State exports the monitor's full state. The similarity rows are
-// copied; vectors are shared (they are immutable once appended).
+// State exports the monitor's full state. Vectors and Φ rows are
+// shared with the monitor, as Matrix shares them: neither is written
+// after its append, so the state costs O(history) and later appends and
+// evictions leave it unchanged. Callers must not write Sim's rows.
 func (m *Monitor) State() MonitorState {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	sim := make([][]float64, len(m.sim))
-	for i, row := range m.sim {
-		sim[i] = append([]float64(nil), row...)
-	}
 	return MonitorState{
 		Space:    m.space,
 		Schedule: m.sched,
@@ -410,7 +408,7 @@ func (m *Monitor) State() MonitorState {
 		Mode:     m.mode,
 		Detect:   m.detect,
 		Vectors:  append([]*Vector(nil), m.vectors...),
-		Sim:      sim,
+		Sim:      append([][]float64(nil), m.sim...),
 		Appends:  m.appends, Events: m.events,
 		TotalIngest: m.totalIngest, LastIngest: m.lastIngest,
 		LastEvent: m.lastEvent, HasEvent: m.hasEvent,
@@ -465,7 +463,9 @@ func CheckWeights(w []float64) error {
 // the invariants the codec cannot express: weights CheckWeights accepts,
 // the triangular Φ shape with every Φ finite, strictly increasing
 // epochs, and every vector belonging to the state's space. The restored
-// monitor is not instrumented; call Instrument to re-attach a registry.
+// monitor adopts st.Sim's rows rather than copying them; they must not
+// be written afterwards. It is not instrumented; call Instrument to
+// re-attach a registry.
 func RestoreMonitor(st MonitorState) (*Monitor, error) {
 	if st.Space == nil {
 		return nil, fmt.Errorf("core: restore monitor: nil space")
@@ -530,10 +530,7 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 	for i, v := range m.vectors {
 		m.packed[i] = packRow(v.assign)
 	}
-	m.sim = make([][]float64, len(st.Sim))
-	for i, row := range st.Sim {
-		m.sim[i] = append([]float64(nil), row...)
-	}
+	m.sim = append([][]float64(nil), st.Sim...)
 	m.appends, m.events = st.Appends, st.Events
 	m.totalIngest, m.lastIngest = st.TotalIngest, st.LastIngest
 	m.lastEvent, m.hasEvent = st.LastEvent, st.HasEvent

@@ -524,13 +524,21 @@ func TestRestoreMonitorRejectsNonFinite(t *testing.T) {
 	if _, err := RestoreMonitor(mon.State()); err != nil {
 		t.Fatalf("valid state rejected: %v", err)
 	}
+	// State shares the monitor's Φ rows, so each case edits a clone of
+	// the row it corrupts and leaves the next case a valid state.
+	setSim := func(i, j int, phi float64) func(*MonitorState) {
+		return func(st *MonitorState) {
+			st.Sim[i] = append([]float64(nil), st.Sim[i]...)
+			st.Sim[i][j] = phi
+		}
+	}
 	for _, tc := range []struct {
 		name string
 		edit func(*MonitorState)
 	}{
-		{"NaN Φ", func(st *MonitorState) { st.Sim[2][1] = math.NaN() }},
-		{"+Inf Φ", func(st *MonitorState) { st.Sim[1][0] = math.Inf(1) }},
-		{"-Inf Φ", func(st *MonitorState) { st.Sim[2][0] = math.Inf(-1) }},
+		{"NaN Φ", setSim(2, 1, math.NaN())},
+		{"+Inf Φ", setSim(1, 0, math.Inf(1))},
+		{"-Inf Φ", setSim(2, 0, math.Inf(-1))},
 		{"negative weight", func(st *MonitorState) { st.Weights[1] = -1 }},
 		{"NaN weight", func(st *MonitorState) { st.Weights[0] = math.NaN() }},
 		{"+Inf weight", func(st *MonitorState) { st.Weights[2] = math.Inf(1) }},

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"fenrir/internal/core"
 	"fenrir/internal/snapshot"
 )
 
@@ -21,12 +19,13 @@ type rebalanceRequest struct {
 	Shard  int    `json:"shard"`
 }
 
-// handleRebalance moves a tenant between shards through the FENRSNP1
-// codec: flush and park the source worker, snapshot, restore on the
-// target shard, flip placement. The moved tenant answers every query
-// byte-identically to one that never moved, because the move is the
-// same state round-trip a daemon restart performs. Moves serialize on
-// rebalanceMu so two admins cannot fight over one tenant.
+// handleRebalance moves a tenant between shards: flush and park the
+// source worker, checkpoint into the target shard's directory when
+// checkpointing is on, hand the monitor to the target shard, flip
+// placement. The moved tenant answers every query byte-identically to
+// one that never moved, because the target serves the same monitor.
+// Moves serialize on rebalanceMu so two admins cannot fight over one
+// tenant.
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	var req rebalanceRequest
 	if err := json.NewDecoder(io.LimitReader(r.Body, maxBodyBytes)).Decode(&req); err != nil {
@@ -73,30 +72,36 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// moveTenant relocates one tenant from src to dst. The worker is parked
-// first, so the snapshot covers every accepted observation; queries keep
+// moveTenant relocates one tenant from src to dst by handing its
+// monitor over: dst serves the very *core.Monitor src did, so every
+// query answers as if the tenant never moved. The worker is parked
+// first, so the move covers every accepted observation; queries keep
 // answering from the parked source tenant until the placement flips.
-// With a snapshot dir the state rides the same on-disk file a restart
-// would read (written into dst's subdirectory before the source file is
-// removed, so a crash anywhere in between leaves at most a duplicate
-// that restoreAll heals); without one it round-trips through the codec
-// in memory.
+// With a snapshot dir the state is checkpointed into dst's subdirectory,
+// its directory synced, before the source file is removed, so a crash
+// or power loss anywhere in between leaves at most a duplicate that
+// restoreAll heals, never no checkpoint.
 func (s *Server) moveTenant(t *tenant, src, dst *shard) error {
 	t.flush()
 	t.stop()
-	mon, dstPath, err := s.rehydrate(t, dst)
-	if err != nil {
-		// The move never happened: revive the tenant in place on src with
-		// a fresh worker around the untouched monitor.
-		src.mu.Lock()
-		src.tenants[t.name] = newTenant(t.name, t.mon, src)
-		src.mu.Unlock()
-		return err
+	var dstPath string
+	if s.cfg.SnapshotDir != "" {
+		dstPath = filepath.Join(dst.dir(), t.name+snapSuffix)
+		if _, err := snapshot.SaveMonitor(dstPath, t.mon.State()); err != nil {
+			s.cfg.Obs.Counter("fenrir_snapshot_errors_total").Inc()
+			// The move never happened: revive the tenant in place on src
+			// with a fresh worker around the untouched monitor.
+			src.mu.Lock()
+			src.tenants[t.name] = newTenant(t.name, t.mon, src)
+			src.mu.Unlock()
+			return fmt.Errorf("snapshot to target shard: %w", err)
+		}
+		s.cfg.Obs.Counter("fenrir_snapshot_writes_total").Inc()
 	}
-	if _, err := dst.insert(t.name, mon); err != nil {
+	if _, err := dst.insert(t.name, t.mon); err != nil {
 		// dst began draining mid-move. Leave the parked tenant on src —
 		// src's own drain stops it again (a no-op) and checkpoints it
-		// there — and discard the half-written target snapshot.
+		// there — and discard the target snapshot.
 		if dstPath != "" {
 			os.Remove(dstPath)
 		}
@@ -110,41 +115,4 @@ func (s *Server) moveTenant(t *tenant, src, dst *shard) error {
 		}
 	}
 	return nil
-}
-
-// rehydrate produces the destination-shard monitor for a parked tenant:
-// through a real snapshot file in dst's subdirectory when checkpointing
-// is on (returning the path so a failed insert can clean it up), or an
-// in-memory FENRSNP1 round-trip otherwise. Either way the restored
-// monitor is built from identical bytes to what a restart would load.
-func (s *Server) rehydrate(t *tenant, dst *shard) (*core.Monitor, string, error) {
-	st := t.mon.State()
-	if s.cfg.SnapshotDir != "" {
-		path := filepath.Join(dst.dir(), t.name+snapSuffix)
-		if _, err := snapshot.SaveMonitor(path, st); err != nil {
-			s.cfg.Obs.Counter("fenrir_snapshot_errors_total").Inc()
-			return nil, "", fmt.Errorf("snapshot to target shard: %w", err)
-		}
-		s.cfg.Obs.Counter("fenrir_snapshot_writes_total").Inc()
-		mon, err := s.loadMonitor(path)
-		if err != nil {
-			os.Remove(path)
-			return nil, "", fmt.Errorf("restore on target shard: %w", err)
-		}
-		return mon, path, nil
-	}
-	var buf bytes.Buffer
-	if err := snapshot.EncodeMonitor(&buf, st); err != nil {
-		return nil, "", fmt.Errorf("encode state: %w", err)
-	}
-	dec, err := snapshot.DecodeMonitor(&buf)
-	if err != nil {
-		return nil, "", fmt.Errorf("decode state: %w", err)
-	}
-	dec.ApplyDefaultWindow(s.cfg.DefaultWindow)
-	mon, err := core.RestoreMonitor(dec)
-	if err != nil {
-		return nil, "", fmt.Errorf("restore state: %w", err)
-	}
-	return mon, "", nil
 }

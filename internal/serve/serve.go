@@ -19,8 +19,9 @@
 // (<dir>/shard-<k>/), so admission on one shard never contends with
 // creates, lookups, or drains on another, and SIGTERM drains all
 // shards in parallel. POST /v1/admin/rebalance moves a tenant between
-// shards through the FENRSNP1 codec — flush, snapshot, restore on the
-// target, flip placement — byte-identically to never having moved.
+// shards by handing its monitor to the target shard — flush, checkpoint
+// into the target's subdirectory, insert, flip placement — so it
+// answers byte-identically to never having moved.
 package serve
 
 import (

@@ -245,10 +245,11 @@ func rebalanceTarget(s *Server, name string) int {
 	return (s.shardFor(name).id + 1) % len(s.shards)
 }
 
-// Rebalance with a snapshot dir: the tenant's state rides a real file
-// into the target shard's subdirectory, the source file disappears, and
-// every deterministic query answers byte-identically across the move.
-// Ingest keeps working afterwards, with continuity of the epoch cursor.
+// Rebalance with a snapshot dir: the tenant's state is checkpointed
+// into the target shard's subdirectory, the source file disappears, the
+// target serves the same monitor, and every deterministic query answers
+// byte-identically across the move. Ingest keeps working afterwards,
+// with continuity of the epoch cursor.
 func TestRebalanceByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := testServer(t, Config{Shards: 4, SnapshotDir: dir, Obs: obs.NewRegistry()})
@@ -260,6 +261,7 @@ func TestRebalanceByteIdentical(t *testing.T) {
 	waitHistory(t, ts, "bgp", 24)
 	want := deterministicQueries(t, ts, "bgp")
 
+	mon := s.tenant("bgp").mon
 	src := s.shardFor("bgp")
 	target := rebalanceTarget(s, "bgp")
 	code, body := doReq(t, ts, http.MethodPost, "/v1/admin/rebalance",
@@ -280,6 +282,9 @@ func TestRebalanceByteIdentical(t *testing.T) {
 	}
 	if s.shardFor("bgp").id != target {
 		t.Fatalf("placement still resolves to shard %d, want %d", s.shardFor("bgp").id, target)
+	}
+	if s.tenant("bgp").mon != mon {
+		t.Fatal("the target shard serves a different monitor than the source did")
 	}
 	if _, err := os.Stat(filepath.Join(s.shards[target].dir(), "bgp"+snapSuffix)); err != nil {
 		t.Fatalf("no snapshot in target shard dir: %v", err)
@@ -329,8 +334,8 @@ func TestRebalanceByteIdentical(t *testing.T) {
 	}
 }
 
-// Rebalance on a memory-only daemon round-trips through the codec in
-// RAM instead of a file, with the same byte-identity guarantee.
+// Rebalance on a memory-only daemon writes no file: the target shard
+// takes over the same monitor, with the same byte-identity guarantee.
 func TestRebalanceInMemory(t *testing.T) {
 	s, ts := testServer(t, Config{Shards: 3, Obs: obs.NewRegistry()})
 	nets := specNets(25)
@@ -340,6 +345,7 @@ func TestRebalanceInMemory(t *testing.T) {
 	mustIngest(t, ts, "mem", nets, 0, 20, 10)
 	waitHistory(t, ts, "mem", 20)
 	want := deterministicQueries(t, ts, "mem")
+	mon := s.tenant("mem").mon
 	target := rebalanceTarget(s, "mem")
 	code, body := doReq(t, ts, http.MethodPost, "/v1/admin/rebalance",
 		map[string]any{"tenant": "mem", "shard": target})
@@ -348,6 +354,9 @@ func TestRebalanceInMemory(t *testing.T) {
 	}
 	if s.shardFor("mem").id != target {
 		t.Fatal("placement did not flip")
+	}
+	if s.tenant("mem").mon != mon {
+		t.Fatal("the target shard serves a different monitor than the source did")
 	}
 	got := deterministicQueries(t, ts, "mem")
 	for path, w := range want {

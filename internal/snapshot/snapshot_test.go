@@ -306,6 +306,34 @@ func TestSaveLoadMonitorFile(t *testing.T) {
 	}
 }
 
+// TestSaveMonitorSyncsDirectory: SaveMonitor fsyncs the file's
+// directory once the renamed file is in place, and a failed directory
+// sync fails the save, so a checkpoint is not counted as written before
+// its directory entry is durable.
+func TestSaveMonitorSyncsDirectory(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "tenant.fsnap")
+	space, vs := fixture(9, 6, nil)
+	mon := newMon(space, 6)
+	appendAll(t, mon, vs)
+	orig := syncDir
+	t.Cleanup(func() { syncDir = orig })
+	var synced []string
+	errSync := errors.New("sync failed")
+	syncDir = func(dir string) error {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("directory synced before the file was in place: %v", err)
+		}
+		synced = append(synced, dir)
+		return errSync
+	}
+	if _, err := SaveMonitor(path, mon.State()); !errors.Is(err, errSync) {
+		t.Fatalf("SaveMonitor = %v, want the directory sync error", err)
+	}
+	if want := []string{filepath.Dir(path)}; !reflect.DeepEqual(synced, want) {
+		t.Fatalf("synced %q, want %q", synced, want)
+	}
+}
+
 // lastFrame returns the payload of a snapshot's trailing frame, walking
 // the frame lengths from the 11-byte header.
 func lastFrame(t *testing.T, raw []byte) []byte {
@@ -602,6 +630,7 @@ func nanSimSnapshot(tb testing.TB) []byte {
 		}
 	}
 	st := mon.State()
+	st.Sim[4] = append([]float64(nil), st.Sim[4]...) // State shares the monitor's rows
 	st.Sim[4][1] = math.NaN()
 	var buf bytes.Buffer
 	if err := EncodeMonitor(&buf, st); err != nil {

@@ -11,8 +11,7 @@
 // alerts block is present with at least one evaluated rule and one
 // sample) and warns loudly about rules still firing at shutdown. Exits
 // non-zero with a diagnostic otherwise; used by scripts/obs_smoke.sh,
-// scripts/faults_smoke.sh, scripts/serve_smoke.sh,
-// scripts/shard_smoke.sh, and scripts/history_smoke.sh.
+// scripts/faults_smoke.sh, and scripts/history_smoke.sh.
 package main
 
 import (
