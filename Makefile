@@ -2,12 +2,11 @@
 # gate (vet and gofmt, then the full test suite, whose
 # TestLifecycleMatchesModel checks the daemon's create, ingest,
 # checkpoint, rebalance, drain, crash and restart interleavings against a
-# model); `make race` runs the analysis core, the fault layer, the UDP
-# server, and the serve/snapshot layer under the race detector; `make
-# bench` records the core perf trajectory to BENCH_core.json; `make
-# check` adds per-package coverage plus the observability,
-# fault-injection, tracing, provenance, self-observation, and fuzz smoke
-# tests on top of test + race.
+# model); `make race` runs the analysis core, the fault layer and the
+# serve/snapshot layer under the race detector; `make bench` records the
+# core perf trajectory to BENCH_core.json; `make check` adds per-package
+# coverage plus the observability, fault-injection, tracing, provenance,
+# self-observation, and fuzz smoke tests on top of test + race.
 
 GO ?= go
 
@@ -28,7 +27,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/udpserve/... ./internal/serve/... ./internal/snapshot/...
+	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/serve/... ./internal/snapshot/...
 
 # The perf-critical benches: the packed similarity engine sweep (serial
 # vs auto, plus the large-alphabet row), the fixed-depth windowed
@@ -104,7 +103,6 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzUnmarshalICMP \
 	./internal/wire:FuzzUnmarshalDNS \
 	./internal/wire:FuzzUnmarshalBGP \
-	./internal/wire:FuzzReadMRT \
 	./internal/snapshot:FuzzDecodeSnapshot \
 	./internal/serve:FuzzIngestBody \
 	./internal/serve:FuzzTenantSpec \

@@ -18,7 +18,6 @@ import (
 	"image"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"fenrir/internal/core"
@@ -130,14 +129,4 @@ func savePNG(cfg runConfig, name string, img image.Image) {
 		return
 	}
 	fmt.Printf("  wrote %s\n", path)
-}
-
-// sortedKeys returns map keys sorted for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

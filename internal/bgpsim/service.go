@@ -150,16 +150,3 @@ func (o *PathOracle) PathTo(src astopo.ASN, addr netaddr.Addr) []astopo.ASN {
 	}
 	return rib.Path(src)
 }
-
-// RIBTo exposes the cached per-origin RIB, computing it on demand.
-func (o *PathOracle) RIBTo(origin astopo.ASN) (*RIB, error) {
-	if rib, ok := o.cache[origin]; ok {
-		return rib, nil
-	}
-	rib, err := Compute(o.g, []Announcement{{Origin: origin}}, o.pol)
-	if err != nil {
-		return nil, err
-	}
-	o.cache[origin] = rib
-	return rib, nil
-}

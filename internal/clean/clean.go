@@ -8,26 +8,7 @@ import (
 	"sort"
 
 	"fenrir/internal/core"
-	"fenrir/internal/timeline"
 )
-
-// RemoveIncorrect maps observations rejected by valid to unknown. The
-// validity predicate is service-specific — e.g. an anycast study rejects
-// site labels that are not in the operator's site list (bogus hostname.bind
-// strings, spoofed replies).
-func RemoveIncorrect(s *core.Series, valid func(site string) bool) *core.Series {
-	out := make([]*core.Vector, 0, s.Len())
-	for _, v := range s.Vectors {
-		cv := v.Clone()
-		for n := 0; n < s.Space.NumNetworks(); n++ {
-			if site, ok := cv.Site(n); ok && !valid(site) {
-				cv.SetUnknown(n)
-			}
-		}
-		out = append(out, cv)
-	}
-	return core.NewSeries(s.Space, s.Schedule, out, s.Gaps)
-}
 
 // MicroCatchments returns the sites whose mean share of known assignments
 // across the series is below minShare — the local-only anycast sites and
@@ -198,20 +179,4 @@ func Coverage(s *core.Series) float64 {
 		known += v.KnownCount()
 	}
 	return float64(known) / float64(s.Len()*s.Space.NumNetworks())
-}
-
-// GapEpochs lists scheduled epochs with no vector — collection outages
-// like B-Root's 2023-07..2023-12 gap.
-func GapEpochs(s *core.Series) []timeline.Epoch {
-	have := make(map[timeline.Epoch]bool, s.Len())
-	for _, v := range s.Vectors {
-		have[v.T] = true
-	}
-	var out []timeline.Epoch
-	for e := 0; e < s.Schedule.N; e++ {
-		if !have[timeline.Epoch(e)] {
-			out = append(out, timeline.Epoch(e))
-		}
-	}
-	return out
 }

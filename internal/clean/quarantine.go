@@ -31,12 +31,14 @@ func (r *QuarantineReport) Labels() []string {
 	return out
 }
 
-// Quarantine is RemoveIncorrect with accounting: observations whose site
-// label fails the validity predicate are mapped to unknown, and every
-// removal is counted — per label in the report and in the obs counter
-// fenrir_quarantined_total{reason="invalid-site"}. The counter is
-// materialized even when nothing is quarantined, so run manifests always
-// carry an explicit number. The input series is never mutated.
+// Quarantine maps observations whose site label fails the validity
+// predicate to unknown and counts every removal — per label in the report
+// and in the obs counter fenrir_quarantined_total{reason="invalid-site"}.
+// The predicate is service-specific: an anycast study rejects site labels
+// that are not in the operator's site list (bogus hostname.bind strings,
+// spoofed replies). The counter is materialized even when nothing is
+// quarantined, so run manifests always carry an explicit number. The
+// input series is never mutated.
 func Quarantine(s *core.Series, valid func(site string) bool, reg *obs.Registry) (*core.Series, *QuarantineReport) {
 	rep := &QuarantineReport{ByLabel: make(map[string]int)}
 	out := make([]*core.Vector, 0, s.Len())

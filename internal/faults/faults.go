@@ -1,11 +1,11 @@
 // Package faults is a deterministic, seed-driven fault-injection layer
 // for Fenrir's measurement paths. It wraps the simulated forwarding plane
-// (internal/dataplane) and the byte streams of the real-socket servers so
-// every substrate — verfploeter pings, traceroute TTL walks, Atlas CHAOS
-// queries, EDNS-CS sweeps, BGP sessions, MRT files, UDP datagrams — can be
-// stressed reproducibly with packet loss bursts, duplication, reordering,
-// payload corruption, delay spikes, stuck or bogus site labels, truncated
-// records, and vantage-point blackouts.
+// (internal/dataplane), the route collector's BGP session streams and the
+// daemon's ingest bodies so every substrate — verfploeter pings,
+// traceroute TTL walks, Atlas CHAOS queries, EDNS-CS sweeps, BGP sessions,
+// ingest requests — can be stressed reproducibly with packet loss bursts,
+// duplication, reordering, payload corruption, delay spikes, stuck or
+// bogus site labels, truncated records, and vantage-point blackouts.
 //
 // Two invariants anchor the design:
 //
@@ -66,7 +66,7 @@ type Profile struct {
 	StuckSiteRate float64
 	BogusSiteRate float64
 
-	// TruncateRate cuts a byte stream (BGP session, MRT file) short.
+	// TruncateRate cuts a byte stream (a BGP session transcript) short.
 	TruncateRate float64
 
 	// BlackoutRate darkens a vantage point for BlackoutLen consecutive
@@ -145,7 +145,7 @@ func Names() []string {
 
 // BogusSite is the label substituted by bogus-site faults. It decodes (via
 // the engines' last-dash-token rule) to an identifier outside every
-// operator site list, so RemoveIncorrect/Quarantine must catch it.
+// operator site list, so Quarantine must catch it.
 const BogusSite = "bogus-zz9"
 
 // ErrInjected is the sentinel matched by errors.Is for every error this
@@ -219,22 +219,6 @@ func New(prof Profile, seed uint64, reg *obs.Registry) *Injector {
 		retries:     make(map[string]int),
 		quarantined: make(map[string]int),
 	}
-}
-
-// Profile returns the active profile (zero for nil).
-func (inj *Injector) Profile() Profile {
-	if inj == nil {
-		return Profile{}
-	}
-	return inj.prof
-}
-
-// Seed returns the fault seed (0 for nil).
-func (inj *Injector) Seed() uint64 {
-	if inj == nil {
-		return 0
-	}
-	return inj.seed
 }
 
 // count records one injected fault; callers hold inj.mu. Each injection
@@ -319,8 +303,8 @@ func (inj *Injector) Datagram(substrate string, b []byte) (out []byte, drop, dup
 	return out, false, dup
 }
 
-// Stream passes a whole byte stream (a BGP session transcript, an MRT
-// file) through the corruption and truncation faults. Nil injector: b.
+// Stream passes a whole byte stream (a BGP session transcript) through the
+// corruption and truncation faults. Nil injector: b.
 func (inj *Injector) Stream(substrate string, b []byte) []byte {
 	if inj == nil || len(b) == 0 {
 		return b

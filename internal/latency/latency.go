@@ -1,18 +1,13 @@
 // Package latency implements §2.8: relating routing modes to the latency
 // operators actually care about. It aggregates per-network RTT samples
-// into per-catchment percentiles (Figure 4's p90-per-site series) and
-// provides a Trinocular-style background prober that collects RTTs from
-// the forwarding plane without extra measurement infrastructure.
+// into per-catchment percentiles (Figure 4's p90-per-site series).
 package latency
 
 import (
 	"math"
 	"sort"
 
-	"fenrir/internal/astopo"
 	"fenrir/internal/core"
-	"fenrir/internal/dataplane"
-	"fenrir/internal/netaddr"
 	"fenrir/internal/timeline"
 )
 
@@ -53,25 +48,6 @@ func BySite(v *core.Vector, rtts map[int]float64, p float64) map[string]float64 
 		out[site] = Percentile(xs, p)
 	}
 	return out
-}
-
-// MeanWeighted computes the overall mean latency across networks, weighted
-// per §2.5 (w nil = uniform). Networks without samples are skipped; the
-// result is NaN when nothing was sampled.
-func MeanWeighted(rtts map[int]float64, w []float64) float64 {
-	var sum, total float64
-	for n, rtt := range rtts {
-		wi := 1.0
-		if w != nil {
-			wi = w[n]
-		}
-		sum += rtt * wi
-		total += wi
-	}
-	if total == 0 {
-		return math.NaN()
-	}
-	return sum / total
 }
 
 // SiteSeries is a per-site latency time series, one value per epoch
@@ -121,48 +97,4 @@ func (s *SiteSeries) Value(site string, i int) float64 {
 		return math.NaN()
 	}
 	return vs[i]
-}
-
-// Trinocular is a background RTT prober in the style of the Trinocular
-// outage-detection system the paper borrows latency data from: a fixed
-// vantage point probing a handful of addresses per /24 block every cycle.
-type Trinocular struct {
-	Net     *dataplane.Net
-	SrcAS   astopo.ASN
-	SrcAddr netaddr.Addr
-	Targets []netaddr.Block
-	// PerBlock is how many addresses are probed per block each round
-	// (Trinocular probes 1–16).
-	PerBlock int
-}
-
-// Round probes every target block once and returns the mean RTT per block
-// row index; unresponsive blocks are absent from the result.
-func (t *Trinocular) Round(epoch timeline.Epoch) map[int]float64 {
-	per := t.PerBlock
-	if per <= 0 {
-		per = 1
-	}
-	if per > 16 {
-		per = 16
-	}
-	out := make(map[int]float64)
-	for i, b := range t.Targets {
-		var sum float64
-		var n int
-		for k := 0; k < per; k++ {
-			// Trinocular selects targets from a pseudorandom per-block
-			// list; a deterministic stride models that.
-			host := byte(1 + (k*37+int(epoch))%250)
-			res := t.Net.Ping(t.SrcAS, t.SrcAddr, b.Host(host), uint16(i), uint16(k), int(epoch))
-			if res.Kind == dataplane.EchoReply {
-				sum += res.RTTms
-				n++
-			}
-		}
-		if n > 0 {
-			out[i] = sum / float64(n)
-		}
-	}
-	return out
 }

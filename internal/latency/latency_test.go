@@ -4,9 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"fenrir/internal/astopo"
 	"fenrir/internal/core"
-	"fenrir/internal/dataplane"
 )
 
 func TestPercentile(t *testing.T) {
@@ -50,20 +48,6 @@ func TestBySite(t *testing.T) {
 	}
 }
 
-func TestMeanWeighted(t *testing.T) {
-	rtts := map[int]float64{0: 10, 1: 40}
-	if got := MeanWeighted(rtts, nil); got != 25 {
-		t.Fatalf("uniform mean = %v", got)
-	}
-	w := []float64{3, 1}
-	if got := MeanWeighted(rtts, w); got != (30+40)/4.0 {
-		t.Fatalf("weighted mean = %v", got)
-	}
-	if !math.IsNaN(MeanWeighted(nil, nil)) {
-		t.Fatal("empty mean not NaN")
-	}
-}
-
 func TestSiteSeries(t *testing.T) {
 	s := NewSiteSeries()
 	s.Append(0, map[string]float64{"LAX": 20})
@@ -86,59 +70,5 @@ func TestSiteSeries(t *testing.T) {
 	}
 	if !math.IsNaN(s.Value("XXX", 0)) {
 		t.Fatal("unknown site should be NaN")
-	}
-}
-
-func TestTrinocularRound(t *testing.T) {
-	gcfg := astopo.DefaultGenConfig(61)
-	gcfg.StubsPerRegion = 8
-	g := astopo.Generate(gcfg)
-	cfg := dataplane.DefaultConfig(2)
-	cfg.LossRate = 0
-	cfg.MeanResponsiveness = 1
-	n := dataplane.NewNet(g, nil, cfg)
-	var src astopo.ASN
-	for _, a := range g.ASNs() {
-		if g.AS(a).Tier == astopo.Stub {
-			src = a
-			break
-		}
-	}
-	tri := &Trinocular{
-		Net: n, SrcAS: src,
-		SrcAddr:  g.AS(src).Prefixes[0].Blocks()[0].Host(1),
-		Targets:  g.RoutableBlocks()[:50],
-		PerBlock: 4,
-	}
-	rtts := tri.Round(0)
-	if len(rtts) != 50 {
-		t.Fatalf("responsive blocks %d of 50 under lossless config", len(rtts))
-	}
-	for i, rtt := range rtts {
-		if rtt <= 0 {
-			t.Fatalf("block %d RTT %v", i, rtt)
-		}
-	}
-}
-
-func TestTrinocularUnresponsiveBlocksAbsent(t *testing.T) {
-	gcfg := astopo.DefaultGenConfig(61)
-	gcfg.StubsPerRegion = 8
-	g := astopo.Generate(gcfg)
-	cfg := dataplane.DefaultConfig(2)
-	cfg.MeanResponsiveness = 0
-	n := dataplane.NewNet(g, nil, cfg)
-	var src astopo.ASN
-	for _, a := range g.ASNs() {
-		if g.AS(a).Tier == astopo.Stub {
-			src = a
-			break
-		}
-	}
-	tri := &Trinocular{Net: n, SrcAS: src,
-		SrcAddr: g.AS(src).Prefixes[0].Blocks()[0].Host(1),
-		Targets: g.RoutableBlocks()[:20]}
-	if rtts := tri.Round(0); len(rtts) != 0 {
-		t.Fatalf("dead blocks produced %d RTTs", len(rtts))
 	}
 }

@@ -84,13 +84,3 @@ func DetectPolarization(v *core.Vector, assigned map[int]float64, perSite map[st
 	})
 	return out
 }
-
-// PolarizationRate summarizes detection as the fraction of measured
-// networks that are polarized.
-func PolarizationRate(v *core.Vector, assigned map[int]float64, perSite map[string]map[int]float64, opts PolarizationOptions) float64 {
-	if len(assigned) == 0 {
-		return 0
-	}
-	pol := DetectPolarization(v, assigned, perSite, opts)
-	return float64(len(pol)) / float64(len(assigned))
-}

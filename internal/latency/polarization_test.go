@@ -60,17 +60,6 @@ func TestPolarizationSkipsUnknownAssignments(t *testing.T) {
 	}
 }
 
-func TestPolarizationRate(t *testing.T) {
-	v, assigned, perSite := polarizationFixture()
-	rate := PolarizationRate(v, assigned, perSite, DefaultPolarizationOptions())
-	if rate != 0.25 {
-		t.Fatalf("rate = %v, want 0.25 (1 of 4 measured)", rate)
-	}
-	if PolarizationRate(v, nil, perSite, DefaultPolarizationOptions()) != 0 {
-		t.Fatal("empty measurement produced a rate")
-	}
-}
-
 func TestPolarizationBadFactorNormalized(t *testing.T) {
 	v, assigned, perSite := polarizationFixture()
 	opts := PolarizationOptions{Factor: 0.5, MinDeltaMs: 20}

@@ -7,16 +7,13 @@
 // The collector maintains passive BGP sessions with a set of peer ASes.
 // Each peer exports its current best route toward the monitored service
 // as a real RFC 4271 UPDATE message (4-octet AS paths); the collector
-// parses the feed and distils two kinds of Fenrir vectors:
-//
-//   - origin catchments: which anycast site (origin AS) each peer's route
-//     leads to — the control-plane analogue of the Atlas mesh;
-//   - transit catchments at hop k: which AS appears k hops down each
-//     peer's path — the control-plane analogue of the enterprise
-//     traceroute study, and the input to AS-hegemony analysis.
+// parses the feed and distils origin catchments: which anycast site
+// (origin AS) each peer's route leads to — the control-plane analogue of
+// the Atlas mesh. The snapshot's AS paths are the input to AS-hegemony
+// analysis.
 //
 // Everything crosses a real encode/decode boundary, so the feed is bit-
-// compatible with what an MRT consumer would see from the wire.
+// compatible with what a BGP session would carry on the wire.
 package bgpfeed
 
 import (
@@ -75,7 +72,7 @@ func (r Route) Origin() (astopo.ASN, bool) {
 }
 
 // Snapshot is one collection round: every peer's current route, plus the
-// raw session byte streams (kept for tests and MRT-style archiving).
+// raw session byte streams (kept for tests).
 type Snapshot struct {
 	Routes []Route
 	// Raw holds the per-peer session bytes (OPEN + UPDATE or withdraw).
@@ -208,20 +205,6 @@ func (snap *Snapshot) OriginVector(space *core.Space, epoch timeline.Epoch, site
 		} else {
 			v.Set(i, core.SiteOther)
 		}
-	}
-	return v
-}
-
-// HopVector builds the transit catchment vector at hop k (0 = the peer
-// itself, 1 = its first upstream toward the origin, ...). Peers whose
-// paths are shorter than k+1 stay unknown.
-func (snap *Snapshot) HopVector(space *core.Space, epoch timeline.Epoch, hop int) *core.Vector {
-	v := space.NewVector(epoch)
-	for i, r := range snap.Routes {
-		if hop < 0 || hop >= len(r.ASPath) {
-			continue
-		}
-		v.Set(i, fmt.Sprintf("AS%d", r.ASPath[hop]))
 	}
 	return v
 }

@@ -216,41 +216,6 @@ func TestCollectDegradesGracefullyUnderStreamFaults(t *testing.T) {
 	}
 }
 
-func TestHopVector(t *testing.T) {
-	_, svc, rib, c := world(t)
-	snap, err := c.Collect(svc, rib)
-	if err != nil {
-		t.Fatal(err)
-	}
-	space := c.Space()
-	v0 := snap.HopVector(space, 0, 0)
-	for i, peer := range c.Peers {
-		if got, _ := v0.Site(i); got != "AS"+itoa(int(peer)) {
-			t.Fatalf("hop-0 label %q for peer AS%d", got, peer)
-		}
-	}
-	v1 := snap.HopVector(space, 0, 1)
-	for i, r := range snap.Routes {
-		if len(r.ASPath) > 1 {
-			if got, ok := v1.Site(i); !ok || got != "AS"+itoa(int(r.ASPath[1])) {
-				t.Fatalf("hop-1 label %q for path %v", got, r.ASPath)
-			}
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b []byte
-	for v > 0 {
-		b = append([]byte{byte('0' + v%10)}, b...)
-		v /= 10
-	}
-	return string(b)
-}
-
 func TestNewCollectorRejectsUnknownPeer(t *testing.T) {
 	g, _, _, _ := world(t)
 	if _, err := NewCollector(g, []astopo.ASN{424242}); err == nil {

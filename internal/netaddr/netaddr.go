@@ -6,12 +6,11 @@
 // We deliberately implement a compact uint32-based representation rather
 // than using net.IP everywhere: the simulator routinely holds millions of
 // block→catchment associations, and a 4-byte value key keeps those maps and
-// slices dense. Conversions to net/netip are provided at the edges.
+// slices dense.
 package netaddr
 
 import (
 	"fmt"
-	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -51,11 +50,6 @@ func (a Addr) String() string {
 	return fmt.Sprintf("%d.%d.%d.%d", byte(a>>24), byte(a>>16), byte(a>>8), byte(a))
 }
 
-// Netip converts to a net/netip.Addr.
-func (a Addr) Netip() netip.Addr {
-	return netip.AddrFrom4([4]byte{byte(a >> 24), byte(a >> 16), byte(a >> 8), byte(a)})
-}
-
 // Block returns the /24 block containing a.
 func (a Addr) Block() Block { return Block(a >> 8) }
 
@@ -76,9 +70,6 @@ func (a Addr) IsPrivate() bool {
 
 // Block is an IPv4 /24 block, identified by its top 24 bits.
 type Block uint32
-
-// BlockOf returns the block with the given /24 network address.
-func BlockOf(a Addr) Block { return a.Block() }
 
 // First returns the .0 address of the block.
 func (b Block) First() Addr { return Addr(b) << 8 }
@@ -149,14 +140,6 @@ func (p Prefix) ContainsBlock(b Block) bool {
 		return false
 	}
 	return p.Contains(b.First())
-}
-
-// Overlaps reports whether p and q share any address.
-func (p Prefix) Overlaps(q Prefix) bool {
-	if p.Bits <= q.Bits {
-		return p.Contains(q.Addr & q.mask())
-	}
-	return q.Contains(p.Addr & p.mask())
 }
 
 // NumBlocks returns how many /24 blocks the prefix spans (0 if longer

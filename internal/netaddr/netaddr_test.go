@@ -38,13 +38,6 @@ func TestQuickAddrStringParse(t *testing.T) {
 	}
 }
 
-func TestNetipConversion(t *testing.T) {
-	a := MustParseAddr("128.9.128.127")
-	if got := a.Netip().String(); got != "128.9.128.127" {
-		t.Fatalf("Netip = %s", got)
-	}
-}
-
 func TestBlockBasics(t *testing.T) {
 	a := MustParseAddr("10.20.30.40")
 	b := a.Block()
@@ -130,18 +123,6 @@ func TestNumBlocksAndBlocks(t *testing.T) {
 	}
 	if MustParsePrefix("10.0.0.0/25").NumBlocks() != 0 {
 		t.Error("/25 should report zero whole blocks")
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	a := MustParsePrefix("10.0.0.0/8")
-	b := MustParsePrefix("10.5.0.0/16")
-	c := MustParsePrefix("11.0.0.0/8")
-	if !a.Overlaps(b) || !b.Overlaps(a) {
-		t.Error("nested prefixes must overlap")
-	}
-	if a.Overlaps(c) || c.Overlaps(a) {
-		t.Error("disjoint prefixes must not overlap")
 	}
 }
 

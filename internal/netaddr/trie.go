@@ -45,30 +45,6 @@ func (t *Trie[V]) Insert(p Prefix, val V) {
 	n.set = true
 }
 
-// Delete removes prefix p. It reports whether the prefix was present.
-// Interior nodes are left in place; the trie is append-heavy in practice
-// (FIB churn replaces values rather than deleting), so we keep deletion
-// simple rather than pruning.
-func (t *Trie[V]) Delete(p Prefix) bool {
-	p = p.Masked()
-	n := t.root
-	for i := 0; i < p.Bits; i++ {
-		b := bit(p.Addr, i)
-		if n.child[b] == nil {
-			return false
-		}
-		n = n.child[b]
-	}
-	if !n.set {
-		return false
-	}
-	var zero V
-	n.val = zero
-	n.set = false
-	t.size--
-	return true
-}
-
 // Lookup returns the value of the longest prefix containing a.
 func (t *Trie[V]) Lookup(a Addr) (val V, p Prefix, ok bool) {
 	n := t.root

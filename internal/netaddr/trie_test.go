@@ -51,27 +51,6 @@ func TestTrieInsertReplaces(t *testing.T) {
 	}
 }
 
-func TestTrieDelete(t *testing.T) {
-	tr := NewTrie[int]()
-	p8 := MustParsePrefix("10.0.0.0/8")
-	p16 := MustParsePrefix("10.1.0.0/16")
-	tr.Insert(p8, 8)
-	tr.Insert(p16, 16)
-	if !tr.Delete(p16) {
-		t.Fatal("Delete existing returned false")
-	}
-	if tr.Delete(p16) {
-		t.Fatal("double Delete returned true")
-	}
-	v, _, ok := tr.Lookup(MustParseAddr("10.1.2.3"))
-	if !ok || v != 8 {
-		t.Fatalf("after delete, lookup = %d ok=%v, want fall back to /8", v, ok)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d after delete", tr.Len())
-	}
-}
-
 func TestTrieHostRoute(t *testing.T) {
 	tr := NewTrie[string]()
 	tr.Insert(MustParsePrefix("192.0.2.1/32"), "host")

@@ -26,7 +26,6 @@
 package history
 
 import (
-	"sort"
 	"sync"
 	"time"
 
@@ -493,21 +492,6 @@ func (s *Store) Timelines() map[string]Timeline {
 		out[key] = Timeline{Kind: sr.kind.String(), Times: ms, Values: vals}
 	}
 	return out
-}
-
-// SeriesKeys returns the sorted keys of every retained series.
-func (s *Store) SeriesKeys() []string {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.series))
-	for k := range s.series {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // Ticks returns the lifetime sample count.

@@ -117,18 +117,6 @@ func (r *Source) Bool(p float64) bool {
 	return r.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate (Marsaglia polar method).
-func (r *Source) NormFloat64() float64 {
-	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
-		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
-		}
-	}
-}
-
 // ExpFloat64 returns an exponential variate with rate 1.
 func (r *Source) ExpFloat64() float64 {
 	for {
@@ -137,45 +125,4 @@ func (r *Source) ExpFloat64() float64 {
 			return -math.Log(u)
 		}
 	}
-}
-
-// Perm returns a random permutation of [0, n) (Fisher–Yates).
-func (r *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
-// Pick returns a uniformly chosen index weighted by w; the caller supplies
-// non-negative weights whose sum must be positive.
-func (r *Source) Pick(w []float64) int {
-	var total float64
-	for _, x := range w {
-		total += x
-	}
-	if total <= 0 {
-		panic("rng: Pick with non-positive total weight")
-	}
-	target := r.Float64() * total
-	for i, x := range w {
-		target -= x
-		if target < 0 {
-			return i
-		}
-	}
-	return len(w) - 1
 }

@@ -80,17 +80,6 @@ func (w *World) Stubs() []astopo.ASN {
 	return out
 }
 
-// StubsInRegion returns stubs of one region in ASN order.
-func (w *World) StubsInRegion(region string) []astopo.ASN {
-	var out []astopo.ASN
-	for _, a := range w.Stubs() {
-		if w.G.AS(a).Region.Name == region {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // Tier2sInRegion returns the regional transit providers of one region.
 func (w *World) Tier2sInRegion(region string) []astopo.ASN {
 	var out []astopo.ASN

@@ -29,12 +29,6 @@ func NewSchedule(start time.Time, interval time.Duration, n int) Schedule {
 	return Schedule{Start: start, Interval: interval, N: n}
 }
 
-// Daily is shorthand for a daily schedule, the cadence of the Verfploeter
-// and traceroute datasets.
-func Daily(start time.Time, days int) Schedule {
-	return NewSchedule(start, 24*time.Hour, days)
-}
-
 // Time returns the timestamp of epoch e.
 func (s Schedule) Time(e Epoch) time.Time {
 	return s.Start.Add(time.Duration(e) * s.Interval)

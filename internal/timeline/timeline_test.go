@@ -14,7 +14,7 @@ func mustDate(s string) time.Time {
 }
 
 func TestScheduleTimes(t *testing.T) {
-	s := Daily(mustDate("2019-09-01"), 30)
+	s := NewSchedule(mustDate("2019-09-01"), 24*time.Hour, 30)
 	if got := s.Time(0); !got.Equal(mustDate("2019-09-01")) {
 		t.Fatalf("Time(0) = %v", got)
 	}
@@ -38,7 +38,7 @@ func TestEpochAt(t *testing.T) {
 }
 
 func TestEpochOn(t *testing.T) {
-	s := Daily(mustDate("2024-08-01"), 60)
+	s := NewSchedule(mustDate("2024-08-01"), 24*time.Hour, 60)
 	if e := s.EpochOn("2024-08-01"); e != 0 {
 		t.Fatalf("EpochOn(start) = %d", e)
 	}
@@ -53,7 +53,7 @@ func TestEpochOnPanicsOutside(t *testing.T) {
 			t.Fatal("EpochOn outside schedule did not panic")
 		}
 	}()
-	Daily(mustDate("2024-08-01"), 10).EpochOn("2025-01-01")
+	NewSchedule(mustDate("2024-08-01"), 24*time.Hour, 10).EpochOn("2025-01-01")
 }
 
 func TestNewSchedulePanicsOnBadArgs(t *testing.T) {

@@ -15,7 +15,6 @@ package websim
 
 import (
 	"fmt"
-	"sort"
 
 	"fenrir/internal/astopo"
 	"fenrir/internal/netaddr"
@@ -324,19 +323,4 @@ func FleetIndex(fleets ...[]FrontEnd) map[netaddr.Addr]string {
 		}
 	}
 	return idx
-}
-
-// SortedLabels returns the distinct labels in a fleet index, sorted (for
-// deterministic reporting).
-func SortedLabels(idx map[netaddr.Addr]string) []string {
-	set := make(map[string]bool)
-	for _, l := range idx {
-		set[l] = true
-	}
-	out := make([]string, 0, len(set))
-	for l := range set {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -221,8 +221,4 @@ func TestFleetIndexAndLabels(t *testing.T) {
 	if idx[netaddr.MustParseAddr("203.0.0.1")] != "fe-x-001" {
 		t.Fatalf("index = %v", idx)
 	}
-	labels := SortedLabels(idx)
-	if len(labels) != 3 || labels[0] != "fe-x-000" {
-		t.Fatalf("labels = %v", labels)
-	}
 }

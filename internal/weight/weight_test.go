@@ -17,48 +17,6 @@ func TestByCount(t *testing.T) {
 	}
 }
 
-func TestByTrafficAliasesByCount(t *testing.T) {
-	s := space3()
-	w := ByTraffic(s, map[string]float64{"b": 9}, 0)
-	if w[0] != 0 || w[1] != 9 || w[2] != 0 {
-		t.Fatalf("w = %v", w)
-	}
-}
-
-func TestValidate(t *testing.T) {
-	s := space3()
-	if err := Validate(s, []float64{1, 2, 3}); err != nil {
-		t.Errorf("valid vector rejected: %v", err)
-	}
-	if err := Validate(s, []float64{1, 2}); err == nil {
-		t.Error("short vector accepted")
-	}
-	if err := Validate(s, []float64{1, -1, 3}); err == nil {
-		t.Error("negative weight accepted")
-	}
-	if err := Validate(s, []float64{0, 0, 0}); err == nil {
-		t.Error("zero-sum vector accepted")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	w := Normalize([]float64{2, 4, 6})
-	var sum float64
-	for _, x := range w {
-		sum += x
-	}
-	if math.Abs(sum-3) > 1e-12 {
-		t.Fatalf("normalized sum = %v, want 3", sum)
-	}
-	if math.Abs(w[2]/w[0]-3) > 1e-12 {
-		t.Fatal("normalization changed ratios")
-	}
-	z := Normalize([]float64{0, 0})
-	if z[0] != 0 || z[1] != 0 {
-		t.Fatal("zero vector mangled")
-	}
-}
-
 // Weighted Gower with a count-weight vector must match computing Gower
 // over an expanded space where each network is replicated count times.
 func TestWeightsEquivalentToReplication(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 // BGP-4 message formats (RFC 4271) with 4-octet AS support (RFC 6793).
 // The route-collector substrate (internal/measure/bgpfeed) exports the
 // simulator's RIBs as real UPDATE messages and parses them back, the same
-// contract RouteViews/RIPE RIS MRT consumers rely on: if our encoding were
+// contract RouteViews/RIPE RIS consumers rely on: if our encoding were
 // wrong, the collector could not read its own feed.
 
 // BGP message types.
@@ -132,8 +132,7 @@ func MarshalNotification(code, subcode uint8) []byte {
 }
 
 // marshalPathAttrs renders the path attributes of u (ORIGIN, AS_PATH,
-// NEXT_HOP, optional MED/LOCAL_PREF) in canonical order. Shared between
-// UPDATE messages and MRT RIB entries.
+// NEXT_HOP, optional MED/LOCAL_PREF) in canonical order.
 func marshalPathAttrs(u *BGPUpdateMsg) ([]byte, error) {
 	var attrs []byte
 	appendAttr := func(flags, code uint8, val []byte) {
@@ -350,8 +349,7 @@ func parseUpdate(p []byte) (*BGPUpdateMsg, error) {
 	return u, nil
 }
 
-// parsePathAttrs decodes path attributes into u. Shared between UPDATE
-// messages and MRT RIB entries.
+// parsePathAttrs decodes path attributes into u.
 func parsePathAttrs(attrs []byte, u *BGPUpdateMsg) error {
 	for i := 0; i < len(attrs); {
 		if i+2 > len(attrs) {

@@ -7,10 +7,7 @@ package wire
 // and successful parses must re-marshal to something the parser accepts
 // again.
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 func FuzzUnmarshalIPv4(f *testing.F) {
 	h := &IPv4Header{TotalLen: IPv4HeaderLen + 4, TTL: 64, Protocol: ProtoICMP, Src: 1, Dst: 2}
@@ -92,24 +89,6 @@ func FuzzUnmarshalBGP(f *testing.F) {
 		}
 		if m == nil {
 			t.Fatal("nil message without error")
-		}
-	})
-}
-
-func FuzzReadMRT(f *testing.F) {
-	var buf1, buf2 bytes.Buffer
-	_ = WriteMRTPeerIndex(&buf1, 1, 2, "v", []MRTPeer{{ASN: 65000}})
-	_ = WriteMRTRib(&buf2, 1, &MRTRib{Prefix: BGPPrefix{Addr: 0x0a000000, Bits: 8},
-		Entries: []MRTRibEntry{{Attrs: BGPUpdateMsg{ASPath: []uint32{1}}}}})
-	f.Add(buf1.Bytes())
-	f.Add(buf2.Bytes())
-	f.Add([]byte{0, 0, 0, 0, 0, 13, 0, 2, 0, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		r := bytes.NewReader(data)
-		for i := 0; i < 16; i++ { // bound iterations; a stream may hold several records
-			if _, err := ReadMRT(r); err != nil {
-				return
-			}
 		}
 	})
 }
