@@ -284,8 +284,8 @@ func TestClusterAdaptiveInstrumentedEquivalence(t *testing.T) {
 }
 
 // TestSimilarityMatrixTileSizes drives the balanced tile shapes of
-// several pool sizes through the worker pool, down to one tile per row
-// (P equal to the row count) and a P the engine clamps to it.
+// several lane counts through the parallel fill, down to one tile per
+// row (P equal to the row count) and a P the engine clamps to it.
 func TestSimilarityMatrixTileSizes(t *testing.T) {
 	s := randomSeries(t, 31, 40, 0.3, 9)
 	ref := naiveSimilarityMatrix(s, nil, PessimisticUnknown)

@@ -134,12 +134,13 @@ type MatrixOptions struct {
 	//
 	// Deprecated: SimilarityMatrixParallel always uses the packed engine.
 	Kernel SimKernel
-	// Parallelism is the number of worker goroutines filling the matrix.
-	// 0 (the default) sizes the pool to runtime.GOMAXPROCS(0); 1 fills
-	// the whole triangle as one tile on the calling goroutine. Values
-	// above the row count are clamped. Every setting produces the
-	// bit-identical matrix: parallelism only changes which goroutine
-	// computes which tile, never the per-pair arithmetic.
+	// Parallelism is the number of lanes filling the matrix: the caller
+	// plus Parallelism−1 goroutines. 0 (the default) uses
+	// runtime.GOMAXPROCS(0) lanes; 1 fills the whole triangle as one tile
+	// on the calling goroutine. Values above the row count are clamped.
+	// Every setting produces the bit-identical matrix: parallelism only
+	// changes which goroutine computes which tile, never the per-pair
+	// arithmetic.
 	Parallelism int
 	// Obs receives engine instrumentation: per-tile fill timing, pair
 	// counts, and worker/tile gauges. nil (the
@@ -163,8 +164,9 @@ func SimilarityMatrix(s *Series, w []float64, mode UnknownMode) *SimMatrix {
 }
 
 // SimilarityMatrixParallel computes the all-pairs Φ matrix by splitting
-// the lower triangle of the T×T pair space into row tiles dispatched to
-// a worker pool over an atomic tile counter. Every vector is packed once
+// the lower triangle of the T×T pair space into row tiles that p lanes
+// claim off an atomic tile counter: the caller drains lane 1 and lanes
+// 2..p are goroutines started for this call. Every vector is packed once
 // into one bit-sliced slab (bitset.go) and the packed kernel (mode ×
 // weighting) is selected once, outside the pair loop. Row i is
 // kern(row i, row j) for j < i — the call Monitor.Append makes for each
@@ -235,11 +237,9 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 	tiles := balancedTriangleTiles(n, p)
 	opts.Obs.Gauge("fenrir_similarity_tile_rows").Set(float64(n) / float64(len(tiles)))
 
-	// Tiles are claimed off an atomic counter by the persistent worker
-	// pool plus the calling goroutine, which always participates — so the
-	// matrix completes even when the pool is busy with another matrix
-	// (helpers are best-effort, correctness never depends on them). At
-	// P=1 the one tile is drained on the caller.
+	// Tiles are claimed off an atomic counter by lanes 2..p, each a
+	// goroutine that lives for this call, and by the caller as lane 1. At
+	// P=1 the one tile is drained on the caller and no goroutine starts.
 	var next atomic.Int64
 	drain := func(lane int) {
 		for {
@@ -256,11 +256,12 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 		}
 	}
 	var wg sync.WaitGroup
-	for k := 1; k < p; k++ {
-		lane := k + 1
-		if !submitSimWork(func() { drain(lane) }, &wg) {
-			break // pool saturated; the caller drains the rest
-		}
+	for lane := 2; lane <= p; lane++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			drain(lane)
+		}()
 	}
 	drain(1)
 	wg.Wait()
@@ -296,41 +297,6 @@ func balancedTriangleTiles(n, p int) []rowSpan {
 		lo = hi
 	}
 	return tiles
-}
-
-// simPool is the persistent worker pool behind every parallel matrix
-// fill: GOMAXPROCS goroutines started on first use and kept for the
-// process lifetime, so the serve daemon's steady stream of matrix
-// queries never pays goroutine startup on the hot path.
-var (
-	simPoolOnce sync.Once
-	simWork     chan func()
-)
-
-// submitSimWork hands a task to the pool without ever blocking: if every
-// worker is busy and the queue is full it reports false and the caller
-// runs the work itself. wg is incremented on acceptance and released by
-// the worker.
-func submitSimWork(f func(), wg *sync.WaitGroup) bool {
-	simPoolOnce.Do(func() {
-		workers := runtime.GOMAXPROCS(0)
-		simWork = make(chan func(), 4*workers)
-		for i := 0; i < workers; i++ {
-			go func() {
-				for task := range simWork {
-					task()
-				}
-			}()
-		}
-	})
-	wg.Add(1)
-	select {
-	case simWork <- func() { defer wg.Done(); f() }:
-		return true
-	default:
-		wg.Done()
-		return false
-	}
 }
 
 // At returns Φ between rows i and j, reading the pair from the row of
