@@ -2,11 +2,13 @@
 # gate (vet and gofmt, then the full test suite, whose
 # TestLifecycleMatchesModel checks the daemon's create, ingest,
 # checkpoint, rebalance, drain, crash and restart interleavings against a
-# model); `make race` runs the analysis core, the fault layer and the
-# serve/snapshot layer under the race detector; `make bench` records the
-# core perf trajectory to BENCH_core.json; `make check` adds per-package
-# coverage plus the observability, fault-injection, tracing, provenance,
-# self-observation, and fuzz smoke tests on top of test + race.
+# model); `make race` runs the analysis core, the fault layer, the
+# instrumentation layer (registry, trace and flight rings, telemetry
+# history) and the serve/snapshot layer under the race detector;
+# `make bench` records the core perf trajectory to BENCH_core.json;
+# `make check` adds per-package coverage plus the observability,
+# fault-injection, tracing, provenance, self-observation, and fuzz smoke
+# tests on top of test + race.
 
 GO ?= go
 
@@ -27,7 +29,7 @@ test: vet
 	$(GO) test ./...
 
 race:
-	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/serve/... ./internal/snapshot/...
+	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/obs/... ./internal/serve/... ./internal/snapshot/...
 
 # The perf-critical benches: the packed similarity engine sweep (serial
 # vs auto, plus the large-alphabet row), the fixed-depth windowed

@@ -80,6 +80,14 @@ type Monitor struct {
 	hasEvent    bool
 
 	obs *obs.Registry
+	met monitorMetrics
+}
+
+// monitorMetrics are a monitor's metric handles, resolved once by
+// Instrument; while detached every handle is nil, a no-op.
+type monitorMetrics struct {
+	appends, events, evictions, rebuilds, churn *obs.Counter
+	ingest                                      *obs.Histogram
 }
 
 // NewMonitor starts an empty monitor over a space. w may be nil. Both
@@ -166,11 +174,20 @@ func (m *Monitor) rowLocked(v *Vector) int {
 
 // Instrument attaches a metrics registry: each append then feeds the
 // fenrir_monitor_appends_total / fenrir_monitor_events_total counters
-// and the fenrir_monitor_ingest_seconds latency histogram. A nil
-// registry detaches (the no-op default).
+// and the fenrir_monitor_ingest_seconds latency histogram, evictions
+// and mode reads their own counters. The handles are resolved here,
+// once. A nil registry detaches (the no-op default).
 func (m *Monitor) Instrument(r *obs.Registry) {
+	met := monitorMetrics{
+		appends:   r.Counter("fenrir_monitor_appends_total"),
+		events:    r.Counter("fenrir_monitor_events_total"),
+		evictions: r.Counter("fenrir_monitor_evictions_total"),
+		rebuilds:  r.Counter("fenrir_monitor_mode_rebuilds_total"),
+		churn:     r.Counter("fenrir_monitor_mode_churn_total"),
+		ingest:    r.Histogram("fenrir_monitor_ingest_seconds"),
+	}
 	m.mu.Lock()
-	m.obs = r
+	m.obs, m.met = r, met
 	m.mu.Unlock()
 }
 
@@ -254,13 +271,11 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 		m.lastEvent = event.At
 		m.hasEvent = true
 	}
-	if m.obs != nil {
-		m.obs.Counter("fenrir_monitor_appends_total").Inc()
-		m.obs.Histogram("fenrir_monitor_ingest_seconds").Observe(ingest.Seconds())
-		if changed {
-			m.obs.Counter("fenrir_monitor_events_total").Inc()
-			ObserveDetection(m.obs, event)
-		}
+	m.met.appends.Inc()
+	m.met.ingest.Observe(ingest.Seconds())
+	if changed {
+		m.met.events.Inc()
+		ObserveDetection(m.obs, event)
 	}
 	return event, changed, nil
 }
@@ -620,9 +635,7 @@ func (m *Monitor) evictLocked(cut int) {
 	m.rebuildDetectorLocked()
 	// The next mode query re-clusters the (window-bounded) suffix.
 	m.engine.invalidate()
-	if m.obs != nil {
-		m.obs.Counter("fenrir_monitor_evictions_total").Add(int64(cut))
-	}
+	m.met.evictions.Add(int64(cut))
 }
 
 // LiveModes is mode discovery served from the live engine: the first
@@ -639,7 +652,7 @@ func (m *Monitor) LiveModes() *ModesResult {
 		sp = m.obs.TraceRoot().Child("recluster")
 		if !m.engine.valid {
 			sp.SetAttr("path", "rebuild")
-			m.obs.Counter("fenrir_monitor_mode_rebuilds_total").Inc()
+			m.met.rebuilds.Inc()
 		} else {
 			sp.SetAttr("path", "cached")
 		}
@@ -651,7 +664,7 @@ func (m *Monitor) LiveModes() *ModesResult {
 		sp.SetAttr("clusters", len(clusters))
 		sp.End()
 		if churn {
-			m.obs.Counter("fenrir_monitor_mode_churn_total").Inc()
+			m.met.churn.Inc()
 		}
 	}
 	return assembleModes(mat, threshold, clusters)

@@ -284,6 +284,55 @@ func TestMatrixViewConcurrentWithEvictions(t *testing.T) {
 	}
 }
 
+// TestInstrumentNilDetaches: Instrument resolves the monitor's metric
+// handles once, so Instrument(nil) must drop every one of them. After
+// it, appends (change events included), evictions and mode reads leave
+// the old registry's counters, histogram and flight events unchanged.
+func TestInstrumentNilDetaches(t *testing.T) {
+	const W = 16
+	space, vs := monitorFixtureVectors(64)
+	mon := NewMonitorOpts(space, sched(64), MonitorOptions{
+		Mode: PessimisticUnknown, Detect: DefaultDetectOptions(), Window: W,
+	})
+	reg := obs.NewRegistry()
+	mon.Instrument(reg)
+	for _, v := range vs[:24] {
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.LiveModes()
+	counters := func() map[string]int64 { return reg.Snapshot()["counters"].(map[string]int64) }
+	before := counters()
+	if before["fenrir_monitor_appends_total"] != 24 || before["fenrir_monitor_evictions_total"] != 24-W ||
+		before["fenrir_monitor_mode_rebuilds_total"] != 1 {
+		t.Fatalf("instrumented counters = %v, want 24 appends, %d evictions, 1 rebuild", before, 24-W)
+	}
+	ingest := reg.Histogram("fenrir_monitor_ingest_seconds").Count()
+	events := len(reg.Events(0))
+
+	mon.Instrument(nil)
+	fired := mon.Snapshot().Events
+	for _, v := range vs[24:] {
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.LiveModes()
+	if mon.Snapshot().Events == fired {
+		t.Fatal("no change event fired after detaching; the test would not cover the events counter")
+	}
+	if after := counters(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("detached monitor moved counters:\nbefore %v\nafter  %v", before, after)
+	}
+	if got := reg.Histogram("fenrir_monitor_ingest_seconds").Count(); got != ingest {
+		t.Fatalf("detached monitor fed the ingest histogram: %d -> %d", ingest, got)
+	}
+	if got := len(reg.Events(0)); got != events {
+		t.Fatalf("detached monitor logged %d flight events", got-events)
+	}
+}
+
 // TestMonitorConcurrentIngest exercises the monitor's concurrency
 // contract under the race detector: several goroutines take turns
 // appending (epoch order enforced by passing the next index through a

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -34,23 +33,14 @@ type Event struct {
 // recorder drops everything.
 type FlightRecorder struct {
 	mu   sync.Mutex
-	buf  []Event
-	head int // index of oldest event once the ring has wrapped
-	n    int // events currently stored
+	ring *Ring[Event] // its eviction count is fenrir_flight_events_evicted_total
 	seq  uint64
-	// evicted counts events overwritten after the ring wrapped. Atomic
-	// so exposition paths can read it without taking mu; surfaced as
-	// fenrir_flight_events_evicted_total.
-	evicted atomic.Uint64
 }
 
 // NewFlightRecorder builds a recorder holding at most capacity events
 // (the newest win). Capacity below 1 is clamped to 1.
 func NewFlightRecorder(capacity int) *FlightRecorder {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &FlightRecorder{buf: make([]Event, 0, capacity)}
+	return &FlightRecorder{ring: NewRing[Event](capacity)}
 }
 
 func (fr *FlightRecorder) add(e Event) {
@@ -61,14 +51,7 @@ func (fr *FlightRecorder) add(e Event) {
 	defer fr.mu.Unlock()
 	fr.seq++
 	e.Seq = fr.seq
-	if fr.n < cap(fr.buf) {
-		fr.buf = append(fr.buf, e)
-		fr.n++
-		return
-	}
-	fr.buf[fr.head] = e
-	fr.head = (fr.head + 1) % cap(fr.buf)
-	fr.evicted.Add(1)
+	fr.ring.Push(e)
 }
 
 // Evicted returns how many events the ring has overwritten since
@@ -78,7 +61,9 @@ func (fr *FlightRecorder) Evicted() uint64 {
 	if fr == nil {
 		return 0
 	}
-	return fr.evicted.Load()
+	fr.mu.Lock()
+	defer fr.mu.Unlock()
+	return fr.ring.Evicted()
 }
 
 // Events returns up to n of the most recent events, oldest first.
@@ -102,14 +87,11 @@ func (fr *FlightRecorder) Snapshot(n int) (events []Event, evicted uint64) {
 	}
 	fr.mu.Lock()
 	defer fr.mu.Unlock()
-	out := make([]Event, 0, fr.n)
-	for i := 0; i < fr.n; i++ {
-		out = append(out, fr.buf[(fr.head+i)%cap(fr.buf)])
-	}
+	out := fr.ring.Items()
 	if n > 0 && len(out) > n {
 		out = out[len(out)-n:]
 	}
-	return out, fr.evicted.Load()
+	return out, fr.ring.Evicted()
 }
 
 // flightHandler is the slog.Handler that feeds a FlightRecorder.

@@ -21,7 +21,7 @@ func TestWritePrometheusDeterministic(t *testing.T) {
 	r.Counter(`alpha_total{tenant="b"}`).Add(2)
 	r.Histogram("mid_seconds").Observe(0.5)
 	r.Counter(`alpha_total{tenant="a"}`).Add(1)
-	r.FloatCounter("beta_seconds").Add(1.5)
+	r.Gauge("beta_seconds").Set(1.5)
 	r.Counter("alpha_total").Inc()
 
 	var a, b strings.Builder

@@ -3,16 +3,15 @@
 // engine, and retention layer over the live obs.Registry.
 //
 // A sampler (Start, or Tick under an injectable clock) scrapes the
-// registry every interval into fixed-capacity per-series ring buffers:
-// counters are delta-encoded (one small float per tick plus a rolling
-// base, so a wrapped ring still reconstructs exact absolute values),
-// gauges are stored raw, and histograms are rolled up into five derived
-// series (count, sum, p50, p90, p99). Query helpers — Rate, Delta,
-// MaxOverTime, Latest — answer the questions point-in-time /metrics
-// cannot: "what was p99 admission over the last 10 minutes?", "how fast
-// is the eviction counter moving?". The whole retention window is
-// exported as JSON via TimelineHandler (/debug/timeline) and single
-// values via QueryHandler (/v1/query).
+// registry every interval into fixed-capacity per-series rings
+// (obs.Ring) of absolute values: counters and gauges as read, and
+// histograms rolled up into five derived series (count, sum, p50, p90,
+// p99). Query helpers — Rate, Delta, MaxOverTime, Latest — answer the
+// questions point-in-time /metrics cannot: "what was p99 admission
+// over the last 10 minutes?", "how fast is the eviction counter
+// moving?". The whole retention window is exported as JSON via
+// TimelineHandler (/debug/timeline) and single values via QueryHandler
+// (/v1/query).
 //
 // On top of the rings sits a deterministic alert rule engine (alerts.go)
 // evaluated after every sample tick: threshold rules and dual-window SLO
@@ -69,8 +68,8 @@ func (c Config) retain() int {
 	return c.Retain
 }
 
-// seriesKind distinguishes ring encodings: counters store per-tick
-// deltas, gauges store raw values.
+// seriesKind tells counters, whose decrease restarts the window, from
+// gauges.
 type seriesKind int
 
 const (
@@ -85,86 +84,22 @@ func (k seriesKind) String() string {
 	return "gauge"
 }
 
-// series is one metric's bounded history. Counters are delta-encoded:
-// vals[i] holds the increment between consecutive samples and base holds
-// the absolute value at the oldest retained sample, so absolute values
-// reconstruct exactly (base, base+vals[1], base+vals[1]+vals[2], ...)
-// no matter how often the ring has wrapped. Gauges hold raw values and
-// base is unused. last is the newest absolute value, kept outside the
-// ring so delta encoding never accumulates float error: the next delta
-// is always computed against the true current value.
+// series is one metric's bounded history of absolute samples. last is
+// the newest sample, kept so push can spot a counter that went down.
 type series struct {
 	kind seriesKind
-	vals []float64 // ring storage, capacity Retain
-	head int       // index of oldest sample once wrapped
-	n    int       // samples stored
-	base float64   // counters: absolute value at the oldest sample
-	last float64   // newest absolute value
-	age  int       // ticks since this series' first sample
+	vals *obs.Ring[float64]
+	last float64
 }
 
 func (s *series) push(v float64) {
-	var stored float64
-	switch s.kind {
-	case kindCounter:
-		if s.n == 0 {
-			// First sample: the pre-existing total is not "change we
-			// watched happen", so the first delta is zero and base
-			// anchors at the current absolute value.
-			s.base = v
-			stored = 0
-		} else {
-			stored = v - s.last
-			if stored < 0 {
-				// Counter reset (shouldn't happen with obs counters, but
-				// stay honest): treat the new value as a fresh start.
-				stored = 0
-				s.base = v
-				s.vals = s.vals[:0]
-				s.head, s.n = 0, 0
-			}
-		}
-	case kindGauge:
-		stored = v
+	if s.kind == kindCounter && s.vals.Len() > 0 && v < s.last {
+		// Counter reset (obs counters never go down, but stay honest):
+		// the window restarts at the new value.
+		s.vals.Reset()
 	}
+	s.vals.Push(v)
 	s.last = v
-	s.age++
-	if s.n < cap(s.vals) {
-		s.vals = append(s.vals, stored)
-		s.n++
-		return
-	}
-	// Overwrite the oldest sample; for counters its delta folds into
-	// base so absolutes stay exact across the wrap.
-	if s.kind == kindCounter {
-		// The ring holds deltas d0..dk where absolute[i] = base + sum of
-		// d1..di (d0 is always 0 relative to base). Evicting d0 promotes
-		// d1 into the anchor: base moves forward by the evicted-successor
-		// delta.
-		next := (s.head + 1) % cap(s.vals)
-		s.base += s.vals[next]
-		s.vals[next] = 0
-	}
-	s.vals[s.head] = stored
-	s.head = (s.head + 1) % cap(s.vals)
-}
-
-// absolutes reconstructs the series' absolute values, oldest first.
-func (s *series) absolutes() []float64 {
-	out := make([]float64, s.n)
-	acc := s.base
-	for i := 0; i < s.n; i++ {
-		v := s.vals[(s.head+i)%cap(s.vals)]
-		if s.kind == kindCounter {
-			if i > 0 {
-				acc += v
-			}
-			out[i] = acc
-		} else {
-			out[i] = v
-		}
-	}
-	return out
 }
 
 // Store is the in-process time-series database: per-series rings fed by
@@ -176,10 +111,8 @@ type Store struct {
 	cfg Config
 
 	mu     sync.Mutex
-	times  []time.Time // sample-time ring, capacity Retain
-	thead  int
-	tn     int
-	ticks  uint64 // lifetime sample count (not bounded by the ring)
+	times  *obs.Ring[time.Time] // sample times, one per tick
+	ticks  uint64               // lifetime sample count (not bounded by the ring)
 	series map[string]*series
 	alerts []*alertState
 
@@ -198,6 +131,7 @@ func New(reg *obs.Registry, cfg Config) *Store {
 	s := &Store{
 		reg:         reg,
 		cfg:         cfg,
+		times:       obs.NewRing[time.Time](cfg.retain()),
 		series:      make(map[string]*series),
 		firingGauge: reg.Gauge(MetricAlertsFiring),
 		stop:        make(chan struct{}),
@@ -267,17 +201,12 @@ func (s *Store) Tick() {
 	now := s.now()
 	snap := s.reg.Snapshot()
 	s.mu.Lock()
-	s.pushTime(now)
+	s.times.Push(now)
 	s.ticks++
 	if snap != nil {
 		if counters, ok := snap["counters"].(map[string]int64); ok {
 			for name, v := range counters {
 				s.sampleLocked(name, kindCounter, float64(v))
-			}
-		}
-		if floats, ok := snap["float_counters"].(map[string]float64); ok {
-			for name, v := range floats {
-				s.sampleLocked(name, kindCounter, v)
 			}
 		}
 		if gauges, ok := snap["gauges"].(map[string]float64); ok {
@@ -299,43 +228,20 @@ func (s *Store) Tick() {
 	s.mu.Unlock()
 }
 
-func (s *Store) pushTime(t time.Time) {
-	retain := s.cfg.retain()
-	if s.times == nil {
-		s.times = make([]time.Time, 0, retain)
-	}
-	if s.tn < cap(s.times) {
-		s.times = append(s.times, t)
-		s.tn++
-		return
-	}
-	s.times[s.thead] = t
-	s.thead = (s.thead + 1) % cap(s.times)
-}
-
-// sampleTimes returns the retained sample times, oldest first.
-func (s *Store) sampleTimes() []time.Time {
-	out := make([]time.Time, s.tn)
-	for i := 0; i < s.tn; i++ {
-		out[i] = s.times[(s.thead+i)%cap(s.times)]
-	}
-	return out
-}
-
 func (s *Store) sampleLocked(key string, kind seriesKind, v float64) {
 	sr := s.series[key]
 	if sr == nil {
-		sr = &series{kind: kind, vals: make([]float64, 0, s.cfg.retain())}
+		sr = &series{kind: kind, vals: obs.NewRing[float64](s.cfg.retain())}
 		s.series[key] = sr
 		if kind == kindCounter {
 			// Counters register on first touch, so one born after the
 			// store's first sample was zero at every earlier tick.
-			// Backfill those zeros: the anchor sits at 0 and the birth
-			// increment is a real delta, so windowed delta/rate queries
-			// count it instead of writing it off as pre-existing total.
+			// Backfill those zeros: the window then starts at 0, so
+			// windowed delta/rate queries count the birth increment
+			// instead of writing it off as pre-existing total.
 			// (Gauges get no backfill — they have no meaningful prior
 			// value, and phantom zeros would corrupt max_over_time.)
-			for i := 0; i < s.tn-1; i++ {
+			for i := 1; i < s.times.Len(); i++ {
 				sr.push(0)
 			}
 		}
@@ -416,11 +322,11 @@ func (s *Store) Query(metric, stat string, fn Fn, rng time.Duration) (QueryResul
 
 func (s *Store) queryLocked(metric, stat string, fn Fn, rng time.Duration) (QueryResult, bool) {
 	sr := s.series[Key(metric, stat)]
-	if sr == nil || sr.n == 0 {
+	if sr == nil {
 		return QueryResult{}, false
 	}
-	vals := sr.absolutes()
-	times := s.sampleTimes()
+	vals := sr.vals.Items()
+	times := s.times.Items()
 	// A series younger than the store only occupies the newest samples;
 	// align it against the tail of the time ring.
 	times = times[len(times)-len(vals):]
@@ -480,10 +386,10 @@ func (s *Store) Timelines() map[string]Timeline {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	times := s.sampleTimes()
+	times := s.times.Items()
 	out := make(map[string]Timeline, len(s.series))
 	for key, sr := range s.series {
-		vals := sr.absolutes()
+		vals := sr.vals.Items()
 		st := times[len(times)-len(vals):]
 		ms := make([]int64, len(st))
 		for i, t := range st {

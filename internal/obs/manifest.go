@@ -38,8 +38,6 @@ type Manifest struct {
 	// Counters and Gauges snapshot the registry at write time.
 	Counters map[string]int64   `json:"counters,omitempty"`
 	Gauges   map[string]float64 `json:"gauges,omitempty"`
-	// FloatCounters snapshot the monotone float counters (stage seconds).
-	FloatCounters map[string]float64 `json:"float_counters,omitempty"`
 	// Histograms carry per-histogram count/sum/p50/p90/p99 rollups.
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
 	// Events is the flight-recorder drain at write time: the most recent
@@ -127,12 +125,6 @@ func (m *Manifest) FillFromRegistry(r *Registry) {
 	m.Gauges = make(map[string]float64, len(r.gauges))
 	for k, v := range r.gauges {
 		m.Gauges[k] = v.Value()
-	}
-	if len(r.floats) > 0 {
-		m.FloatCounters = make(map[string]float64, len(r.floats))
-		for k, v := range r.floats {
-			m.FloatCounters[k] = v.Value()
-		}
 	}
 	if len(r.hists) > 0 {
 		m.Histograms = make(map[string]HistogramSummary, len(r.hists))

@@ -132,8 +132,8 @@ func TestSpansAndStageSummary(t *testing.T) {
 	if sum[1].Name != "cluster" {
 		t.Fatalf("stage order = %+v", sum)
 	}
-	if got := r.Counter(`fenrir_stage_runs_total{stage="similarity"}`).Value(); got != 2 {
-		t.Fatalf("stage runs counter = %d, want 2", got)
+	if got := r.Histogram(`fenrir_stage_duration_seconds{stage="similarity"}`).Count(); got != 2 {
+		t.Fatalf("stage duration count = %d, want 2", got)
 	}
 }
 

@@ -30,11 +30,10 @@ import (
 // no-ops returning nil handles (whose methods are in turn no-ops).
 //
 // Metric names follow Prometheus exposition syntax; a name may embed a
-// label set verbatim, e.g. `fenrir_stage_seconds{stage="similarity"}`.
+// label set verbatim, e.g. `fenrir_stage_duration_seconds{stage="similarity"}`.
 type Registry struct {
 	mu        sync.Mutex
 	counters  map[string]*Counter
-	floats    map[string]*FloatCounter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
 	spans     []StageRecord
@@ -44,15 +43,11 @@ type Registry struct {
 	hasFlight atomic.Bool
 
 	// Trace-tree state (see trace.go): monotone span ids, the active
-	// root, and the bounded completed-span ring. traceEvicted counts
-	// spans the ring overwrote; atomic so exposition paths read it
-	// without mu.
-	nextSpanID   int64
-	root         *Span
-	traceOn      atomic.Bool
-	trace        []TraceRecord
-	traceHead    int
-	traceEvicted atomic.Uint64
+	// root, and the bounded ring of completed spans.
+	nextSpanID int64
+	root       *Span
+	traceOn    atomic.Bool
+	trace      *Ring[TraceRecord]
 
 	// Cardinality governor state (see SetSeriesCap): per-family sets of
 	// admitted tenant label values. Guarded by mu.
@@ -65,11 +60,11 @@ type Registry struct {
 func NewRegistry() *Registry {
 	r := &Registry{
 		counters: make(map[string]*Counter),
-		floats:   make(map[string]*FloatCounter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 		start:    time.Now(),
 		flight:   NewFlightRecorder(flightCap),
+		trace:    NewRing[TraceRecord](traceCap),
 	}
 	r.logger = slog.New(&flightHandler{fr: r.flight})
 	r.hasFlight.Store(true)
@@ -120,9 +115,6 @@ func (r *Registry) SetSeriesCap(n int) {
 		set[val] = struct{}{}
 	}
 	for name := range r.counters {
-		seed(name)
-	}
-	for name := range r.floats {
 		seed(name)
 	}
 	for name := range r.gauges {
@@ -229,25 +221,6 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// FloatCounter returns the named monotonically increasing float
-// counter, creating it on first use. Returns nil (a no-op handle) on a
-// nil registry. First use validates the name (see mustValidName).
-func (r *Registry) FloatCounter(name string) *FloatCounter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	name = r.governLocked(name)
-	c, ok := r.floats[name]
-	if !ok {
-		mustValidName(name)
-		c = &FloatCounter{}
-		r.floats[name] = c
-	}
-	return c
-}
-
 // Gauge returns the named gauge, creating it on first use. Returns nil
 // (a no-op handle) on a nil registry.
 func (r *Registry) Gauge(name string) *Gauge {
@@ -307,35 +280,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v.Load()
-}
-
-// FloatCounter is a monotonically increasing float64 metric — seconds
-// of work, bytes summed — exposed with Prometheus type "counter".
-type FloatCounter struct {
-	bits atomic.Uint64
-}
-
-// Add increments the counter by delta; negative deltas are dropped to
-// preserve monotonicity. No-op on a nil handle.
-func (c *FloatCounter) Add(delta float64) {
-	if c == nil || delta < 0 {
-		return
-	}
-	for {
-		old := c.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if c.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the accumulated total (0 on a nil handle).
-func (c *FloatCounter) Value() float64 {
-	if c == nil {
-		return 0
-	}
-	return math.Float64frombits(c.bits.Load())
 }
 
 // Gauge is a float64 metric that can go up and down.
@@ -522,11 +466,11 @@ func (h *Histogram) Summary() HistogramSummary {
 // evictionCounters reports the bounded rings' eviction totals as
 // synthetic counters, so /metrics, Snapshot, and manifests always carry
 // them (zero included — a zero is the proof nothing was silently
-// dropped). Safe to call with or without r.mu: both sources are their
-// own synchronization.
+// dropped). Callers hold r.mu, which guards the trace ring; the flight
+// recorder's own lock nests inside it.
 func (r *Registry) evictionCounters() map[string]int64 {
 	return map[string]int64{
-		"fenrir_trace_spans_evicted_total":   int64(r.traceEvicted.Load()),
+		"fenrir_trace_spans_evicted_total":   int64(r.trace.Evicted()),
 		"fenrir_flight_events_evicted_total": int64(r.flight.Evicted()),
 	}
 }
@@ -665,11 +609,7 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	for k, v := range r.counters {
 		counters[k] = v
 	}
-	floats := make(map[string]*FloatCounter, len(r.floats))
 	evictions := r.evictionCounters()
-	for k, v := range r.floats {
-		floats[k] = v
-	}
 	gauges := make(map[string]*Gauge, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v
@@ -699,9 +639,6 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 	}
 	for name, v := range counterVals {
 		add(name, "counter", fmt.Sprintf("%s %d\n", name, v))
-	}
-	for name, c := range floats {
-		add(name, "counter", fmt.Sprintf("%s %g\n", name, c.Value()))
 	}
 	for name, g := range gauges {
 		add(name, "gauge", fmt.Sprintf("%s %g\n", name, g.Value()))
@@ -767,10 +704,6 @@ func (r *Registry) Snapshot() map[string]any {
 	for k, v := range r.evictionCounters() {
 		counters[k] = v
 	}
-	floats := make(map[string]float64, len(r.floats))
-	for k, v := range r.floats {
-		floats[k] = v.Value()
-	}
 	gauges := make(map[string]float64, len(r.gauges))
 	for k, v := range r.gauges {
 		gauges[k] = v.Value()
@@ -782,7 +715,6 @@ func (r *Registry) Snapshot() map[string]any {
 	stages := append([]StageRecord(nil), r.spans...)
 	return map[string]any{
 		"counters":       counters,
-		"float_counters": floats,
 		"gauges":         gauges,
 		"histograms":     hists,
 		"stages":         stages,

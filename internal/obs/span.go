@@ -28,9 +28,9 @@ type StageRecord struct {
 // hang off the run root, and Span.Child opens arbitrarily deep children
 // carrying attributes (SetAttr) and export lanes (SetLane). Only
 // top-level spans — the classic pipeline stages — feed StageRecords and
-// the per-stage metrics; children exist solely in the trace tree, so
-// per-tile and per-epoch instrumentation never distorts the manifest's
-// stage accounting.
+// the per-stage duration histogram; children exist solely in the trace
+// tree, so per-tile and per-epoch instrumentation never distorts the
+// manifest's stage accounting.
 type Span struct {
 	r       *Registry
 	name    string
@@ -97,9 +97,10 @@ func (s *Span) SetWorkers(n int) {
 // and on a nil span (returns 0).
 //
 // A top-level StartSpan span (no parent, or a direct child of the trace
-// root) appends a StageRecord and feeds the per-stage metrics, exactly
-// as before trace trees existed. Spans opened with Child — and the root
-// itself — land only in the trace ring, no matter where they sit.
+// root) appends a StageRecord and observes its duration in
+// fenrir_stage_duration_seconds{stage}. Spans opened with Child — and
+// the root itself — land only in the trace ring, no matter where they
+// sit.
 func (s *Span) End() time.Duration {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return 0
@@ -116,16 +117,14 @@ func (s *Span) End() time.Duration {
 		s.r.mu.Lock()
 		s.r.spans = append(s.r.spans, rec)
 		s.r.mu.Unlock()
-		s.r.Counter(`fenrir_stage_runs_total{stage="` + s.name + `"}`).Inc()
-		// Stage seconds accumulate monotonically: a float counter, not a
-		// gauge, so Prometheus scrapers may rate() it.
-		s.r.FloatCounter(`fenrir_stage_seconds{stage="` + s.name + `"}`).Add(d.Seconds())
+		// The histogram's _count and _sum are the stage's runs and
+		// seconds; no other metric repeats them.
 		s.r.Histogram(`fenrir_stage_duration_seconds{stage="` + s.name + `"}`).Observe(d.Seconds())
 	}
 	if s.r.traceOn.Load() {
 		rec := s.traceRecord(d)
 		s.r.mu.Lock()
-		s.r.traceAppendLocked(rec)
+		s.r.trace.Push(rec)
 		s.r.mu.Unlock()
 	}
 	return d

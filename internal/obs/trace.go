@@ -193,17 +193,6 @@ func (s *Span) traceRecord(d time.Duration) TraceRecord {
 	}
 }
 
-// traceAppend adds a record to the bounded ring; callers hold r.mu.
-func (r *Registry) traceAppendLocked(rec TraceRecord) {
-	if len(r.trace) < traceCap {
-		r.trace = append(r.trace, rec)
-		return
-	}
-	r.trace[r.traceHead] = rec
-	r.traceHead = (r.traceHead + 1) % traceCap
-	r.traceEvicted.Add(1)
-}
-
 // TraceEvicted returns how many completed spans the trace ring has
 // overwritten since creation — nonzero means an exported trace is
 // missing its oldest spans. Returns 0 on a nil registry.
@@ -211,7 +200,9 @@ func (r *Registry) TraceEvicted() uint64 {
 	if r == nil {
 		return 0
 	}
-	return r.traceEvicted.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.trace.Evicted()
 }
 
 // FlightEvicted returns how many events the flight-recorder ring has
@@ -224,20 +215,14 @@ func (r *Registry) FlightEvicted() uint64 {
 }
 
 // TraceRecords returns the ring's completed spans, oldest first. Returns
-// nil on a nil or untraced registry.
+// nil on a nil registry.
 func (r *Registry) TraceRecords() []TraceRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.trace) < traceCap {
-		return append([]TraceRecord(nil), r.trace...)
-	}
-	out := make([]TraceRecord, 0, traceCap)
-	out = append(out, r.trace[r.traceHead:]...)
-	out = append(out, r.trace[:r.traceHead]...)
-	return out
+	return r.trace.Items()
 }
 
 // traceNode is one span while the exporter rebuilds the tree.

@@ -147,7 +147,7 @@ func TestRegistrationPanicsOnMalformedName(t *testing.T) {
 	r := NewRegistry()
 	for _, f := range []func(){
 		func() { r.Counter(`bad{`) },
-		func() { r.FloatCounter("") },
+		func() { r.Histogram("") },
 		func() { r.Gauge("has space") },
 		func() { r.Histogram(`m{a=b}`) },
 	} {
@@ -162,46 +162,31 @@ func TestRegistrationPanicsOnMalformedName(t *testing.T) {
 	}
 }
 
-// --- fenrir_stage_seconds typing (satellite: regression on exposition) ---
+// --- stage exposition ---
 
-func TestStageSecondsExposedAsCounter(t *testing.T) {
+// Each stage is timed once, in fenrir_stage_duration_seconds{stage}: its
+// _count is the stage's runs and its _sum the stage's seconds.
+func TestStageDurationExposedAsHistogram(t *testing.T) {
 	r := NewRegistry()
 	r.StartSpan("similarity").End()
+	r.StartSpan("similarity").End()
+	r.StartSpan("cluster").End()
 	var sb strings.Builder
 	r.WritePrometheus(&sb)
 	out := sb.String()
-	if !strings.Contains(out, "# TYPE fenrir_stage_seconds counter") {
-		t.Fatalf("fenrir_stage_seconds not typed counter in:\n%s", out)
+	for _, want := range []string{
+		"# TYPE fenrir_stage_duration_seconds histogram",
+		`fenrir_stage_duration_seconds_count{stage="similarity"} 2`,
+		`fenrir_stage_duration_seconds_sum{stage="similarity"} `,
+		`fenrir_stage_duration_seconds_count{stage="cluster"} 1`,
+		`fenrir_stage_duration_seconds_sum{stage="cluster"} `,
+	} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("exposition missing %q in:\n%s", want, out)
+		}
 	}
-	if strings.Contains(out, "# TYPE fenrir_stage_seconds gauge") {
-		t.Fatalf("fenrir_stage_seconds still typed gauge in:\n%s", out)
-	}
-	if !strings.Contains(out, `fenrir_stage_seconds{stage="similarity"}`) {
-		t.Fatalf("fenrir_stage_seconds sample missing in:\n%s", out)
-	}
-}
-
-func TestFloatCounterMonotonic(t *testing.T) {
-	var c FloatCounter
-	c.Add(1.5)
-	c.Add(-3) // dropped: counters only go up
-	c.Add(0.5)
-	if got := c.Value(); got != 2 {
-		t.Fatalf("float counter = %v, want 2", got)
-	}
-	var wg sync.WaitGroup
-	for k := 0; k < 8; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				c.Add(0.25)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Value(); math.Abs(got-2002) > 1e-9 {
-		t.Fatalf("concurrent float counter = %v, want 2002", got)
+	if strings.Contains(out, "fenrir_stage_seconds") || strings.Contains(out, "fenrir_stage_runs_total") {
+		t.Fatalf("stage time exported twice:\n%s", out)
 	}
 }
 
@@ -493,8 +478,8 @@ func TestManifestCarriesEventsAndHistograms(t *testing.T) {
 	if !ok || hs.Count != 1 || hs.P50 <= 0 {
 		t.Fatalf("manifest histograms = %+v", m.Histograms)
 	}
-	if len(m.FloatCounters) == 0 {
-		t.Fatalf("manifest float counters missing: %+v", m.FloatCounters)
+	if st, ok := m.Histograms[`fenrir_stage_duration_seconds{stage="observe"}`]; !ok || st.Count != 1 {
+		t.Fatalf("manifest stage histogram = %+v (ok=%v), want one observe run", st, ok)
 	}
 }
 

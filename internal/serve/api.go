@@ -348,7 +348,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 	defer sp.End()
 	// Every ingest POST lands here, accepted or not: the denominator of
 	// the ingest-availability burn-rate rule.
-	s.cfg.Obs.Counter("fenrir_serve_ingest_requests_total").Inc()
+	s.met.ingestRequests.Inc()
 	if s.isDraining() {
 		s.rejectIngest("draining")
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")

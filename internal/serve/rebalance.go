@@ -88,7 +88,7 @@ func (s *Server) moveTenant(t *tenant, src, dst *shard) error {
 	if s.cfg.SnapshotDir != "" {
 		dstPath = filepath.Join(dst.dir(), t.name+snapSuffix)
 		if _, err := snapshot.SaveMonitor(dstPath, t.mon.State()); err != nil {
-			s.cfg.Obs.Counter("fenrir_snapshot_errors_total").Inc()
+			s.met.snapErrors.Inc()
 			// The move never happened: revive the tenant in place on src
 			// with a fresh worker around the untouched monitor.
 			src.mu.Lock()
@@ -96,7 +96,7 @@ func (s *Server) moveTenant(t *tenant, src, dst *shard) error {
 			src.mu.Unlock()
 			return fmt.Errorf("snapshot to target shard: %w", err)
 		}
-		s.cfg.Obs.Counter("fenrir_snapshot_writes_total").Inc()
+		s.met.snapWrites.Inc()
 	}
 	if _, err := dst.insert(t.name, t.mon); err != nil {
 		// dst began draining mid-move. Leave the parked tenant on src —

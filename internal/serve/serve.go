@@ -133,6 +133,10 @@ type Server struct {
 	// its sampler goroutine starts in New and stops in Drain.
 	hist *history.Store
 
+	// met holds the daemon-wide ingest and checkpoint metric handles,
+	// resolved once in New (nil-safe no-ops without a registry).
+	met serverMetrics
+
 	// placement holds rebalance overrides: tenant name → shard id, for
 	// tenants living somewhere other than their hash-home shard. Reads
 	// are on every request path, writes only on rebalance and restore.
@@ -144,6 +148,14 @@ type Server struct {
 	rebalanceMu sync.Mutex
 }
 
+// serverMetrics are the daemon-wide handles the ingest and checkpoint
+// paths feed.
+type serverMetrics struct {
+	ingestRequests, ingested, appendRejects *obs.Counter
+	snapWrites, snapErrors                  *obs.Counter
+	ingestSeconds, snapSeconds              *obs.Histogram
+}
+
 // New builds a server and, when cfg.SnapshotDir is set, warm-restarts
 // every tenant checkpointed there onto the shard whose subdirectory
 // holds its snapshot.
@@ -153,6 +165,15 @@ func New(cfg Config) (*Server, error) {
 	// resolved (restore creates per-tenant instruments), so overflow
 	// tenants collapse into __other__ from the very first registration.
 	cfg.Obs.SetSeriesCap(cfg.SeriesCap)
+	s.met = serverMetrics{
+		ingestRequests: cfg.Obs.Counter("fenrir_serve_ingest_requests_total"),
+		ingested:       cfg.Obs.Counter("fenrir_serve_ingest_total"),
+		appendRejects:  cfg.Obs.Counter(`fenrir_serve_rejected_total{reason="append"}`),
+		snapWrites:     cfg.Obs.Counter("fenrir_snapshot_writes_total"),
+		snapErrors:     cfg.Obs.Counter("fenrir_snapshot_errors_total"),
+		ingestSeconds:  cfg.Obs.Histogram("fenrir_serve_ingest_seconds"),
+		snapSeconds:    cfg.Obs.Histogram("fenrir_snapshot_seconds"),
+	}
 	if cfg.HistoryEvery > 0 {
 		s.hist = history.New(cfg.Obs, history.Config{
 			Every:  cfg.HistoryEvery,
@@ -233,15 +254,30 @@ func (s *Server) shardFor(name string) *shard {
 // restoreAll loads every checkpoint in SnapshotDir: each shard-<k>/
 // subdirectory is scanned and its tenants restored in place — a tenant
 // checkpointed on shard k (including one rebalanced there) comes back on
-// shard k.
+// shard k. Orphaned checkpoint temp files are removed on the way.
 func (s *Server) restoreAll() error {
+	orphans := s.cfg.Obs.Counter("fenrir_snapshot_orphans_removed_total")
 	for _, sh := range s.shards {
 		files, err := os.ReadDir(sh.dir())
 		if err != nil {
 			return fmt.Errorf("serve: scan shard dir: %w", err)
 		}
 		for _, e := range files {
-			if e.IsDir() || !strings.HasSuffix(e.Name(), snapSuffix) {
+			if e.IsDir() {
+				continue
+			}
+			if !strings.HasSuffix(e.Name(), snapSuffix) {
+				if strings.Contains(e.Name(), snapSuffix+".tmp-") {
+					// A checkpoint's temp file (<name>.fsnap.tmp-*): the
+					// process died between creating it and renaming it
+					// into place, so its deferred remove never ran.
+					if err := os.Remove(filepath.Join(sh.dir(), e.Name())); err != nil {
+						return fmt.Errorf("serve: remove orphaned checkpoint: %w", err)
+					}
+					orphans.Inc()
+					s.cfg.Obs.Logger().Warn("orphaned checkpoint temp file removed",
+						"shard", sh.id, "file", e.Name())
+				}
 				continue
 			}
 			name := strings.TrimSuffix(e.Name(), snapSuffix)

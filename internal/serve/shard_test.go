@@ -460,6 +460,63 @@ func TestDuplicateSnapshotResolved(t *testing.T) {
 	}
 }
 
+// A checkpoint cut short between its temp file's creation and the
+// rename leaves <name>.fsnap.tmp-* behind. Startup removes such orphans,
+// logs and counts each one, and leaves every other file alone.
+func TestRestoreRemovesOrphanedTempFiles(t *testing.T) {
+	dir := t.TempDir()
+	nets := specNets(20)
+	s1, ts1 := testServer(t, Config{SnapshotDir: dir})
+	if code, _ := doReq(t, ts1, http.MethodPut, "/v1/tenants/keep", defaultSpec(20)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts1, "keep", nets, 0, 6, 3)
+	waitHistory(t, ts1, "keep", 6)
+	if err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	shard0 := filepath.Join(dir, "shard-0")
+	orphans := []string{"keep" + snapSuffix + ".tmp-123", "gone" + snapSuffix + ".tmp-456"}
+	for _, name := range append(orphans, "notes.txt") {
+		if err := os.WriteFile(filepath.Join(shard0, name), []byte("partial"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reg := obs.NewRegistry()
+	_, ts := testServer(t, Config{SnapshotDir: dir, Obs: reg})
+	for _, name := range orphans {
+		if _, err := os.Stat(filepath.Join(shard0, name)); !os.IsNotExist(err) {
+			t.Fatalf("orphan %s still on disk: %v", name, err)
+		}
+	}
+	if got := reg.Counter("fenrir_snapshot_orphans_removed_total").Value(); got != 2 {
+		t.Fatalf("orphans removed counter = %d, want 2", got)
+	}
+	logged := 0
+	for _, e := range reg.Events(0) {
+		if e.Msg == "orphaned checkpoint temp file removed" {
+			logged++
+		}
+	}
+	if logged != 2 {
+		t.Fatalf("%d orphan removals logged, want 2", logged)
+	}
+	if _, err := os.Stat(filepath.Join(shard0, "notes.txt")); err != nil {
+		t.Fatalf("unrelated file touched: %v", err)
+	}
+	_, body := doReq(t, ts, http.MethodGet, "/v1/tenants/keep", nil)
+	var st struct {
+		History int `json:"history"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.History != 6 {
+		t.Fatalf("restored history %d, want 6", st.History)
+	}
+}
+
 // The full sharded lifecycle under the race detector: concurrent
 // creates, ingest, explicit checkpoints, and rebalances across shards,
 // then a drain racing the lot. Afterwards no tenant may be lost, be

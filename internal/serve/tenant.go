@@ -59,6 +59,7 @@ type tenant struct {
 	ckptHist   *obs.Histogram
 	ckptBytes  *obs.Histogram
 	queueGauge *obs.Gauge
+	snapBytes  *obs.Gauge // the last checkpoint's size
 	// ingestCount is the tenant's accepted-append counter. Under the
 	// cardinality governor an overflow tenant's handle resolves to the
 	// shared {tenant="__other__"} counter, so the sum across all
@@ -84,6 +85,7 @@ func newTenant(name string, mon *core.Monitor, sh *shard) *tenant {
 		ckptHist:    reg.Histogram(fmt.Sprintf("fenrir_serve_checkpoint_seconds{tenant=%q}", name)),
 		ckptBytes:   reg.Histogram(fmt.Sprintf("fenrir_serve_checkpoint_bytes{tenant=%q}", name)),
 		queueGauge:  reg.Gauge(fmt.Sprintf("fenrir_serve_queue_depth{tenant=%q}", name)),
+		snapBytes:   reg.Gauge(fmt.Sprintf("fenrir_snapshot_bytes{tenant=%q}", name)),
 		ingestCount: reg.Counter(fmt.Sprintf("fenrir_serve_tenant_ingest_total{tenant=%q}", name)),
 	}
 	t.cond = sync.NewCond(&t.mu)
@@ -173,12 +175,12 @@ func (t *tenant) worker() {
 		t.mu.Unlock()
 		t.sh.addPending(-1)
 		if err != nil {
-			obsReg.Counter(`fenrir_serve_rejected_total{reason="append"}`).Inc()
+			t.srv.met.appendRejects.Inc()
 		} else {
-			obsReg.Counter("fenrir_serve_ingest_total").Inc()
+			t.srv.met.ingested.Inc()
 			t.ingestCount.Inc()
 			t.sh.ingestCount.Inc()
-			obsReg.Histogram("fenrir_serve_ingest_seconds").ObserveSince(t0)
+			t.srv.met.ingestSeconds.ObserveSince(t0)
 			// Append-to-queryable lag: the observation became visible to
 			// queries now; it was accepted at q.admitted.
 			t.lagHist.ObserveSince(q.admitted)
@@ -241,20 +243,19 @@ func (t *tenant) checkpoint() (int, error) {
 		// Count here, once, so every failure path — periodic worker
 		// checkpoint, explicit POST …/checkpoint, drain — feeds the same
 		// metric instead of only the worker's.
-		t.srv.cfg.Obs.Counter("fenrir_snapshot_errors_total").Inc()
+		t.srv.met.snapErrors.Inc()
 		return 0, err
 	}
 	t.mu.Lock()
 	t.sinceCheckpoint = 0
 	t.mu.Unlock()
-	reg := t.srv.cfg.Obs
-	reg.Counter("fenrir_snapshot_writes_total").Inc()
-	reg.Histogram("fenrir_snapshot_seconds").ObserveSince(t0)
-	reg.Gauge(fmt.Sprintf("fenrir_snapshot_bytes{tenant=%q}", t.name)).Set(float64(size))
+	t.srv.met.snapWrites.Inc()
+	t.srv.met.snapSeconds.ObserveSince(t0)
+	t.snapBytes.Set(float64(size))
 	d := time.Since(t0)
 	t.ckptHist.Observe(d.Seconds())
 	t.ckptBytes.Observe(float64(size))
-	reg.Logger().Info("checkpoint written",
+	t.srv.cfg.Obs.Logger().Info("checkpoint written",
 		"tenant", t.name, "bytes", size, "history", t.mon.Len(),
 		"seconds", d.Seconds())
 	return size, nil
