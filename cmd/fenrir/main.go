@@ -153,13 +153,11 @@ func run(o cliOptions) error {
 		return fmt.Errorf("unknown fault profile %q (have: %s)", o.faults, strings.Join(faults.Names(), " "))
 	}
 
+	run := scenario.Run{Seed: o.seed, Parallelism: o.parallel, Faults: prof, FaultSeed: o.faultSeed, Obs: reg}
 	var (
-		series   *core.Series
-		matrix   *core.SimMatrix
-		modes    *core.ModesResult
-		changes  []core.ChangeEvent
-		faultRep *faults.Report
-		cfgAny   any // scenario config, recorded verbatim in the manifest
+		out     scenario.Outcome
+		changes []core.ChangeEvent
+		cfgAny  any // scenario config, recorded verbatim in the manifest
 	)
 	// finish writes the manifest; every exit path that has run a scenario
 	// goes through it so -manifest works for all scenarios.
@@ -167,8 +165,8 @@ func run(o cliOptions) error {
 		root.End()
 		reg.Logger().Info("run finished", "scenario", o.scenario,
 			"wall_seconds", time.Since(t0).Seconds())
-		if faultRep != nil {
-			fmt.Fprintln(os.Stderr, faultRep.String())
+		if out.Faults != nil {
+			fmt.Fprintln(os.Stderr, out.Faults.String())
 		}
 		if o.trace != "" {
 			if err := obs.WriteTraceFile(o.trace, reg); err != nil {
@@ -192,14 +190,14 @@ func run(o cliOptions) error {
 			}
 		}
 		m.FillFromRegistry(reg)
-		if matrix != nil {
-			m.MatrixRows = matrix.N
+		if out.Matrix != nil {
+			m.MatrixRows = out.Matrix.N
 		}
-		if series != nil {
-			m.Networks = series.Space.NumNetworks()
+		if out.Series != nil {
+			m.Networks = out.Series.Space.NumNetworks()
 		}
-		if modes != nil {
-			m.Modes = len(modes.Modes)
+		if out.Modes != nil {
+			m.Modes = len(out.Modes.Modes)
 		}
 		m.Detections = core.SummarizeDetections(changes)
 		m.PeakGoroutines, m.PeakHeapBytes = sampler.Stop()
@@ -214,72 +212,60 @@ func run(o cliOptions) error {
 	switch o.scenario {
 	case "broot":
 		cfg := scenario.DefaultBRootConfig(o.seed)
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunBRoot(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 	case "groot":
 		cfg := scenario.DefaultGRootConfig(o.seed)
 		cfg.EpochMinutes = 30 // printable scale
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunGRoot(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 		fmt.Print(report.TransitionTable(res.DrainTransitions[0], "transition at first STR drain:"))
 	case "usc":
 		cfg := scenario.DefaultUSCConfig(o.seed)
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunUSC(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 	case "google":
 		cfg := scenario.DefaultGoogleConfig(o.seed)
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunGoogle(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 	case "wikipedia":
 		cfg := scenario.DefaultWikipediaConfig(o.seed)
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunWikipedia(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 	case "validation":
 		cfg := scenario.DefaultValidationConfig(o.seed)
-		cfg.Parallelism = o.parallel
-		cfg.Faults, cfg.FaultSeed = prof, o.faultSeed
-		cfg.Obs = reg
+		cfg.Run = run
 		cfgAny = cfg
 		res, err := scenario.RunValidation(cfg)
 		if err != nil {
 			return err
 		}
-		series, matrix, modes, faultRep = res.Series, res.Matrix, res.Modes, res.Faults
+		out = res.Outcome
 		sp := reg.StartSpan("report")
 		changes = res.Detections
 		v := res.Validation
@@ -308,7 +294,7 @@ func run(o cliOptions) error {
 		if err != nil {
 			return err
 		}
-		if err := dataset.Save(f, series); err != nil {
+		if err := dataset.Save(f, out.Series); err != nil {
 			f.Close()
 			return err
 		}
@@ -316,14 +302,14 @@ func run(o cliOptions) error {
 			return err
 		}
 		fmt.Printf("dataset written to %s (%d networks x %d epochs)\n",
-			o.export, series.Space.NumNetworks(), series.Len())
+			o.export, out.Series.Space.NumNetworks(), out.Series.Len())
 	}
-	fmt.Print(report.ModesSummary(modes))
-	fmt.Print(report.Heatmap(matrix, o.heatmapDim))
+	fmt.Print(report.ModesSummary(out.Modes))
+	fmt.Print(report.Heatmap(out.Matrix, o.heatmapDim))
 	if o.stack {
-		fmt.Print(report.StackPlot(series))
+		fmt.Print(report.StackPlot(out.Series))
 	}
-	changes = core.DetectChanges(series, nil, core.DefaultDetectOptions())
+	changes = core.DetectChanges(out.Series, nil, core.DefaultDetectOptions())
 	core.ObserveDetections(reg, spRep, changes)
 	for _, c := range changes {
 		fmt.Printf("change at epoch %d: Phi %.2f (baseline %.2f)\n", c.At, c.Phi, c.Baseline)

@@ -4,11 +4,13 @@ import (
 	"encoding/binary"
 	"hash"
 	"hash/fnv"
+	"math"
 	"sort"
 	"testing"
 
 	"fenrir/internal/core"
 	"fenrir/internal/faults"
+	"fenrir/internal/obs"
 )
 
 // The determinism tests compare two runs of the same code, so a change
@@ -18,91 +20,95 @@ import (
 // only for a change meant to alter scenario output, and say so in the
 // change's notes.
 
+// goldenCase is one scenario at its determinism-test scale. run applies
+// set to the config's Run, then runs the scenario.
+type goldenCase struct {
+	name           string
+	run            func(set func(*Run)) (Outcome, error)
+	plain, faulted uint64
+}
+
+var goldenCases = []goldenCase{
+	{"broot", func(set func(*Run)) (Outcome, error) {
+		cfg := smallBRoot()
+		cfg.LatencyEvery = 0
+		set(&cfg.Run)
+		r, err := RunBRoot(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0xdce78f360728f98a, 0x2719d50d5cf63886},
+	{"groot", func(set func(*Run)) (Outcome, error) {
+		cfg := DefaultGRootConfig(9)
+		cfg.Days = 3
+		cfg.EpochMinutes = 60
+		cfg.VPs = 60
+		cfg.StubsPerRegion = 8
+		set(&cfg.Run)
+		r, err := RunGRoot(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0x6796fe8be903c40c, 0x908032660106cb70},
+	{"usc", func(set func(*Run)) (Outcome, error) {
+		cfg := DefaultUSCConfig(9)
+		cfg.EpochDays = 28
+		cfg.StubsPerRegion = 8
+		cfg.HitlistStride = 4
+		set(&cfg.Run)
+		r, err := RunUSC(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0xcdccb712f4289b71, 0x72cee92fc7bd9060},
+	{"google", func(set func(*Run)) (Outcome, error) {
+		cfg := DefaultGoogleConfig(4)
+		cfg.Days2024 = 21
+		cfg.Prefixes = 400
+		cfg.FleetSize = 120
+		cfg.StubsPerRegion = 10
+		set(&cfg.Run)
+		r, err := RunGoogle(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0x164fb04734bbdced, 0xd1b110d7a63981c2},
+	{"wikipedia", func(set func(*Run)) (Outcome, error) {
+		cfg := DefaultWikipediaConfig(9)
+		cfg.Days = 14
+		cfg.Prefixes = 300
+		cfg.StubsPerRegion = 8
+		set(&cfg.Run)
+		r, err := RunWikipedia(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0x65ffa651fc7f4d3a, 0x5c069240457a3622},
+	{"validation", func(set func(*Run)) (Outcome, error) {
+		cfg := DefaultValidationConfig(9)
+		cfg.Epochs = 700
+		cfg.VPs = 80
+		cfg.StubsPerRegion = 8
+		set(&cfg.Run)
+		r, err := RunValidation(cfg)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return r.Outcome, nil
+	}, 0x0b429e8f4da6ccf7, 0x82ed7af2577bd48a},
+}
+
 func TestScenarioGoldenDigests(t *testing.T) {
-	cases := []struct {
-		name string
-		// run is the scenario at its determinism-test scale.
-		run            func(faults.Profile, uint64) (*core.Series, *faults.Report, error)
-		plain, faulted uint64
-	}{
-		{"broot", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := smallBRoot()
-			cfg.LatencyEvery = 0
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunBRoot(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0xdce78f360728f98a, 0x2719d50d5cf63886},
-		{"groot", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := DefaultGRootConfig(9)
-			cfg.Days = 3
-			cfg.EpochMinutes = 60
-			cfg.VPs = 60
-			cfg.StubsPerRegion = 8
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunGRoot(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0x6796fe8be903c40c, 0x908032660106cb70},
-		{"usc", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := DefaultUSCConfig(9)
-			cfg.EpochDays = 28
-			cfg.StubsPerRegion = 8
-			cfg.HitlistStride = 4
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunUSC(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0xcdccb712f4289b71, 0x72cee92fc7bd9060},
-		{"google", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := DefaultGoogleConfig(4)
-			cfg.Days2024 = 21
-			cfg.Prefixes = 400
-			cfg.FleetSize = 120
-			cfg.StubsPerRegion = 10
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunGoogle(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0x164fb04734bbdced, 0xd1b110d7a63981c2},
-		{"wikipedia", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := DefaultWikipediaConfig(9)
-			cfg.Days = 14
-			cfg.Prefixes = 300
-			cfg.StubsPerRegion = 8
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunWikipedia(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0x65ffa651fc7f4d3a, 0x5c069240457a3622},
-		{"validation", func(p faults.Profile, fs uint64) (*core.Series, *faults.Report, error) {
-			cfg := DefaultValidationConfig(9)
-			cfg.Epochs = 700
-			cfg.VPs = 80
-			cfg.StubsPerRegion = 8
-			cfg.Faults, cfg.FaultSeed = p, fs
-			r, err := RunValidation(cfg)
-			if err != nil {
-				return nil, nil, err
-			}
-			return r.Series, r.Faults, nil
-		}, 0x0b429e8f4da6ccf7, 0x82ed7af2577bd48a},
-	}
 	light, ok := faults.ByName("light")
 	if !ok {
 		t.Fatal("no light profile")
 	}
-	for _, c := range cases {
+	for _, c := range goldenCases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, v := range []struct {
 				label string
@@ -113,12 +119,75 @@ func TestScenarioGoldenDigests(t *testing.T) {
 				{"plain", faults.Profile{}, 0, c.plain},
 				{"light/7", light, 7, c.faulted},
 			} {
-				s, rep, err := c.run(v.prof, v.seed)
+				out, err := c.run(func(r *Run) { r.Faults, r.FaultSeed = v.prof, v.seed })
 				if err != nil {
 					t.Fatalf("%s: %v", v.label, err)
 				}
-				if got := goldenDigest(s, rep); got != v.want {
+				if got := goldenDigest(out.Series, out.Faults); got != v.want {
 					t.Errorf("%s: digest %#016x, want %#016x", v.label, got, v.want)
+				}
+			}
+		})
+	}
+}
+
+// TestScenarioRunContract holds every runner to the shared run contract:
+// a plain run carries no fault or quarantine report; a faulted run
+// carries both, except that USC, with no known site set, has no
+// quarantine; and neither the worker pool nor an instrumentation
+// registry moves the series or a bit of the matrix, while the registry
+// records the four stages every study shares.
+func TestScenarioRunContract(t *testing.T) {
+	light, ok := faults.ByName("light")
+	if !ok {
+		t.Fatal("no light profile")
+	}
+	for _, c := range goldenCases {
+		t.Run(c.name, func(t *testing.T) {
+			plain, err := c.run(func(r *Run) { r.Parallelism = 1 })
+			if err != nil {
+				t.Fatalf("plain: %v", err)
+			}
+			if plain.Faults != nil || plain.Quarantine != nil {
+				t.Errorf("plain run has reports: faults %v, quarantine %v", plain.Faults, plain.Quarantine)
+			}
+
+			faulted, err := c.run(func(r *Run) { r.Faults, r.FaultSeed = light, 7 })
+			if err != nil {
+				t.Fatalf("light: %v", err)
+			}
+			if faulted.Faults == nil {
+				t.Error("light run has no fault report")
+			}
+			if wantQ := c.name != "usc"; (faulted.Quarantine != nil) != wantQ {
+				t.Errorf("light run quarantine %v, want present=%v", faulted.Quarantine, wantQ)
+			}
+
+			reg := obs.NewRegistry()
+			par, err := c.run(func(r *Run) { r.Parallelism, r.Obs = 2, reg })
+			if err != nil {
+				t.Fatalf("parallel: %v", err)
+			}
+			if a, b := goldenDigest(plain.Series, nil), goldenDigest(par.Series, nil); a != b {
+				t.Errorf("series digest %#016x at parallelism 1, %#016x at 2 with a registry", a, b)
+			}
+			if plain.Matrix.N != par.Matrix.N {
+				t.Fatalf("matrix rows %d vs %d", plain.Matrix.N, par.Matrix.N)
+			}
+			for i := 0; i < plain.Matrix.N; i++ {
+				for j := 0; j < i; j++ {
+					if a, b := plain.Matrix.At(i, j), par.Matrix.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
+						t.Fatalf("matrix cell (%d,%d): %v at parallelism 1, %v at 2", i, j, a, b)
+					}
+				}
+			}
+			stages := map[string]bool{}
+			for _, s := range reg.StageSummary() {
+				stages[s.Name] = true
+			}
+			for _, name := range []string{"generate", "observe", "similarity", "cluster"} {
+				if !stages[name] {
+					t.Errorf("stage summary lacks %q: %v", name, reg.StageSummary())
 				}
 			}
 		})

@@ -6,10 +6,8 @@ import (
 	"fenrir/internal/astopo"
 	"fenrir/internal/core"
 	"fenrir/internal/dataplane"
-	"fenrir/internal/faults"
 	"fenrir/internal/measure/traceroute"
 	"fenrir/internal/netaddr"
-	"fenrir/internal/obs"
 	"fenrir/internal/rng"
 	"fenrir/internal/timeline"
 )
@@ -27,7 +25,7 @@ const (
 
 // USCConfig scales the eight-month enterprise traceroute study.
 type USCConfig struct {
-	Seed uint64
+	Run
 	// EpochDays is the scan cadence (paper: a full scan takes ~8 h, run
 	// daily).
 	EpochDays int
@@ -42,30 +40,17 @@ type USCConfig struct {
 	// series are never identical day over day; the paper's within-mode
 	// Phi sits in [0.31, 0.65], not at 1.0.
 	ChurnProb float64
-	// Parallelism sizes the similarity-matrix worker pool (0 = all
-	// cores, 1 = serial); the matrix is bit-identical at any setting.
-	Parallelism int
-	// Faults selects an injected-fault profile (zero = no fault layer and
-	// byte-identical output); FaultSeed seeds the injector, 0 deriving one
-	// from Seed. See internal/faults.
-	Faults    faults.Profile
-	FaultSeed uint64
-	// Obs receives pipeline instrumentation (stage spans and engine
-	// metrics); nil disables it with no behavioural change.
-	Obs *obs.Registry `json:"-"`
 }
 
 // DefaultUSCConfig finishes in seconds.
 func DefaultUSCConfig(seed uint64) USCConfig {
-	return USCConfig{Seed: seed, EpochDays: 4, StubsPerRegion: 20, HitlistStride: 2, FocusHop: 3, ChurnProb: 0.6}
+	return USCConfig{Run: Run{Seed: seed}, EpochDays: 4, StubsPerRegion: 20, HitlistStride: 2, FocusHop: 3, ChurnProb: 0.6}
 }
 
 // USCResult carries Figure 2's series/heatmap and Figures 7/8 flows.
 type USCResult struct {
 	Schedule timeline.Schedule
-	Series   *core.Series
-	Matrix   *core.SimMatrix
-	Modes    *core.ModesResult
+	Outcome
 	// ChangeEpoch is the 2025-01-16 reconfiguration.
 	ChangeEpoch timeline.Epoch
 	// FlowsBefore/FlowsAfter are hop 1-4 Sankey flows on the epochs
@@ -73,9 +58,6 @@ type USCResult struct {
 	FlowsBefore, FlowsAfter map[string]int
 	// Hop3Before/Hop3After aggregate the focus-hop catchments.
 	Hop3Before, Hop3After map[string]int
-	// Faults reports injected faults, retries, and quarantined
-	// observations; nil when no fault layer was active.
-	Faults *faults.Report
 }
 
 // RunUSC executes the multi-homed-enterprise scenario: USC (AS52) buys
@@ -174,7 +156,7 @@ func RunUSC(cfg USCConfig) (*USCResult, error) {
 		}
 		hitlist = append(hitlist, blocks[i])
 	}
-	inj := newInjector(cfg.Seed, cfg.Faults, cfg.FaultSeed, cfg.Obs)
+	inj := cfg.injector()
 	prober := traceroute.NewProber(inj.Wrap(w.Net, "traceroute"), ASNUSC, netaddr.MustParseAddr("128.125.1.1"))
 	prober.Backoff = inj.NewBackoff("traceroute", 0)
 	space := traceroute.Space(hitlist)
@@ -251,8 +233,9 @@ func RunUSC(cfg USCConfig) (*USCResult, error) {
 	spObs.SetItems(int64(len(vectors)))
 	spObs.End()
 
-	res.Series = core.NewSeries(space, sched, vectors, nil)
-	res.Matrix, res.Modes = analyze(cfg.Obs, res.Series, cfg.Parallelism)
+	// Hop labels form no known site set, so fault runs skip the
+	// quarantine.
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), nil)
 	spTr := cfg.Obs.StartSpan("transitions")
 	res.FlowsBefore = traceroute.FlowsAtHops(tracesBefore, 1, 4)
 	res.FlowsAfter = traceroute.FlowsAtHops(tracesAfter, 1, 4)
@@ -260,6 +243,5 @@ func RunUSC(cfg USCConfig) (*USCResult, error) {
 	res.Hop3After = res.Series.At(change + 1).Aggregate()
 	spTr.SetItems(int64(len(tracesBefore) + len(tracesAfter)))
 	spTr.End()
-	res.Faults = inj.Report()
 	return res, nil
 }
