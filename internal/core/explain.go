@@ -165,12 +165,18 @@ func (x *explainer) recur(cur *Vector, phi, baseline float64) verdict {
 }
 
 // explain builds the Explanation for an event over the adjacent pair
-// (prev, cur) around its recurrence verdict vd. Every accumulation below
-// iterates networks in row order — float summation order is part of the
-// byte-identical batch/stream contract, which is why the masses are not
-// taken from TransitionMatrix's map-backed accessors.
+// (prev, cur) around its recurrence verdict vd. Every accumulation
+// iterates networks in row order, as Transition does for the masses it
+// returns — float summation order is part of the byte-identical
+// batch/stream contract.
 func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
+	tm := Transition(prev, cur, x.w)
 	e := &Explanation{
+		Moved:       tm.Moved(),
+		Stayed:      tm.Stayed(),
+		Unobserved:  tm.Unobserved(),
+		Total:       tm.Total(),
+		TopFlows:    tm.LargestFlows(explainTopFlows),
 		Recurrence:  vd.recurrence,
 		MatchedMode: vd.mode,
 		ModePhi:     vd.phi,
@@ -193,21 +199,12 @@ func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
 		if x.w != nil {
 			wi = x.w[n]
 		}
-		e.Total += wi
 		from, to := prev.Get(n), cur.Get(n)
 		switch {
-		case from == Unknown && to == Unknown:
-			e.Unobserved += wi
-		case from == Unknown:
-			e.Unobserved += wi
+		case from == Unknown && to != Unknown:
 			e.BecameKnown += wi
-		case to == Unknown:
-			e.Unobserved += wi
+		case from != Unknown && to == Unknown:
 			e.WentUnknown += wi
-		case from == to:
-			e.Stayed += wi
-		default:
-			e.Moved += wi
 		}
 		if from != to {
 			e.ChangedCount++
@@ -232,7 +229,5 @@ func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
 			Weight:  c.w,
 		})
 	}
-
-	e.TopFlows = Transition(prev, cur, x.w).LargestFlows(explainTopFlows)
 	return e
 }

@@ -14,6 +14,11 @@ type TransitionMatrix struct {
 	Sites  []string // axis labels, stable order
 	counts map[[2]int]float64
 	index  map[string]int
+	// The mass partition, summed in network row order while the matrix
+	// is built: summing the map would follow Go's randomized iteration
+	// order, and fractional weights would then give different bits from
+	// call to call.
+	moved, stayed, unobserved, total float64
 }
 
 // UnknownLabel is the axis label used for unobserved assignments.
@@ -75,6 +80,15 @@ func Transition(a, b *Vector, w []float64) *TransitionMatrix {
 			wi = w[n]
 		}
 		tm.counts[[2]int{label(a, n), label(b, n)}] += wi
+		tm.total += wi
+		switch from, to := a.Get(n), b.Get(n); {
+		case from == Unknown || to == Unknown:
+			tm.unobserved += wi
+		case from == to:
+			tm.stayed += wi
+		default:
+			tm.moved += wi
+		}
 	}
 	return tm
 }
@@ -90,69 +104,28 @@ func (tm *TransitionMatrix) At(from, to string) float64 {
 }
 
 // Moved returns the total weight that verifiably shifted between the two
-// vectors: off-diagonal cells whose endpoints are both observed sites.
-// Cells into or out of "unknown" are excluded for the same reason Stayed
-// excludes unknown→unknown — a network that vanished from (or appeared
-// in) the measurement tells us nothing about routing stability, and
-// counting it would let a collection outage masquerade as churn. The
+// vectors: networks observed at different sites in both. Networks
+// unobserved in either vector are excluded for the same reason Stayed
+// excludes networks unobserved in both — a network that vanished from (or
+// appeared in) the measurement tells us nothing about routing stability,
+// and counting it would let a collection outage masquerade as churn. The
 // excluded weight is still retrievable via At/Row and is totalled by
-// Unobserved, so Moved + Stayed + Unobserved equals the matrix weight.
-func (tm *TransitionMatrix) Moved() float64 {
-	var sum float64
-	u, hasUnknown := tm.index[UnknownLabel]
-	for k, v := range tm.counts {
-		if k[0] == k[1] {
-			continue
-		}
-		if hasUnknown && (k[0] == u || k[1] == u) {
-			continue
-		}
-		sum += v
-	}
-	return sum
-}
+// Unobserved, so Moved + Stayed + Unobserved equals Total.
+func (tm *TransitionMatrix) Moved() float64 { return tm.moved }
 
-// Unobserved returns the total weight in unknown-involved cells — both
-// the off-diagonal site↔unknown flows that Moved excludes and the
+// Unobserved returns the total weight of networks unobserved in either
+// vector — both the site↔unknown flows that Moved excludes and the
 // unknown→unknown cell that Stayed excludes. The three accessors
 // partition the matrix: Moved + Stayed + Unobserved == Total.
-func (tm *TransitionMatrix) Unobserved() float64 {
-	u, hasUnknown := tm.index[UnknownLabel]
-	if !hasUnknown {
-		return 0
-	}
-	var sum float64
-	for k, v := range tm.counts {
-		if k[0] == u || k[1] == u {
-			sum += v
-		}
-	}
-	return sum
-}
+func (tm *TransitionMatrix) Unobserved() float64 { return tm.unobserved }
 
 // Total returns the total weight in the matrix: Σw over every network,
 // however observed.
-func (tm *TransitionMatrix) Total() float64 {
-	var sum float64
-	for _, v := range tm.counts {
-		sum += v
-	}
-	return sum
-}
+func (tm *TransitionMatrix) Total() float64 { return tm.total }
 
-// Stayed returns the total weight on the diagonal, excluding the
-// unknown→unknown cell (networks never observed tell us nothing about
-// stability).
-func (tm *TransitionMatrix) Stayed() float64 {
-	var sum float64
-	u, hasUnknown := tm.index[UnknownLabel]
-	for k, v := range tm.counts {
-		if k[0] == k[1] && (!hasUnknown || k[0] != u) {
-			sum += v
-		}
-	}
-	return sum
-}
+// Stayed returns the weight of networks observed at the same site in both
+// vectors (networks never observed tell us nothing about stability).
+func (tm *TransitionMatrix) Stayed() float64 { return tm.stayed }
 
 // Row returns the distribution out of a site: where its networks went.
 func (tm *TransitionMatrix) Row(from string) map[string]float64 {

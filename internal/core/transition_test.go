@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"fenrir/internal/rng"
@@ -201,6 +203,50 @@ func TestTransitionMassConservation(t *testing.T) {
 		}
 		if int(rowSum) != count {
 			t.Fatalf("row sum for %s = %v, aggregate %d", site, rowSum, count)
+		}
+	}
+}
+
+func TestTransitionMassesSumInRowOrder(t *testing.T) {
+	// With fractional weights float addition depends on its order, so
+	// masses summed over the cell map would follow Go's randomized map
+	// iteration and change bits from call to call. They must equal the
+	// network row-order sums every time.
+	const n = 400
+	r := rng.New(11)
+	s := NewSpace(nets(n))
+	a, b := s.NewVector(0), s.NewVector(1)
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1000 * r.Float64()
+		if !r.Bool(0.1) {
+			a.Set(i, fmt.Sprintf("s%02d", r.Intn(23)))
+		}
+		if !r.Bool(0.1) {
+			b.Set(i, fmt.Sprintf("s%02d", r.Intn(29)))
+		}
+	}
+	var want [4]float64 // moved, stayed, unobserved, total
+	for i := 0; i < n; i++ {
+		sa, oka := a.Site(i)
+		sb, okb := b.Site(i)
+		switch {
+		case !oka || !okb:
+			want[2] += w[i]
+		case sa == sb:
+			want[1] += w[i]
+		default:
+			want[0] += w[i]
+		}
+		want[3] += w[i]
+	}
+	for call := 0; call < 200; call++ {
+		tm := Transition(a, b, w)
+		got := [4]float64{tm.Moved(), tm.Stayed(), tm.Unobserved(), tm.Total()}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
+				t.Fatalf("call %d: masses %v, want row-order sums %v", call, got, want)
+			}
 		}
 	}
 }
