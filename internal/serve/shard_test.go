@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -514,6 +516,97 @@ func TestRestoreRemovesOrphanedTempFiles(t *testing.T) {
 	}
 	if st.History != 6 {
 		t.Fatalf("restored history %d, want 6", st.History)
+	}
+}
+
+// A checkpoint whose content is rejected — a flipped payload byte, a
+// file that is not a snapshot — is renamed to <name>.fsnap.corrupt,
+// logged at Error level and counted, and the other tenants start. An
+// unknown format version still fails startup.
+func TestRestoreSetsAsideUnreadableCheckpoints(t *testing.T) {
+	dir := t.TempDir()
+	s1, ts1 := testServer(t, Config{SnapshotDir: dir})
+	if code, _ := doReq(t, ts1, http.MethodPut, "/v1/tenants/keep", defaultSpec(20)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts1, "keep", specNets(20), 0, 6, 3)
+	waitHistory(t, ts1, "keep", 6)
+	if err := s1.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	shard0 := filepath.Join(dir, "shard-0")
+	raw, err := os.ReadFile(filepath.Join(shard0, "keep"+snapSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), raw...)
+	flipped[8+3+4+1] ^= 0xff // the first frame's second payload byte
+	badMagic := append([]byte(nil), raw...)
+	badMagic[0] ^= 0xff
+	bad := map[string][]byte{"flipped": flipped, "magic": badMagic}
+	for name, b := range bad {
+		if err := os.WriteFile(filepath.Join(shard0, name+snapSuffix), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	reg := obs.NewRegistry()
+	s2, ts := testServer(t, Config{SnapshotDir: dir, Obs: reg})
+	if code, _ := doReq(t, ts, http.MethodGet, "/v1/tenants/keep", nil); code != http.StatusOK {
+		t.Fatalf("valid tenant answered %d", code)
+	}
+	if names := s2.tenantNames(); len(names) != 1 {
+		t.Fatalf("tenants %v, want only keep", names)
+	}
+	for name := range bad {
+		path := filepath.Join(shard0, name+snapSuffix)
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s still on disk: %v", path, err)
+		}
+		if _, err := os.Stat(path + ".corrupt"); err != nil {
+			t.Errorf("%s not set aside: %v", name, err)
+		}
+	}
+	if got := reg.Counter("fenrir_snapshot_unreadable_total").Value(); got != 2 {
+		t.Fatalf("unreadable counter = %d, want 2", got)
+	}
+	logged := 0
+	for _, e := range reg.Events(0) {
+		if e.Msg == "unreadable checkpoint set aside" && e.Level == "ERROR" {
+			logged++
+		}
+	}
+	if logged != 2 {
+		t.Fatalf("%d set-asides logged at Error, want 2", logged)
+	}
+	if err := s2.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The set-aside files are not checkpoints: a restart ignores them.
+	reg = obs.NewRegistry()
+	s3, _ := testServer(t, Config{SnapshotDir: dir, Obs: reg})
+	if names := s3.tenantNames(); len(names) != 1 {
+		t.Fatalf("restart tenants %v, want only keep", names)
+	}
+	if got := reg.Counter("fenrir_snapshot_unreadable_total").Value(); got != 0 {
+		t.Fatalf("restart unreadable counter = %d, want 0", got)
+	}
+	if err := s3.Drain(); err != nil {
+		t.Fatal(err)
+	}
+
+	future := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint16(future[8:10], 0x03EE)
+	if err := os.WriteFile(filepath.Join(shard0, "future"+snapSuffix), future, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var verr *snapshot.UnsupportedVersionError
+	if _, err := New(Config{SnapshotDir: dir, Obs: obs.NewRegistry()}); !errors.As(err, &verr) {
+		t.Fatalf("unknown version: New returned %v, want *UnsupportedVersionError", err)
+	}
+	if _, err := os.Stat(filepath.Join(shard0, "future"+snapSuffix)); err != nil {
+		t.Fatalf("unknown-version file moved: %v", err)
 	}
 }
 
