@@ -4,22 +4,14 @@ import (
 	"fenrir/internal/obs"
 )
 
-// ObserveDetection feeds one explained change event into a registry:
-// the fenrir_detect_recurrence_total / fenrir_detect_novel_total
-// counters and a flight-recorder line carrying the event's provenance
-// (verdict, magnitude, top flow). The streaming Monitor calls it per
-// event; batch pipelines call ObserveDetections after DetectChanges.
-// A nil registry is a no-op, per the obs contract.
-func ObserveDetection(r *obs.Registry, ev ChangeEvent) {
+// logDetection writes an explained change event's flight-recorder line,
+// carrying its provenance (verdict, magnitude, top flow). A nil registry
+// is a no-op, per the obs contract.
+func logDetection(r *obs.Registry, ev ChangeEvent) {
 	if r == nil || ev.Explanation == nil {
 		return
 	}
 	ex := ev.Explanation
-	if ex.Recurrence {
-		r.Counter("fenrir_detect_recurrence_total").Inc()
-	} else {
-		r.Counter("fenrir_detect_novel_total").Inc()
-	}
 	args := []any{
 		"at", int64(ev.At),
 		"phi", ev.Phi,
@@ -37,19 +29,31 @@ func ObserveDetection(r *obs.Registry, ev ChangeEvent) {
 }
 
 // ObserveDetections feeds a batch of explained change events into a
-// registry (see ObserveDetection) and annotates the detection span, when
-// one is given, with the recurrence/novel split.
+// registry: a flight-recorder line per event (see logDetection) and the
+// fenrir_detect_recurrence_total / fenrir_detect_novel_total counters.
+// It annotates the detection span, when one is given, with the
+// recurrence/novel split. The streaming Monitor feeds the same counters
+// per event through the handles Instrument resolves.
 func ObserveDetections(r *obs.Registry, sp *obs.Span, events []ChangeEvent) {
 	recur, novel := 0, 0
 	for _, ev := range events {
-		ObserveDetection(r, ev)
-		if ev.Explanation != nil {
-			if ev.Explanation.Recurrence {
-				recur++
-			} else {
-				novel++
-			}
+		if ev.Explanation == nil {
+			continue
 		}
+		if ev.Explanation.Recurrence {
+			recur++
+		} else {
+			novel++
+		}
+		logDetection(r, ev)
+	}
+	// One lookup per verdict per call, and none for a verdict that did
+	// not occur: a batch run registers no counter it never moves.
+	if recur > 0 {
+		r.Counter("fenrir_detect_recurrence_total").Add(int64(recur))
+	}
+	if novel > 0 {
+		r.Counter("fenrir_detect_novel_total").Add(int64(novel))
 	}
 	if sp != nil {
 		sp.SetAttr("recurrences", recur)

@@ -87,6 +87,7 @@ type Monitor struct {
 // Instrument; while detached every handle is nil, a no-op.
 type monitorMetrics struct {
 	appends, events, evictions, rebuilds, churn *obs.Counter
+	recurrences, novel                          *obs.Counter
 	ingest                                      *obs.Histogram
 }
 
@@ -174,17 +175,21 @@ func (m *Monitor) rowLocked(v *Vector) int {
 
 // Instrument attaches a metrics registry: each append then feeds the
 // fenrir_monitor_appends_total / fenrir_monitor_events_total counters
-// and the fenrir_monitor_ingest_seconds latency histogram, evictions
-// and mode reads their own counters. The handles are resolved here,
-// once. A nil registry detaches (the no-op default).
+// and the fenrir_monitor_ingest_seconds latency histogram, each change
+// event its verdict counter (fenrir_detect_recurrence_total or
+// fenrir_detect_novel_total) and a flight-recorder line, evictions and
+// mode reads their own counters. The handles are resolved here, once. A
+// nil registry detaches (the no-op default).
 func (m *Monitor) Instrument(r *obs.Registry) {
 	met := monitorMetrics{
-		appends:   r.Counter("fenrir_monitor_appends_total"),
-		events:    r.Counter("fenrir_monitor_events_total"),
-		evictions: r.Counter("fenrir_monitor_evictions_total"),
-		rebuilds:  r.Counter("fenrir_monitor_mode_rebuilds_total"),
-		churn:     r.Counter("fenrir_monitor_mode_churn_total"),
-		ingest:    r.Histogram("fenrir_monitor_ingest_seconds"),
+		appends:     r.Counter("fenrir_monitor_appends_total"),
+		events:      r.Counter("fenrir_monitor_events_total"),
+		evictions:   r.Counter("fenrir_monitor_evictions_total"),
+		rebuilds:    r.Counter("fenrir_monitor_mode_rebuilds_total"),
+		churn:       r.Counter("fenrir_monitor_mode_churn_total"),
+		recurrences: r.Counter("fenrir_detect_recurrence_total"),
+		novel:       r.Counter("fenrir_detect_novel_total"),
+		ingest:      r.Histogram("fenrir_monitor_ingest_seconds"),
 	}
 	m.mu.Lock()
 	m.obs, m.met = r, met
@@ -275,7 +280,14 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 	m.met.ingest.Observe(ingest.Seconds())
 	if changed {
 		m.met.events.Inc()
-		ObserveDetection(m.obs, event)
+		if ex := event.Explanation; ex != nil {
+			if ex.Recurrence {
+				m.met.recurrences.Inc()
+			} else {
+				m.met.novel.Inc()
+			}
+		}
+		logDetection(m.obs, event)
 	}
 	return event, changed, nil
 }

@@ -145,8 +145,8 @@ func (s *Server) buildMux() *http.ServeMux {
 // (fenrir_serve_rejected_total{reason=...}) and in the unlabeled
 // aggregate that feeds the ingest-availability burn-rate rule.
 func (s *Server) rejectIngest(reason string) {
-	s.cfg.Obs.Counter("fenrir_serve_ingest_rejected_total").Inc()
-	s.cfg.Obs.Counter(fmt.Sprintf("fenrir_serve_rejected_total{reason=%q}", reason)).Inc()
+	s.met.ingestRejected.Inc()
+	s.met.rejected[reason].Inc()
 }
 
 // withTenant resolves the {name} path value or 404s.
@@ -435,7 +435,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		// request itself was accepted, so only the per-reason counter
 		// moves — not the request-level rejected aggregate.
 		if dupErr, _ := t.admit(v); dupErr != nil {
-			s.cfg.Obs.Counter(`fenrir_serve_rejected_total{reason="duplicate"}`).Inc()
+			s.met.rejected["duplicate"].Inc()
 		}
 	}
 	// Admission latency: request arrival to accepted verdict, recorded

@@ -63,7 +63,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "rebalance %q: %v", req.Tenant, err)
 		return
 	}
-	s.cfg.Obs.Counter("fenrir_serve_rebalances_total").Inc()
+	s.met.rebalances.Inc()
 	s.setTenantGauge()
 	s.cfg.Obs.Logger().Info("tenant rebalanced",
 		"tenant", req.Tenant, "from_shard", src.id, "to_shard", dst.id)

@@ -299,6 +299,35 @@ func TestServeIngestErrors(t *testing.T) {
 	}
 }
 
+// Every per-event metric handle is resolved up front, so its series
+// exists at 0 before the first event: the reject counters and the
+// rebalance counter from New, a tenant monitor's verdict counters from
+// its Instrument.
+func TestServeMetricsExistFromStartup(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, ts := testServer(t, Config{Obs: reg})
+	counters := func() map[string]int64 { return reg.Snapshot()["counters"].(map[string]int64) }
+	want := []string{"fenrir_serve_ingest_rejected_total", "fenrir_serve_rebalances_total"}
+	for _, reason := range []string{"append", "draining", "read", "dropped", "malformed", "backpressure", "duplicate", "order"} {
+		want = append(want, fmt.Sprintf("fenrir_serve_rejected_total{reason=%q}", reason))
+	}
+	got := counters()
+	for _, name := range want {
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Errorf("after New: %s = %d (present %v), want 0", name, v, ok)
+		}
+	}
+	if code, body := doReq(t, ts, http.MethodPut, "/v1/tenants/fresh", defaultSpec(4)); code != http.StatusCreated {
+		t.Fatalf("create: %d: %s", code, body)
+	}
+	got = counters()
+	for _, name := range []string{"fenrir_detect_recurrence_total", "fenrir_detect_novel_total"} {
+		if v, ok := got[name]; !ok || v != 0 {
+			t.Errorf("after tenant creation: %s = %d (present %v), want 0", name, v, ok)
+		}
+	}
+}
+
 func TestServeTenantAdmin(t *testing.T) {
 	_, ts := testServer(t, Config{})
 	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/bad*name", defaultSpec(4)); code != http.StatusBadRequest {

@@ -175,7 +175,7 @@ func (t *tenant) worker() {
 		t.mu.Unlock()
 		t.sh.addPending(-1)
 		if err != nil {
-			t.srv.met.appendRejects.Inc()
+			t.srv.met.rejected["append"].Inc()
 		} else {
 			t.srv.met.ingested.Inc()
 			t.ingestCount.Inc()
