@@ -34,12 +34,15 @@ race:
 # The perf-critical benches: the packed similarity engine sweep (serial
 # vs auto, plus the large-alphabet row), the fixed-depth windowed
 # append, the /mode read that re-clusters that window, the incremental
-# threshold sweep, and the end-to-end Analyze pipeline. Output is
-# parsed into BENCH_core.json, each row with the GOMAXPROCS and CPU
-# count it ran with; a failing bench run aborts loudly instead of
-# writing an empty file.
+# threshold sweep, the end-to-end Analyze pipeline, and a default B-Root
+# run and a 4-minute G-Root run, whose wall time is almost all the
+# observe stage. Output is parsed into BENCH_core.json, each row with
+# the GOMAXPROCS and CPU count it ran with; a failing bench run aborts
+# loudly instead of writing an empty file. benchguard does not guard the
+# two scenario rows: one op is one run of a few seconds, and repeated
+# runs spread by about 1.2x, wider than its 15% margin.
 bench:
-	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|AnalyzePipeline' -benchmem . > bench.out 2>&1 \
+	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|AnalyzePipeline|ScenarioBRoot|ScenarioGRoot' -benchmem . > bench.out 2>&1 \
 		|| { cat bench.out >&2; rm -f bench.out; exit 1; }
 	@./scripts/bench2json.sh < bench.out > BENCH_core.json.tmp \
 		|| { rm -f bench.out BENCH_core.json.tmp; exit 1; }

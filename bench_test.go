@@ -378,6 +378,30 @@ func BenchmarkMonitorModeRead(b *testing.B) {
 	}
 }
 
+// BenchmarkScenarioBRoot runs the B-Root scenario at its default scale:
+// the batch path end to end, where observe takes nearly all of the wall
+// time. One op is one run of a few seconds.
+func BenchmarkScenarioBRoot(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		if _, err := RunBRoot(DefaultBRootConfig(42)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkScenarioGRoot runs G-Root at the paper's 4-minute cadence for
+// three days, the shortest run that reaches past the first drain (two
+// days end before its boundary vectors exist).
+func BenchmarkScenarioGRoot(b *testing.B) {
+	cfg := scenario.DefaultGRootConfig(42)
+	cfg.Days = 3
+	for i := 0; i < b.N; i++ {
+		if _, err := scenario.RunGRoot(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // hotMonitor is the W=1024 fixture of the hot monitor benches: a
 // monitor prefilled to its window, and the 200 further epochs its ops
 // cycle through.
