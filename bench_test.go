@@ -378,6 +378,25 @@ func BenchmarkMonitorModeRead(b *testing.B) {
 	}
 }
 
+// BenchmarkMonitorEvents measures the served /events read (n=20) on
+// MonitorAppendHot's fixture, whose W=1024 window holds 125 events: a
+// fresh detector replays the window over the cached Φ triangle, and the
+// explain sub-benchmark (?explain=1) also builds the 20 listed events'
+// Explanations.
+func BenchmarkMonitorEvents(b *testing.B) {
+	mon, _ := hotMonitor(b)
+	for _, bc := range []struct {
+		name    string
+		explain bool
+	}{{"plain", false}, {"explain", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mon.Events(20, bc.explain)
+			}
+		})
+	}
+}
+
 // BenchmarkScenarioBRoot runs the B-Root scenario at its default scale:
 // the batch path end to end, where observe takes nearly all of the wall
 // time. One op is one run of a few seconds.

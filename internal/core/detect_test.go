@@ -216,7 +216,7 @@ func TestMedian(t *testing.T) {
 		{[]float64{4, 1, 3, 2}, 2.5},
 	}
 	for _, c := range cases {
-		d := newDetector(DetectOptions{Window: 8}, nil)
+		d := newDetector(DetectOptions{Window: 8})
 		for _, x := range c.in {
 			d.push(x)
 		}
@@ -235,7 +235,7 @@ func TestMedian(t *testing.T) {
 func TestWindowMedianMatchesSortedCopy(t *testing.T) {
 	for _, window := range []int{1, 2, 3, 7, 30} {
 		r := rng.New(uint64(window))
-		d := newDetector(DetectOptions{Window: window}, nil)
+		d := newDetector(DetectOptions{Window: window})
 		var ref []float64
 		var warm [2]int // buffer capacities after the first eviction
 		for step := 0; step < 2000; step++ {

@@ -35,9 +35,10 @@ type Contributor struct {
 // networks moved where, how the weight mass flowed between sites, how
 // much of the change is really a visibility change (unknown mass), and
 // whether the new routing state is a rediscovered prior mode or novel.
-// It is computed inside the shared detector from the event's adjacent
-// vector pair, so batch DetectChanges and streaming Monitor.Append
-// produce byte-identical explanations by construction.
+// It is built from the event's adjacent vector pair and the recurrence
+// verdict of the one detector scan, so batch DetectChanges, streaming
+// Monitor.Append and Monitor.Events produce byte-identical explanations
+// by construction.
 type Explanation struct {
 	// Contributors are the top networks whose assignment changed across
 	// the event pair, ranked by weight (ties broken by network row
@@ -104,30 +105,6 @@ func (e *Explanation) TopFlow() (Flow, bool) {
 	return e.TopFlows[0], true
 }
 
-// explainer is the provenance state the detector carries alongside its
-// baseline window: the centroid vector of every routing mode seen so
-// far, in order of first appearance. Mode 1's centroid is the first
-// vector the detector ever saw; each novel event registers the first
-// vector of its new regime. Collection gaps reset the detection
-// baseline but not the centroid memory — recognizing a mode across an
-// outage is exactly the recurrence the paper is after.
-type explainer struct {
-	w         []float64
-	centroids []*Vector
-	// phi computes Φ(cur, centroid) under the detection mode: the scalar
-	// Gower loop by default. The monitor substitutes its cached Φ rows,
-	// which hold the identical values.
-	phi func(cur, c *Vector) float64
-}
-
-// observe registers the stream's first vector as mode 1's centroid. It
-// is a no-op afterwards, so calling it on every detector step is free.
-func (x *explainer) observe(prev *Vector) {
-	if len(x.centroids) == 0 {
-		x.centroids = append(x.centroids, prev)
-	}
-}
-
 // verdict is the recurrence decision for an event's new state, the part
 // of an Explanation that feeds back into detector state.
 type verdict struct {
@@ -137,18 +114,23 @@ type verdict struct {
 	modes      int     // Explanation.ModeCount
 }
 
-// recur decides whether the state cur, reached by an event of similarity
-// phi against the given trailing baseline, recurs to a known mode, and
-// registers it as a new mode if not. Nearest centroid by Φ, strict > so
-// ties resolve to the earliest mode. The bar is the midpoint between the
-// trailing baseline (how alike the old regime was to itself) and the
-// event similarity (how far the state just jumped): a prior mode matching
-// above it has recovered more than half the change, so the state is
-// closer to a known regime than to the one it left.
-func (x *explainer) recur(cur *Vector, phi, baseline float64) verdict {
+// recur decides whether the state at row cur, reached by an event of
+// similarity phi against the given trailing baseline, recurs to a known
+// mode, and registers it as a new mode if not. Mode 1's centroid is the
+// first vector of the scan's first adjacent pair; each novel event
+// registers the first vector of its new regime. Collection gaps reset
+// the detection baseline but not the centroid memory — recognizing a
+// mode across an outage is exactly the recurrence the paper is after.
+// Nearest centroid by rowPhi, strict > so ties resolve to the earliest
+// mode. The bar is the midpoint between the trailing baseline (how alike
+// the old regime was to itself) and the event similarity (how far the
+// state just jumped): a prior mode matching above it has recovered more
+// than half the change, so the state is closer to a known regime than to
+// the one it left.
+func (d *detector) recur(cur int, phi, baseline float64, rowPhi func(i, j int) float64) verdict {
 	best, bestPhi := -1, 0.0
-	for i, c := range x.centroids {
-		if p := x.phi(cur, c); best == -1 || p > bestPhi {
+	for i, c := range d.centroids {
+		if p := rowPhi(cur, c); best == -1 || p > bestPhi {
 			best, bestPhi = i, p
 		}
 	}
@@ -156,21 +138,21 @@ func (x *explainer) recur(cur *Vector, phi, baseline float64) verdict {
 	if best >= 0 && bestPhi >= (baseline+phi)/2 {
 		v.recurrence = true
 		v.mode = best + 1
-	} else if len(x.centroids) < explainMaxModes {
-		x.centroids = append(x.centroids, cur)
-		v.mode = len(x.centroids)
+	} else if len(d.centroids) < explainMaxModes {
+		d.centroids = append(d.centroids, cur)
+		v.mode = len(d.centroids)
 	}
-	v.modes = len(x.centroids)
+	v.modes = len(d.centroids)
 	return v
 }
 
-// explain builds the Explanation for an event over the adjacent pair
-// (prev, cur) around its recurrence verdict vd. Every accumulation
-// iterates networks in row order, as Transition does for the masses it
-// returns — float summation order is part of the byte-identical
-// batch/stream contract.
-func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
-	tm := Transition(prev, cur, x.w)
+// newExplanation builds the Explanation for an event over the adjacent
+// pair (prev, cur) around its recurrence verdict vd, ranked by the
+// weights w. Every accumulation iterates networks in row order, as
+// Transition does for the masses it returns — float summation order is
+// part of the byte-identical batch/stream contract.
+func newExplanation(prev, cur *Vector, w []float64, vd verdict) *Explanation {
+	tm := Transition(prev, cur, w)
 	e := &Explanation{
 		Moved:       tm.Moved(),
 		Stayed:      tm.Stayed(),
@@ -196,8 +178,8 @@ func (x *explainer) explain(prev, cur *Vector, vd verdict) *Explanation {
 	var rows []changed
 	for n := 0; n < prev.Space.NumNetworks(); n++ {
 		wi := 1.0
-		if x.w != nil {
-			wi = x.w[n]
+		if w != nil {
+			wi = w[n]
 		}
 		from, to := prev.Get(n), cur.Get(n)
 		switch {

@@ -233,11 +233,12 @@ func TestMonitorStateRestoreContinuation(t *testing.T) {
 	}
 }
 
-// TestMatrixViewConcurrentWithEvictions reads Matrix and LiveModes views
+// TestMatrixViewConcurrentWithEvictions reads Matrix, LiveModes and event views
 // from other goroutines while a windowed monitor appends and evicts.
 // Views share the monitor's Φ rows, which no append or eviction writes,
 // so under the race detector no read may race, and every view must keep
-// answering for the history it was taken over.
+// answering for the history it was taken over. The event reads replay
+// detection over the same rows while appends evict.
 func TestMatrixViewConcurrentWithEvictions(t *testing.T) {
 	const W = 16
 	space, vs := monitorFixtureVectors(128)
@@ -267,6 +268,19 @@ func TestMatrixViewConcurrentWithEvictions(t *testing.T) {
 				}
 				if res := mon.LiveModes(); len(res.Modes) > 1 {
 					res.CrossPhi(res.Modes[0], res.Modes[1])
+				}
+				events := mon.Events(0, true)
+				for i, ev := range events {
+					if ev.Explanation == nil || i > 0 && ev.At <= events[i-1].At {
+						t.Errorf("Events under appends and evictions: %+v", events)
+						return
+					}
+				}
+				if n := len(events); n > 0 {
+					if ev, ok := mon.EventAt(events[n-1].At); ok && ev.Explanation == nil {
+						t.Error("EventAt returned an unexplained event")
+						return
+					}
 				}
 			}
 		}()
@@ -462,7 +476,8 @@ func gapSeries(networks int, seed uint64) (*Space, []*Vector) {
 // detector fires must equal (epoch, Φ, baseline, magnitude — all
 // bitwise) the events batch DetectChanges reports over the same
 // history, across both modes, weighted and uniform, and with
-// detect.Mode differing from the monitor's similarity mode.
+// detect.Mode differing from the monitor's similarity mode. So must the
+// monitor's event reads: Events, explained or not, and EventAt.
 func TestMonitorStreamingDetectorMatchesBatch(t *testing.T) {
 	for _, seed := range []uint64{41, 42, 43} {
 		space, vs := gapSeries(150, seed)
@@ -499,6 +514,24 @@ func TestMonitorStreamingDetectorMatchesBatch(t *testing.T) {
 					if len(batch) == 0 {
 						t.Fatalf("seed=%d sim=%v det=%v w=%d: fixture fired no events — test is vacuous",
 							seed, simMode, detMode, wi)
+					}
+					// The event reads replay the same scan over the cached Φ.
+					if got := mon.Events(0, true); !reflect.DeepEqual(got, batch) {
+						t.Fatalf("seed=%d sim=%v det=%v w=%d: Events %+v, batch %+v", seed, simMode, detMode, wi, got, batch)
+					}
+					tail := batch[len(batch)/2:]
+					for i, ev := range mon.Events(len(tail), false) {
+						if want := tail[i]; ev.Explanation != nil || ev.At != want.At || ev.Phi != want.Phi ||
+							ev.Baseline != want.Baseline || ev.Magnitude != want.Magnitude {
+							t.Fatalf("seed=%d sim=%v det=%v w=%d: unexplained event %d %+v, batch %+v",
+								seed, simMode, detMode, wi, i, ev, want)
+						}
+					}
+					for _, want := range batch {
+						if got, ok := mon.EventAt(want.At); !ok || !reflect.DeepEqual(got, want) {
+							t.Fatalf("seed=%d sim=%v det=%v w=%d: EventAt(%d) = %+v %v, batch %+v",
+								seed, simMode, detMode, wi, want.At, got, ok, want)
+						}
 					}
 				}
 			}

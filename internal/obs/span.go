@@ -39,17 +39,17 @@ type Span struct {
 	workers int
 	ended   atomic.Bool
 
-	// Trace-tree identity: id/parent/isRoot place the span in the tree,
-	// lane picks its export track, attrs carry key=value annotations.
-	// viaChild marks spans opened with Span.Child, which are trace-only
-	// regardless of where they sit in the tree.
-	id       int64
-	parent   *Span
-	isRoot   bool
-	viaChild bool
-	lane     int
-	attrMu   sync.Mutex
-	attrs    []Attr
+	// stage marks spans opened with StartSpan, the only ones that feed
+	// StageRecords; the trace root and Span.Child spans are trace-only.
+	stage bool
+
+	// Trace-tree identity: id/parent place the span in the tree, lane
+	// picks its export track, attrs carry key=value annotations.
+	id     int64
+	parent *Span
+	lane   int
+	attrMu sync.Mutex
+	attrs  []Attr
 }
 
 // StartSpan opens a span for the named stage. On a nil registry it
@@ -59,7 +59,7 @@ func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{r: r, name: name, start: time.Now()}
+	sp := &Span{r: r, name: name, start: time.Now(), stage: true}
 	r.mu.Lock()
 	r.nextSpanID++
 	sp.id = r.nextSpanID
@@ -96,8 +96,8 @@ func (s *Span) SetWorkers(n int) {
 // stage duration. Safe to call more than once (later calls are no-ops)
 // and on a nil span (returns 0).
 //
-// A top-level StartSpan span (no parent, or a direct child of the trace
-// root) appends a StageRecord and observes its duration in
+// A StartSpan span (no parent, or a direct child of the trace root)
+// appends a StageRecord and observes its duration in
 // fenrir_stage_duration_seconds{stage}. Spans opened with Child — and
 // the root itself — land only in the trace ring, no matter where they
 // sit.
@@ -106,8 +106,7 @@ func (s *Span) End() time.Duration {
 		return 0
 	}
 	d := time.Since(s.start)
-	stage := !s.isRoot && !s.viaChild && (s.parent == nil || s.parent.isRoot)
-	if stage {
+	if s.stage {
 		rec := StageRecord{
 			Name:    s.name,
 			Seconds: d.Seconds(),

@@ -97,7 +97,7 @@ func (r *Registry) BeginTrace(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{r: r, name: name, start: time.Now(), isRoot: true}
+	sp := &Span{r: r, name: name, start: time.Now()}
 	r.mu.Lock()
 	r.nextSpanID++
 	sp.id = r.nextSpanID
@@ -129,7 +129,7 @@ func (s *Span) Child(name string) *Span {
 	if s == nil || !s.r.traceOn.Load() {
 		return nil
 	}
-	c := &Span{r: s.r, name: name, start: time.Now(), parent: s, lane: s.lane, viaChild: true}
+	c := &Span{r: s.r, name: name, start: time.Now(), parent: s, lane: s.lane}
 	s.r.mu.Lock()
 	s.r.nextSpanID++
 	c.id = s.r.nextSpanID

@@ -476,31 +476,17 @@ func (s *Server) handleMode(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	})
 }
 
-// handleEvents replays batch detection over the history, so the answer
+// handleEvents lists the tenant's change events. The monitor replays
+// its detector over the retained history's cached Φ, so the answer
 // depends only on ingested observations — a warm-restarted daemon
 // reports the identical event list without having witnessed the events
-// live. With ?explain=1 each event carries its full provenance; the
-// replay uses the same shared detector the live stream does, so the
-// explanations are byte-identical to the ones Append produced.
+// live. With ?explain=1 each listed event carries its full provenance,
+// byte-identical to the one Append produced.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request, t *tenant) {
-	n := intQuery(r, "n", 20)
-	explain := intQuery(r, "explain", 0) != 0
-	events := core.DetectChanges(t.mon.Series(), t.mon.Weights(), t.mon.Detect())
-	if n > 0 && len(events) > n {
-		events = events[len(events)-n:]
-	}
+	events := t.mon.Events(intQuery(r, "n", 20), intQuery(r, "explain", 0) != 0)
 	out := make([]map[string]any, 0, len(events))
 	for _, ev := range events {
-		e := map[string]any{
-			"at":        int64(ev.At),
-			"phi":       ev.Phi,
-			"baseline":  ev.Baseline,
-			"magnitude": ev.Magnitude,
-		}
-		if explain && ev.Explanation != nil {
-			e["explanation"] = explanationJSON(ev.Explanation)
-		}
-		out = append(out, e)
+		out = append(out, eventJSON(ev))
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"events": out})
 }
@@ -513,21 +499,27 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t *tenant
 		writeErr(w, http.StatusBadRequest, "epoch %q is not an integer", r.PathValue("at"))
 		return
 	}
-	events := core.DetectChanges(t.mon.Series(), t.mon.Weights(), t.mon.Detect())
-	for _, ev := range events {
-		if int64(ev.At) != at || ev.Explanation == nil {
-			continue
-		}
-		writeJSON(w, http.StatusOK, map[string]any{
-			"at":          at,
-			"phi":         ev.Phi,
-			"baseline":    ev.Baseline,
-			"magnitude":   ev.Magnitude,
-			"explanation": explanationJSON(ev.Explanation),
-		})
+	ev, ok := t.mon.EventAt(timeline.Epoch(at))
+	if !ok {
+		writeErr(w, http.StatusNotFound, "no change event at epoch %d", at)
 		return
 	}
-	writeErr(w, http.StatusNotFound, "no change event at epoch %d", at)
+	writeJSON(w, http.StatusOK, eventJSON(ev))
+}
+
+// eventJSON renders a change event for the wire, with its explanation
+// when it carries one.
+func eventJSON(ev core.ChangeEvent) map[string]any {
+	e := map[string]any{
+		"at":        int64(ev.At),
+		"phi":       ev.Phi,
+		"baseline":  ev.Baseline,
+		"magnitude": ev.Magnitude,
+	}
+	if ev.Explanation != nil {
+		e["explanation"] = explanationJSON(ev.Explanation)
+	}
+	return e
 }
 
 // explanationJSON renders an Explanation for the wire with stable keys.
@@ -717,6 +709,14 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *ten
 	// duration of the write.
 	s.rebalanceMu.Lock()
 	defer s.rebalanceMu.Unlock()
+	// Drain releases rebalanceMu before its shards take their final
+	// checkpoints, and queries keep being served meanwhile: a state taken
+	// here could miss an observation admitted late and then be renamed
+	// over the final checkpoint, losing that observation on restart.
+	if s.isDraining() {
+		writeErr(w, http.StatusServiceUnavailable, "server is draining")
+		return
+	}
 	if cur := s.tenant(t.name); cur != nil {
 		t = cur
 	}

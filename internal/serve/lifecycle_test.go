@@ -12,6 +12,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"fenrir/internal/core"
 )
 
 // TestLifecycleMatchesModel drives a daemon through seeded random
@@ -20,9 +22,14 @@ import (
 // tenant, the accepted observations, the prefix of them made durable,
 // the periodic-checkpoint counter and the placement shard. The query
 // oracle is a memory-only reference daemon fed the model's accepted
-// observations. The memory-only daemon skips drain and crash, since a
-// restart without a snapshot dir keeps nothing.
+// observations. The event endpoints are also checked against batch
+// core.DetectChanges over the reference's monitor, on tenants that are
+// windowed or unbounded, weighted or not, and with detect.mode equal to
+// or decoupled from unknown_mode. The memory-only daemon skips drain and
+// crash, since a restart without a snapshot dir keeps nothing.
 func TestLifecycleMatchesModel(t *testing.T) {
+	var runs int
+	var oracle lifeOracle
 	for _, d := range []struct {
 		name    string
 		cfg     Config
@@ -37,10 +44,18 @@ func TestLifecycleMatchesModel(t *testing.T) {
 				if d.name == "dir" {
 					cfg.SnapshotDir = t.TempDir()
 				}
-				newLifecycle(t, cfg, seed).run(120, d.weights)
+				l := newLifecycle(t, cfg, seed)
+				l.run(120, d.weights)
+				runs++
+				oracle.weighted += l.oracle.weighted
+				oracle.decoupled += l.oracle.decoupled
 			})
 		}
 	}
+	if runs == 10 && (oracle.weighted == 0 || oracle.decoupled == 0) {
+		t.Fatalf("event oracle checked %+v events on weighted and decoupled-mode tenants", oracle)
+	}
+	t.Logf("event oracle checked %+v events", oracle)
 }
 
 // The step kinds, and their names.
@@ -64,6 +79,7 @@ var (
 
 // lifeTenant is the model of one tenant.
 type lifeTenant struct {
+	spec     TenantSpec    // as created
 	window   int           // effective window bound (0 = unbounded)
 	accepted []Observation // every observation the tenant accepted, in order
 	durable  int           // accepted[:durable] is on disk; -1 before the first durable write
@@ -85,7 +101,15 @@ type lifecycle struct {
 
 	kinds   []int // steps run, by kind
 	evicted bool  // some tenant has evicted an observation
+	// touched is the tenant the step acted on, "" after a drain or crash,
+	// which act on every tenant.
+	touched string
+	oracle  lifeOracle
 }
+
+// lifeOracle counts the events checked against batch detection on
+// weighted tenants and on tenants with a decoupled detect.mode.
+type lifeOracle struct{ weighted, decoupled int }
 
 func newLifecycle(t *testing.T, cfg Config, seed int64) *lifecycle {
 	l := &lifecycle{
@@ -153,6 +177,7 @@ func (l *lifecycle) run(steps int, weights []int) {
 		if len(l.model) == 0 && kind < stepDrain {
 			kind = stepCreate // the other steps need a tenant
 		}
+		l.touched = ""
 		switch kind {
 		case stepCreate:
 			l.create()
@@ -184,13 +209,15 @@ func (l *lifecycle) run(steps int, weights []int) {
 // create makes a new tenant, or one time in four re-creates a name used
 // before: 409 while it lives, 201 once a crash has lost it.
 func (l *lifecycle) create() {
-	name := fmt.Sprintf("t%d", len(l.names))
+	idx := len(l.names)
 	if len(l.names) > 0 && l.rng.Intn(4) == 0 {
-		name = l.names[l.rng.Intn(len(l.names))]
+		idx = l.rng.Intn(len(l.names))
 	} else {
-		l.names = append(l.names, name)
+		l.names = append(l.names, fmt.Sprintf("t%d", idx))
 	}
-	spec := defaultSpec(len(lifeNets))
+	name := l.names[idx]
+	l.touched = name
+	spec := lifeSpec(idx)
 	if l.rng.Intn(2) == 0 {
 		spec.Window = 8
 	}
@@ -206,13 +233,32 @@ func (l *lifecycle) create() {
 	if window == 0 {
 		window = l.cfg.DefaultWindow
 	}
-	l.model[name] = &lifeTenant{window: window, durable: -1, shard: l.srv.homeShard(name)}
+	l.model[name] = &lifeTenant{spec: spec, window: window, durable: -1, shard: l.srv.homeShard(name)}
+}
+
+// lifeSpec is the spec of the n-th tenant name: odd ones weight their
+// networks unevenly, and those 2 and 3 mod 4 compute Φ known-only but
+// detect on pessimistic Φ.
+func lifeSpec(n int) TenantSpec {
+	spec := defaultSpec(len(lifeNets))
+	if n%2 == 1 {
+		spec.Weights = make([]float64, len(lifeNets))
+		for i := range spec.Weights {
+			spec.Weights[i] = float64(1 + i%3)
+		}
+	}
+	if n%4 >= 2 {
+		spec.UnknownMode = "known-only"
+		spec.Detect = &DetectSpec{Mode: "pessimistic"}
+	}
+	return spec
 }
 
 // pick draws a live tenant.
 func (l *lifecycle) pick() (string, *lifeTenant) {
 	names := l.live()
 	name := names[l.rng.Intn(len(names))]
+	l.touched = name
 	return name, l.model[name]
 }
 
@@ -354,9 +400,7 @@ func (l *lifecycle) crash() {
 			continue
 		}
 		m.accepted, m.since = m.accepted[:m.durable], 0
-		spec := defaultSpec(len(lifeNets))
-		spec.Window = m.window
-		code, body := l.do(l.ref, http.MethodPut, "/v1/tenants/"+name, spec)
+		code, body := l.do(l.ref, http.MethodPut, "/v1/tenants/"+name, m.spec)
 		l.expect("reference re-create "+name, code, body, http.StatusCreated)
 		for _, ob := range m.accepted {
 			code, body := l.do(l.ref, http.MethodPost, "/v1/tenants/"+name+"/observations", ob)
@@ -388,7 +432,8 @@ func (l *lifecycle) status(s *Server, name string) lifeStatus {
 
 // check compares the daemon with the model and the reference: the
 // tenant set, each tenant's status and five deterministic endpoints,
-// and, with a snapshot dir, where the checkpoint files are.
+// the event endpoints of the tenants the step touched against batch
+// detection, and, with a snapshot dir, where the checkpoint files are.
 func (l *lifecycle) check(step string) {
 	l.t.Helper()
 	names := l.live()
@@ -420,10 +465,85 @@ func (l *lifecycle) check(step string) {
 				l.t.Fatalf("%s: %s = %d %s\nreference %d %s", step, path, code, body, wantCode, wantBody)
 			}
 		}
+		if l.touched == "" || l.touched == name {
+			l.checkEvents(step, name)
+		}
 	}
 	if l.cfg.SnapshotDir != "" {
 		l.checkFiles(step)
 	}
+}
+
+// checkEvents compares a tenant's event endpoints — /events?n=50, plain
+// and explained, and /events/{at}/explain for each listed event — with
+// batch detection over the reference daemon's monitor, rendered by
+// renderEvent. Both daemons run the same monitor code, so only this
+// oracle shows a monitor that drifts from DetectChanges.
+func (l *lifecycle) checkEvents(step, name string) {
+	l.t.Helper()
+	mon := l.ref.tenant(name).mon
+	events := core.DetectChanges(mon.Series(), mon.Weights(), mon.Detect())
+	if len(events) > 50 {
+		events = events[len(events)-50:]
+	}
+	base := "/v1/tenants/" + name + "/events"
+	for _, explain := range []bool{false, true} {
+		list := make([]any, len(events))
+		for i, ev := range events {
+			list[i] = renderEvent(ev, explain)
+		}
+		path := base + "?n=50"
+		if explain {
+			path += "&explain=1"
+		}
+		l.expectJSON(step, path, map[string]any{"events": list})
+	}
+	for _, ev := range events {
+		l.expectJSON(step, fmt.Sprintf("%s/%d/explain", base, ev.At), renderEvent(ev, true))
+	}
+	if spec := l.model[name].spec; spec.Weights != nil {
+		l.oracle.weighted += len(events)
+	} else if spec.Detect != nil {
+		l.oracle.decoupled += len(events)
+	}
+}
+
+// expectJSON fails unless the daemon answers path 200 with a body equal,
+// as decoded JSON, to want.
+func (l *lifecycle) expectJSON(step, path string, want any) {
+	l.t.Helper()
+	code, body := l.do(l.srv, http.MethodGet, path, nil)
+	var got, exp any
+	if code != http.StatusOK || json.Unmarshal(body, &got) != nil ||
+		json.Unmarshal(mustJSON(l.t, want), &exp) != nil || !reflect.DeepEqual(got, exp) {
+		l.t.Fatalf("%s: %s = %d %s\nbatch detection %s", step, path, code, body, mustJSON(l.t, want))
+	}
+}
+
+// renderEvent is the test's own wire rendering of a change event, with
+// its explanation when explain is set.
+func renderEvent(ev core.ChangeEvent, explain bool) map[string]any {
+	e := map[string]any{"at": int64(ev.At), "phi": ev.Phi, "baseline": ev.Baseline, "magnitude": ev.Magnitude}
+	if !explain {
+		return e
+	}
+	ex := ev.Explanation
+	contributors := []map[string]any{}
+	for _, c := range ex.Contributors {
+		contributors = append(contributors, map[string]any{"network": c.Network, "from": c.From, "to": c.To, "weight": c.Weight})
+	}
+	flows := []map[string]any{}
+	for _, f := range ex.TopFlows {
+		flows = append(flows, map[string]any{"from": f.From, "to": f.To, "count": f.Count})
+	}
+	e["explanation"] = map[string]any{
+		"verdict": ex.Label(), "recurrence": ex.Recurrence, "matched_mode": ex.MatchedMode,
+		"mode_phi": ex.ModePhi, "mode_count": ex.ModeCount,
+		"contributors": contributors, "changed_count": ex.ChangedCount, "changed_weight": ex.ChangedWeight,
+		"moved": ex.Moved, "stayed": ex.Stayed, "unobserved": ex.Unobserved, "total": ex.Total,
+		"went_unknown": ex.WentUnknown, "became_known": ex.BecameKnown, "top_flows": flows,
+	}
+	return e
 }
 
 // checkFiles requires each tenant's checkpoint file in its placement

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -724,6 +725,19 @@ func TestServeDrain(t *testing.T) {
 	}
 	if code, _ := doReq(t, ts, http.MethodGet, "/v1/tenants/d/heatmap", nil); code != http.StatusOK {
 		t.Fatal("draining daemon refused a query")
+	}
+	// An explicit checkpoint refuses too: one taken while the shards
+	// drain could rename older state over the final checkpoint.
+	path := s.tenant("d").snapshotPath()
+	final, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/d/checkpoint", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("checkpoint after drain: %d %s, want 503", code, body)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, final) {
+		t.Fatalf("checkpoint after drain rewrote the final checkpoint (%v)", err)
 	}
 	// The drain checkpoint covers all five accepted observations.
 	_, ts2 := testServer(t, Config{SnapshotDir: dir})
