@@ -397,6 +397,20 @@ func BenchmarkMonitorEvents(b *testing.B) {
 	}
 }
 
+// BenchmarkDetectChanges measures batch change detection, every event
+// explained, on the large-alphabet SimilarityMatrix series (T=512, N=512,
+// 128 sites), which fires 54 events, 4 of them recurrences: a scalar
+// Gower Φ per adjacent pair and per recurrence check, and a transition
+// matrix per event. scripts/benchguard.sh guards its allocations.
+func BenchmarkDetectChanges(b *testing.B) {
+	s := syntheticSeriesSites(512, 512, 128, 0.3, 9)
+	opts := core.DefaultDetectOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		core.DetectChanges(s, nil, opts)
+	}
+}
+
 // BenchmarkScenarioBRoot runs the B-Root scenario at its default scale:
 // the batch path end to end, where observe takes nearly all of the wall
 // time. One op is one run of a few seconds.

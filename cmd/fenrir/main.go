@@ -309,7 +309,7 @@ func run(o cliOptions) error {
 	if o.stack {
 		fmt.Print(report.StackPlot(out.Series))
 	}
-	changes = core.DetectChanges(out.Series, nil, core.DefaultDetectOptions())
+	changes = core.DetectChangesMatrix(out.Series, out.Matrix, core.PessimisticUnknown, nil, core.DefaultDetectOptions())
 	core.ObserveDetections(reg, spRep, changes)
 	for _, c := range changes {
 		fmt.Printf("change at epoch %d: Phi %.2f (baseline %.2f)\n", c.At, c.Phi, c.Baseline)

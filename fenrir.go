@@ -241,7 +241,7 @@ func Analyze(s *Series, opts AnalysisOptions) *Analysis {
 	a.Modes = core.DiscoverModes(a.Matrix, clOpts)
 	spCl.End()
 	spDet := opts.Obs.StartSpan("detect")
-	a.Changes = core.DetectChanges(s, opts.Weights, opts.Detection)
+	a.Changes = core.DetectChangesMatrix(s, a.Matrix, opts.Unknowns, opts.Weights, opts.Detection)
 	core.ObserveDetections(opts.Obs, spDet, a.Changes)
 	spDet.SetItems(int64(len(a.Changes)))
 	spDet.End()

@@ -1,12 +1,16 @@
 package fenrir
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"fenrir/internal/core"
 	"fenrir/internal/report"
+	"fenrir/internal/rng"
 )
 
 func testSchedule(n int) Schedule {
@@ -121,5 +125,99 @@ func TestFacadeGowerAndTransition(t *testing.T) {
 	tm := Transition(a, b, nil)
 	if tm.At("a", "b") != 1 || tm.At("a", "a") != 1 {
 		t.Fatalf("transition cells wrong")
+	}
+}
+
+// recurringSeries is a seeded series whose routing cycles through three
+// regimes and back to earlier ones, with collection gaps (missing epochs)
+// and unknowns, so detection fires both novel and recurrence verdicts.
+func recurringSeries(seed uint64) *Series {
+	r := rng.New(seed)
+	const networks, epochs = 120, 180
+	ids := make([]string, networks)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("n%03d", i)
+	}
+	space := NewSpace(ids)
+	regimes := []string{"LAX", "AMS", "LAX", "SIN", "AMS", "LAX"}
+	var vs []*Vector
+	e := Epoch(0)
+	for k := 0; k < epochs; k++ {
+		if r.Bool(0.04) {
+			e += Epoch(1 + r.Intn(3))
+		}
+		v := space.NewVector(e)
+		base := regimes[(k/20)%len(regimes)]
+		for i := 0; i < networks; i++ {
+			switch {
+			case r.Bool(0.15): // unobserved
+			case r.Bool(0.08):
+				v.Set(i, regimes[r.Intn(len(regimes))])
+			case i%5 == 0:
+				v.Set(i, "NRT") // a stable catchment outside the regimes
+			default:
+				v.Set(i, base)
+			}
+		}
+		vs = append(vs, v)
+		e++
+	}
+	return NewSeries(space, testSchedule(int(e)), vs)
+}
+
+// TestAnalyzeChangesMatchDetectChanges holds Analyze, which reads the
+// detection Φ from its similarity matrix when the detection mode is the
+// matrix's, to the scalar DetectChanges over the analysed series: every
+// event equal field for field, floats by their bits and Explanations by
+// value. The cases where the modes differ fail if the matrix is read
+// anyway; the ones where they agree fail if a fresh detector asks for a
+// row's Φ against itself, which the matrix has as 1 and Gower below 1.
+func TestAnalyzeChangesMatchDetectChanges(t *testing.T) {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	modes := []UnknownMode{PessimisticUnknown, core.KnownOnly}
+	for _, seed := range []uint64{3, 4} {
+		s := recurringSeries(seed)
+		r := rng.New(seed + 100)
+		fractional := make([]float64, s.Space.NumNetworks())
+		for i := range fractional {
+			fractional[i] = 0.1 + 10*r.Float64()
+		}
+		var recurrences, novel, gaps int
+		for _, clean := range []bool{true, false} {
+			for _, unknowns := range modes {
+				for _, det := range modes {
+					for _, w := range [][]float64{nil, fractional} {
+						opts := DefaultAnalysisOptions()
+						opts.Clean, opts.Unknowns, opts.Detection.Mode, opts.Weights = clean, unknowns, det, w
+						a := Analyze(s, opts)
+						want := core.DetectChanges(a.Series, w, opts.Detection)
+						name := fmt.Sprintf("seed %d clean %v unknowns %v detection %v weighted %v", seed, clean, unknowns, det, w != nil)
+						if len(a.Changes) != len(want) {
+							t.Fatalf("%s: %d events, DetectChanges %d", name, len(a.Changes), len(want))
+						}
+						for i, g := range a.Changes {
+							wv := want[i]
+							if g.At != wv.At || !same(g.Phi, wv.Phi) || !same(g.Baseline, wv.Baseline) || !same(g.Magnitude, wv.Magnitude) ||
+								!reflect.DeepEqual(*g.Explanation, *wv.Explanation) {
+								t.Fatalf("%s: event %d %+v %+v, DetectChanges %+v %+v", name, i, g, *g.Explanation, wv, *wv.Explanation)
+							}
+							if g.Explanation.Recurrence {
+								recurrences++
+							} else {
+								novel++
+							}
+						}
+					}
+				}
+			}
+		}
+		for i := 1; i < s.Len(); i++ {
+			if s.Vectors[i].T != s.Vectors[i-1].T+1 {
+				gaps++
+			}
+		}
+		if recurrences == 0 || novel == 0 || gaps == 0 {
+			t.Fatalf("seed %d: %d recurrences, %d novel events, %d gaps: the fixture must have all three", seed, recurrences, novel, gaps)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"sort"
 
@@ -198,11 +199,33 @@ func (d *detector) median() float64 {
 // adjacency) and flags epochs where similarity drops at least MinDrop
 // below the median of the trailing window. The detector is deliberately
 // simple — the paper's contribution is the vector encoding that makes a
-// scalar drop meaningful, not the change-point statistics.
+// scalar drop meaningful, not the change-point statistics. Φ is the
+// scalar Gower; DetectChangesMatrix reads it from a matrix already built.
 func DetectChanges(s *Series, w []float64, opts DetectOptions) []ChangeEvent {
 	vs := s.Vectors
+	return detectChanges(vs, w, opts, func(i, j int) float64 { return Gower(vs[i], vs[j], w, opts.Mode) })
+}
+
+// DetectChangesMatrix is DetectChanges over the similarity matrix m of s,
+// computed with the weights w and the unknown mode mode. When opts.Mode is
+// mode, the scan reads Φ from m, which the packed kernels filled
+// bit-identical to Gower, so the events equal DetectChanges' bit for bit;
+// this is the rule the Monitor applies to its cached Φ. Otherwise an entry
+// of m is not the detection Φ, and it runs DetectChanges.
+func DetectChangesMatrix(s *Series, m *SimMatrix, mode UnknownMode, w []float64, opts DetectOptions) []ChangeEvent {
+	if opts.Mode != mode {
+		return DetectChanges(s, w, opts)
+	}
+	if m.N != len(s.Vectors) {
+		panic(fmt.Sprintf("core: matrix of %d rows for a series of %d vectors", m.N, len(s.Vectors)))
+	}
+	return detectChanges(s.Vectors, w, opts, m.At)
+}
+
+// detectChanges runs a fresh detector over vs with the detection Φ
+// rowPhi and explains every event it fires.
+func detectChanges(vs []*Vector, w []float64, opts DetectOptions, rowPhi func(i, j int) float64) []ChangeEvent {
 	var events []ChangeEvent
-	newDetector(opts).scan(vs, 1, func(i, j int) float64 { return Gower(vs[i], vs[j], w, opts.Mode) },
-		func(h hit) { events = append(events, h.event(w, true)) })
+	newDetector(opts).scan(vs, 1, rowPhi, func(h hit) { events = append(events, h.event(w, true)) })
 	return events
 }

@@ -53,6 +53,16 @@ func TestDetectChangesFindsScriptedEvent(t *testing.T) {
 	}
 }
 
+func TestDetectChangesMatrixPanicsOnRowCount(t *testing.T) {
+	ser := noisySeries(t, 20, 10, 0.02, nil)
+	defer func() {
+		if r := recover(); r != "core: matrix of 9 rows for a series of 10 vectors" {
+			t.Fatalf("recovered %v", r)
+		}
+	}()
+	DetectChangesMatrix(ser, NewSimMatrix(9), PessimisticUnknown, nil, DefaultDetectOptions())
+}
+
 func TestDetectChangesQuietSeries(t *testing.T) {
 	ser := noisySeries(t, 200, 60, 0.02, nil)
 	events := DetectChanges(ser, nil, DefaultDetectOptions())

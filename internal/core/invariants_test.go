@@ -181,9 +181,9 @@ func TestQuickTransitionRowSums(t *testing.T) {
 	}
 }
 
-// Property: LargestFlows is deterministic despite map-backed cells —
-// repeated calls on the same matrix, and calls on an identically
-// rebuilt matrix, return the identical fully-tied-broken ordering.
+// Property: LargestFlows is deterministic — repeated calls on the same
+// matrix, and calls on an identically rebuilt matrix, return the
+// identical fully tie-broken ordering.
 func TestQuickLargestFlowsDeterministic(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := rng.New(seed)

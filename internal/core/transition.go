@@ -1,8 +1,11 @@
 package core
 
 import (
+	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
+	"strings"
 )
 
 // TransitionMatrix is the paper's T(t,t',s,s') (§2.7): how many networks
@@ -11,14 +14,23 @@ import (
 // push networks into the error state (Table 3's STR→err column) are
 // visible.
 type TransitionMatrix struct {
-	Sites  []string // axis labels, stable order
-	counts map[[2]int]float64
-	index  map[string]int
-	// The mass partition, summed in network row order while the matrix
-	// is built: summing the map would follow Go's randomized iteration
-	// order, and fractional weights would then give different bits from
-	// call to call.
+	Sites []string // axis labels, stable order
+	// real is how many of Sites are real sites, sorted by label; err,
+	// other and unknown follow them.
+	real int
+	// cells are the cells at least one network falls in, ordered by
+	// source and then target column. Each is summed in network row
+	// order, as are the masses: a fractional-weight sum then has the same
+	// bits on every call.
+	cells                            []cell
 	moved, stayed, unobserved, total float64
+}
+
+// cell is one (from, to) cell of a TransitionMatrix, by axis column, and
+// the weight summed into it.
+type cell struct {
+	from, to int32
+	count    float64
 }
 
 // UnknownLabel is the axis label used for unobserved assignments.
@@ -26,81 +38,178 @@ const UnknownLabel = "unknown"
 
 // Transition computes the matrix between two vectors in the same space.
 // w may be nil for unit counts; with weights, cells accumulate weight
-// rather than network count (§2.5 applied to transitions).
+// rather than network count (§2.5 applied to transitions), and w must
+// have one entry per network, as Gower requires.
+//
+// The matrix is built over the space's interned site indexes, with
+// O(networks + sites) working memory: a stable counting sort groups the
+// networks by source column, and one accumulator row per source sums its
+// cells in network row order.
 func Transition(a, b *Vector, w []float64) *TransitionMatrix {
 	if a.Space != b.Space {
 		panic("core: Transition across spaces")
 	}
-	// Collect the label set actually present, ordered: real sites sorted,
-	// then err/other, then unknown. This matches the paper's table layout
-	// (sites first, error and other states last).
-	present := make(map[string]bool)
-	for _, v := range []*Vector{a, b} {
-		for i := 0; i < v.Space.NumNetworks(); i++ {
-			if s, ok := v.Site(i); ok {
-				present[s] = true
-			} else {
-				present[UnknownLabel] = true
-			}
-		}
+	if w != nil && len(w) != len(a.assign) {
+		panic(fmt.Sprintf("core: weight length %d != networks %d", len(w), len(a.assign)))
 	}
-	var real, special []string
-	for s := range present {
-		switch s {
-		case SiteError, SiteOther, UnknownLabel:
-			special = append(special, s)
+	from, to := a.assign, b.assign[:len(a.assign)]
+	labels := a.Space.sites.labels()
+	// col is indexed by assignment + 1, so Unknown is col[0]. It first
+	// marks the assignments either vector holds, then maps each of them
+	// to its axis column.
+	col := make([]int32, len(labels)+1)
+	for n := range from {
+		col[from[n]+1] = 1
+		col[to[n]+1] = 1
+	}
+	// The axis is the paper's table layout: real sites sorted, then err,
+	// other and unknown. A real site labelled "unknown" shares the
+	// unknown column with unobserved networks.
+	real := make([]int32, 0, len(labels))
+	var special [3]int32 // err, other, a real "unknown": assignment + 1, or 0
+	for x := 1; x < len(col); x++ {
+		if col[x] == 0 {
+			continue
+		}
+		switch labels[x-1] {
+		case SiteError:
+			special[0] = int32(x)
+		case SiteOther:
+			special[1] = int32(x)
+		case UnknownLabel:
+			special[2] = int32(x)
 		default:
-			real = append(real, s)
+			real = append(real, int32(x))
 		}
 	}
-	sort.Strings(real)
-	sort.Slice(special, func(i, j int) bool {
-		rank := map[string]int{SiteError: 0, SiteOther: 1, UnknownLabel: 2}
-		return rank[special[i]] < rank[special[j]]
-	})
-	labels := append(real, special...)
+	slices.SortFunc(real, func(x, y int32) int { return strings.Compare(labels[x-1], labels[y-1]) })
+	tm := &TransitionMatrix{real: len(real)}
+	if len(from) > 0 { // with no networks, Sites stays nil
+		tm.Sites = make([]string, 0, len(real)+len(special))
+	}
+	for _, x := range real {
+		col[x] = int32(len(tm.Sites))
+		tm.Sites = append(tm.Sites, labels[x-1])
+	}
+	for i, label := range [...]string{SiteError, SiteOther} {
+		if x := special[i]; x != 0 {
+			col[x] = int32(len(tm.Sites))
+			tm.Sites = append(tm.Sites, label)
+		}
+	}
+	if col[0] != 0 || special[2] != 0 {
+		// Without a real "unknown" site both writes go to col[0]; without
+		// an unobserved network col[0] is never read.
+		col[0], col[special[2]] = int32(len(tm.Sites)), int32(len(tm.Sites))
+		tm.Sites = append(tm.Sites, UnknownLabel)
+	}
 
-	tm := &TransitionMatrix{
-		Sites:  labels,
-		counts: make(map[[2]int]float64),
-		index:  make(map[string]int, len(labels)),
-	}
-	for i, s := range labels {
-		tm.index[s] = i
-	}
-	label := func(v *Vector, n int) int {
-		if s, ok := v.Site(n); ok {
-			return tm.index[s]
-		}
-		return tm.index[UnknownLabel]
-	}
-	for n := 0; n < a.Space.NumNetworks(); n++ {
+	// Count each source column's networks and sum the masses, both in
+	// network row order.
+	k := len(tm.Sites)
+	end := make([]int32, k+1)
+	for n, f := range from {
+		end[col[f+1]+1]++
 		wi := 1.0
 		if w != nil {
 			wi = w[n]
 		}
-		tm.counts[[2]int{label(a, n), label(b, n)}] += wi
 		tm.total += wi
-		switch from, to := a.Get(n), b.Get(n); {
-		case from == Unknown || to == Unknown:
+		switch t := to[n]; {
+		case f == Unknown || t == Unknown:
 			tm.unobserved += wi
-		case from == to:
+		case f == t:
 			tm.stayed += wi
 		default:
 			tm.moved += wi
 		}
 	}
+	for c := 1; c <= k; c++ {
+		end[c] += end[c-1]
+	}
+	// Stable counting sort: order lists the networks by source column,
+	// in row order within each. Placing advances end[c] from the column's
+	// start to its end.
+	order := make([]int32, len(from))
+	for n, f := range from {
+		c := col[f+1]
+		order[end[c]] = int32(n)
+		end[c]++
+	}
+	// A source column's cells are its distinct target columns: count
+	// them, so the cells are allocated at their exact size.
+	touched := make([]uint64, (k+63)/64)
+	cells, lo := 0, int32(0)
+	for c := 0; c < k; c++ {
+		for _, n := range order[lo:end[c]] {
+			t := col[to[n]+1]
+			touched[t>>6] |= 1 << (t & 63)
+		}
+		lo = end[c]
+		for i, word := range touched {
+			cells += bits.OnesCount64(word)
+			touched[i] = 0
+		}
+	}
+	// One source column at a time, accumulate its networks into a row
+	// over the target columns, then emit that row's touched cells in
+	// column order.
+	acc := make([]float64, k)
+	tm.cells = make([]cell, 0, cells)
+	lo = 0
+	for c := 0; c < k; c++ {
+		for _, n := range order[lo:end[c]] {
+			t := col[to[n]+1]
+			if w != nil {
+				acc[t] += w[n]
+			} else {
+				acc[t]++
+			}
+			touched[t>>6] |= 1 << (t & 63)
+		}
+		lo = end[c]
+		for i, word := range touched {
+			for ; word != 0; word &= word - 1 {
+				t := i<<6 | bits.TrailingZeros64(word)
+				tm.cells = append(tm.cells, cell{from: int32(c), to: int32(t), count: acc[t]})
+				acc[t] = 0
+			}
+			touched[i] = 0
+		}
+	}
 	return tm
+}
+
+// column returns the axis column of a label.
+func (tm *TransitionMatrix) column(label string) (int, bool) {
+	switch label {
+	case SiteError, SiteOther, UnknownLabel:
+		i := slices.Index(tm.Sites[tm.real:], label)
+		return tm.real + i, i >= 0
+	}
+	return slices.BinarySearch(tm.Sites[:tm.real], label)
+}
+
+// cellIndex returns the position in cells of the first cell at or after
+// column pair (i, j).
+func (tm *TransitionMatrix) cellIndex(i, j int) int {
+	return sort.Search(len(tm.cells), func(k int) bool {
+		c := tm.cells[k]
+		return int(c.from) > i || int(c.from) == i && int(c.to) >= j
+	})
 }
 
 // At returns the cell for (from, to) site labels; absent labels count 0.
 func (tm *TransitionMatrix) At(from, to string) float64 {
-	i, okI := tm.index[from]
-	j, okJ := tm.index[to]
+	i, okI := tm.column(from)
+	j, okJ := tm.column(to)
 	if !okI || !okJ {
 		return 0
 	}
-	return tm.counts[[2]int{i, j}]
+	if k := tm.cellIndex(i, j); k < len(tm.cells) && int(tm.cells[k].from) == i && int(tm.cells[k].to) == j {
+		return tm.cells[k].count
+	}
+	return 0
 }
 
 // Moved returns the total weight that verifiably shifted between the two
@@ -130,13 +239,16 @@ func (tm *TransitionMatrix) Stayed() float64 { return tm.stayed }
 // Row returns the distribution out of a site: where its networks went.
 func (tm *TransitionMatrix) Row(from string) map[string]float64 {
 	out := make(map[string]float64)
-	i, ok := tm.index[from]
+	i, ok := tm.column(from)
 	if !ok {
 		return out
 	}
-	for k, v := range tm.counts {
-		if k[0] == i && v != 0 {
-			out[tm.Sites[k[1]]] = v
+	for _, c := range tm.cells[tm.cellIndex(i, 0):] {
+		if int(c.from) != i {
+			break
+		}
+		if c.count != 0 {
+			out[tm.Sites[c.to]] = c.count
 		}
 	}
 	return out
@@ -166,11 +278,11 @@ func (tm *TransitionMatrix) LargestFlows(k int) []Flow {
 		return a.To < b.To
 	}
 	var flows []Flow
-	for key, v := range tm.counts {
-		if key[0] == key[1] || v <= 0 {
+	for _, c := range tm.cells {
+		if c.from == c.to || c.count <= 0 {
 			continue
 		}
-		f := Flow{From: tm.Sites[key[0]], To: tm.Sites[key[1]], Count: v}
+		f := Flow{From: tm.Sites[c.from], To: tm.Sites[c.to], Count: c.count}
 		if k <= 0 {
 			flows = append(flows, f)
 			continue

@@ -2,10 +2,15 @@ package core
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
+	"sort"
+	"sync"
 	"testing"
 
 	"fenrir/internal/rng"
+	"fenrir/internal/timeline"
 )
 
 func TestTransitionDiagonalWhenQuiescent(t *testing.T) {
@@ -259,4 +264,293 @@ func TestTransitionPanicsAcrossSpaces(t *testing.T) {
 		}
 	}()
 	Transition(s1.NewVector(0), s2.NewVector(0), nil)
+}
+
+func TestTransitionPanicsOnWeightLength(t *testing.T) {
+	s := NewSpace(nets(3))
+	a, b := s.NewVector(0), s.NewVector(1)
+	for _, w := range [][]float64{{1, 2, 3, 4, 5}, {1, 2}} {
+		func() {
+			defer func() {
+				want := fmt.Sprintf("core: weight length %d != networks 3", len(w))
+				if r := recover(); r != want {
+					t.Fatalf("%d weights: recovered %v, want %q", len(w), r, want)
+				}
+			}()
+			Transition(a, b, w)
+		}()
+	}
+}
+
+// refTransitionMatrix is the string-keyed transition matrix Transition
+// replaced: every network's sites hashed into label-keyed maps. It is
+// kept as the oracle that the index-based build must match bit for bit.
+// Its LargestFlows sorts every flow and keeps the first k, the order the
+// runtime's bounded insertion must reproduce.
+type refTransitionMatrix struct {
+	Sites                            []string
+	counts                           map[[2]int]float64
+	index                            map[string]int
+	moved, stayed, unobserved, total float64
+}
+
+func refTransition(a, b *Vector, w []float64) *refTransitionMatrix {
+	present := make(map[string]bool)
+	for _, v := range []*Vector{a, b} {
+		for i := 0; i < v.Space.NumNetworks(); i++ {
+			if s, ok := v.Site(i); ok {
+				present[s] = true
+			} else {
+				present[UnknownLabel] = true
+			}
+		}
+	}
+	var real, special []string
+	for s := range present {
+		switch s {
+		case SiteError, SiteOther, UnknownLabel:
+			special = append(special, s)
+		default:
+			real = append(real, s)
+		}
+	}
+	sort.Strings(real)
+	sort.Slice(special, func(i, j int) bool {
+		rank := map[string]int{SiteError: 0, SiteOther: 1, UnknownLabel: 2}
+		return rank[special[i]] < rank[special[j]]
+	})
+	labels := append(real, special...)
+
+	tm := &refTransitionMatrix{
+		Sites:  labels,
+		counts: make(map[[2]int]float64),
+		index:  make(map[string]int, len(labels)),
+	}
+	for i, s := range labels {
+		tm.index[s] = i
+	}
+	label := func(v *Vector, n int) int {
+		if s, ok := v.Site(n); ok {
+			return tm.index[s]
+		}
+		return tm.index[UnknownLabel]
+	}
+	for n := 0; n < a.Space.NumNetworks(); n++ {
+		wi := 1.0
+		if w != nil {
+			wi = w[n]
+		}
+		tm.counts[[2]int{label(a, n), label(b, n)}] += wi
+		tm.total += wi
+		switch from, to := a.Get(n), b.Get(n); {
+		case from == Unknown || to == Unknown:
+			tm.unobserved += wi
+		case from == to:
+			tm.stayed += wi
+		default:
+			tm.moved += wi
+		}
+	}
+	return tm
+}
+
+func (tm *refTransitionMatrix) At(from, to string) float64 {
+	i, okI := tm.index[from]
+	j, okJ := tm.index[to]
+	if !okI || !okJ {
+		return 0
+	}
+	return tm.counts[[2]int{i, j}]
+}
+
+func (tm *refTransitionMatrix) Row(from string) map[string]float64 {
+	out := make(map[string]float64)
+	i, ok := tm.index[from]
+	if !ok {
+		return out
+	}
+	for k, v := range tm.counts {
+		if k[0] == i && v != 0 {
+			out[tm.Sites[k[1]]] = v
+		}
+	}
+	return out
+}
+
+func (tm *refTransitionMatrix) LargestFlows(k int) []Flow {
+	var flows []Flow
+	for key, v := range tm.counts {
+		if key[0] != key[1] && v > 0 {
+			flows = append(flows, Flow{From: tm.Sites[key[0]], To: tm.Sites[key[1]], Count: v})
+		}
+	}
+	sort.Slice(flows, func(i, j int) bool {
+		a, b := flows[i], flows[j]
+		if a.Count != b.Count {
+			return a.Count > b.Count
+		}
+		if a.From != b.From {
+			return a.From < b.From
+		}
+		return a.To < b.To
+	})
+	if k > 0 && len(flows) > k {
+		flows = flows[:k]
+	}
+	return flows
+}
+
+// transitionCase draws trial's vector pair and weights for the oracle
+// property. The alphabet mixes real sites with err, other and a real site
+// labelled "unknown", interned in a random order, and a few more labels
+// are interned in the space but held by neither vector. Some trials have
+// one network or all-unknown vectors; most weigh networks fractionally,
+// so a cell's sum depends on its addition order.
+func transitionCase(r *rng.Source, trial int) (a, b *Vector, w []float64) {
+	n := 1 + r.Intn(120)
+	if trial%16 == 0 {
+		n = 1
+	}
+	s := NewSpace(nets(n))
+	pool := []string{"AMS", "NAP", "STR", "ZRH", "cmh", "", SiteError, SiteOther, UnknownLabel}
+	for i := len(pool) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		pool[i], pool[j] = pool[j], pool[i]
+	}
+	var alpha []string
+	for i, l := range pool {
+		if r.Bool(0.3) {
+			s.SiteIndex(fmt.Sprintf("idle%d", i)) // interned, never held
+		}
+		if r.Bool(0.7) {
+			s.SiteIndex(l)
+			alpha = append(alpha, l)
+		}
+	}
+	unknownP := r.Float64() / 2
+	mk := func(t int) *Vector {
+		v := s.NewVector(timeline.Epoch(t))
+		if len(alpha) == 0 || r.Bool(0.1) {
+			return v // all unknown
+		}
+		for i := 0; i < n; i++ {
+			if !r.Bool(unknownP) {
+				v.Set(i, alpha[r.Intn(len(alpha))])
+			}
+		}
+		return v
+	}
+	a, b = mk(0), mk(1)
+	switch trial % 4 {
+	case 0:
+		return a, b, nil
+	case 1:
+		w = make([]float64, n)
+		for i := range w {
+			w[i] = float64(r.Intn(3)) // exact, zeros included
+		}
+	default:
+		w = make([]float64, n)
+		for i := range w {
+			w[i] = 1000 * r.Float64()
+		}
+	}
+	return a, b, w
+}
+
+// TestTransitionMatchesStringKeyedOracle checks the index-based build
+// against the string-keyed refTransition bit for bit: the axis, every
+// cell (absent and idle labels included), every row, the four masses and
+// the largest flows at several k.
+func TestTransitionMatchesStringKeyedOracle(t *testing.T) {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	r := rng.New(23)
+	for trial := 0; trial < 400; trial++ {
+		a, b, w := transitionCase(r, trial)
+		got, want := Transition(a, b, w), refTransition(a, b, w)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("trial %d (%d networks, weights %v): %s", trial, a.Space.NumNetworks(), w != nil, fmt.Sprintf(format, args...))
+		}
+		if !slices.Equal(got.Sites, want.Sites) || (got.Sites == nil) != (want.Sites == nil) {
+			fail("Sites %q, want %q", got.Sites, want.Sites)
+		}
+		gm := [4]float64{got.Moved(), got.Stayed(), got.Unobserved(), got.Total()}
+		wm := [4]float64{want.moved, want.stayed, want.unobserved, want.total}
+		for i := range gm {
+			if !same(gm[i], wm[i]) {
+				fail("masses %v, want %v", gm, wm)
+			}
+		}
+		labels := append(a.Space.Sites(), UnknownLabel, "absent")
+		for _, from := range labels {
+			for _, to := range labels {
+				if gv, wv := got.At(from, to), want.At(from, to); !same(gv, wv) {
+					fail("At(%q, %q) = %v, want %v", from, to, gv, wv)
+				}
+			}
+			if gv, wv := got.Row(from), want.Row(from); !maps.EqualFunc(gv, wv, same) {
+				fail("Row(%q) = %v, want %v", from, gv, wv)
+			}
+		}
+		sameFlow := func(x, y Flow) bool { return x.From == y.From && x.To == y.To && same(x.Count, y.Count) }
+		for _, k := range []int{0, 1, 5, len(want.counts) + 1} {
+			if gv, wv := got.LargestFlows(k), want.LargestFlows(k); !slices.EqualFunc(gv, wv, sameFlow) {
+				fail("LargestFlows(%d) = %v, want %v", k, gv, wv)
+			}
+		}
+	}
+}
+
+// TestTransitionConcurrentWithInterning builds transition matrices and
+// explained event lists while another goroutine interns new labels into
+// the same space and appends vectors that hold them, as the daemon's
+// ingest handlers do beside its query handlers. Run under -race.
+func TestTransitionConcurrentWithInterning(t *testing.T) {
+	const n = 64
+	s := NewSpace(nets(n))
+	r := rng.New(5)
+	mon := NewMonitor(s, sched(1<<20), nil, PessimisticUnknown, DefaultDetectOptions())
+	vec := func(e int, sites []string) *Vector {
+		v := s.NewVector(timeline.Epoch(e))
+		for i := 0; i < n; i++ {
+			if !r.Bool(0.2) {
+				v.Set(i, sites[(e/8+i%2)%len(sites)])
+			}
+		}
+		return v
+	}
+	base := []string{"A", "B", "C", SiteError}
+	var vs []*Vector
+	for e := 0; e < 40; e++ {
+		v := vec(e, base)
+		vs = append(vs, v)
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for e := 40; e < 240; e++ {
+			sites := append(base[:len(base):len(base)], fmt.Sprintf("new%03d", e))
+			if _, _, err := mon.Append(vec(e, sites)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		a, b := vs[i%len(vs)], vs[(i+8)%len(vs)]
+		if tm := Transition(a, b, nil); tm.Total() != n {
+			t.Fatalf("Total %v, want %d", tm.Total(), n)
+		}
+		for _, ev := range mon.Events(3, true) {
+			if ev.Explanation == nil {
+				t.Fatal("explained event without an Explanation")
+			}
+		}
+	}
+	wg.Wait()
 }

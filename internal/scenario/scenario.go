@@ -48,6 +48,7 @@ type Run struct {
 // figures. Each *Result embeds it.
 type Outcome struct {
 	Series *core.Series
+	// Matrix is Φ over Series, pessimistic and unweighted.
 	Matrix *core.SimMatrix
 	Modes  *core.ModesResult
 	// Faults reports injected faults, retries, and quarantined

@@ -297,7 +297,7 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 		opts.Cooldown = 4
 	}
 	spDet := cfg.Obs.StartSpan("detect")
-	detections := core.DetectChanges(out.Series, nil, opts)
+	detections := core.DetectChangesMatrix(out.Series, out.Matrix, core.PessimisticUnknown, nil, opts)
 	core.ObserveDetections(cfg.Obs, spDet, detections)
 	groups := events.GroupEntries(log, 2)
 	val := events.Validate(groups, detections, 3)
