@@ -128,8 +128,9 @@ fuzz-smoke:
 	done
 
 # Concurrent-load check (not part of `check`; slower): N writers + N
-# contended writers + readers against a -race daemon build. Writes
-# throughput and admission-latency quantiles to BENCH_serve.json.
+# contended writers + readers against a -race daemon build, then the
+# release-build shard sweep and history A/B, which write throughput and
+# admission-latency quantiles to BENCH_serve.json.
 serve-load:
 	./scripts/serve_load.sh
 

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Explanation bounds: fixed rather than configurable so every event's
 // explanation has the same deterministic cost in batch and streaming
@@ -164,18 +161,16 @@ func newExplanation(prev, cur *Vector, w []float64, vd verdict) *Explanation {
 		ModePhi:     vd.phi,
 		ModeCount:   vd.modes,
 	}
-	siteOf := func(v *Vector, n int) string {
-		if s, ok := v.Site(n); ok {
-			return s
-		}
-		return UnknownLabel
-	}
-
+	// top keeps the explainTopContributors heaviest changed rows, weight
+	// descending with ties in row order, by bounded insertion: rows
+	// arrive in row order, so a newcomer goes after every kept row of
+	// equal weight.
 	type changed struct {
 		row int
 		w   float64
 	}
-	var rows []changed
+	var top [explainTopContributors]changed
+	kept := 0
 	for n := 0; n < prev.Space.NumNetworks(); n++ {
 		wi := 1.0
 		if w != nil {
@@ -191,25 +186,35 @@ func newExplanation(prev, cur *Vector, w []float64, vd verdict) *Explanation {
 		if from != to {
 			e.ChangedCount++
 			e.ChangedWeight += wi
-			rows = append(rows, changed{row: n, w: wi})
+			i := kept
+			for i > 0 && top[i-1].w < wi {
+				i--
+			}
+			if i < len(top) {
+				kept = min(kept+1, len(top))
+				copy(top[i+1:kept], top[i:kept-1])
+				top[i] = changed{row: n, w: wi}
+			}
 		}
 	}
-	sort.SliceStable(rows, func(i, j int) bool {
-		if rows[i].w != rows[j].w {
-			return rows[i].w > rows[j].w
-		}
-		return rows[i].row < rows[j].row
-	})
-	if len(rows) > explainTopContributors {
-		rows = rows[:explainTopContributors]
+	if kept > 0 {
+		e.Contributors = make([]Contributor, 0, kept)
 	}
-	for _, c := range rows {
+	for _, c := range top[:kept] {
 		e.Contributors = append(e.Contributors, Contributor{
 			Network: prev.Space.Network(c.row),
-			From:    siteOf(prev, c.row),
-			To:      siteOf(cur, c.row),
+			From:    siteLabel(prev, c.row),
+			To:      siteLabel(cur, c.row),
 			Weight:  c.w,
 		})
 	}
 	return e
+}
+
+// siteLabel is v's site for network n, UnknownLabel when unset.
+func siteLabel(v *Vector, n int) string {
+	if site, ok := v.Site(n); ok {
+		return site
+	}
+	return UnknownLabel
 }

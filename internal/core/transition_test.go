@@ -502,6 +502,37 @@ func TestTransitionMatchesStringKeyedOracle(t *testing.T) {
 	}
 }
 
+// TestExplanationContributorsMatchSortedOracle checks newExplanation's
+// bounded top-k against the selection it replaced: every changed row,
+// stable-sorted by weight descending with ties in row order, cut to
+// explainTopContributors. Integer weights make ties common.
+func TestExplanationContributorsMatchSortedOracle(t *testing.T) {
+	r := rng.New(31)
+	for trial := 0; trial < 400; trial++ {
+		a, b, w := transitionCase(r, trial)
+		var want []Contributor
+		for n := 0; n < a.Space.NumNetworks(); n++ {
+			if a.Get(n) == b.Get(n) {
+				continue
+			}
+			wi := 1.0
+			if w != nil {
+				wi = w[n]
+			}
+			want = append(want, Contributor{Network: a.Space.Network(n), From: siteLabel(a, n), To: siteLabel(b, n), Weight: wi})
+		}
+		sort.SliceStable(want, func(i, j int) bool { return want[i].Weight > want[j].Weight })
+		if len(want) > explainTopContributors {
+			want = want[:explainTopContributors]
+		}
+		got := newExplanation(a, b, w, verdict{}).Contributors
+		if !slices.Equal(got, want) || (got == nil) != (want == nil) {
+			t.Fatalf("trial %d (%d networks, weights %v): contributors %v, want %v",
+				trial, a.Space.NumNetworks(), w != nil, got, want)
+		}
+	}
+}
+
 // TestTransitionConcurrentWithInterning builds transition matrices and
 // explained event lists while another goroutine interns new labels into
 // the same space and appends vectors that hold them, as the daemon's

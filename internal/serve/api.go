@@ -201,12 +201,12 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	// insert re-checks the draining flag under the shard lock — the same
-	// lock Drain takes to flip it — so a create cannot slip between the
-	// isDraining check above and the map insert and leave a running,
+	// insert re-checks the draining flag under the table lock — the
+	// same lock Drain holds to set it — so a create cannot slip between
+	// the isDraining check above and the insert and leave a running,
 	// never-drained tenant behind (the old create-vs-drain TOCTOU).
-	sh := s.shardFor(name)
-	if _, err := sh.insert(name, mon); err != nil {
+	t, err := s.insert(name, mon)
+	if err != nil {
 		switch {
 		case errors.Is(err, errDraining):
 			writeErr(w, http.StatusServiceUnavailable, "server is draining")
@@ -219,7 +219,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setTenantGauge()
 	writeJSON(w, http.StatusCreated, map[string]any{
-		"name": name, "networks": len(spec.Networks), "shard": sh.id,
+		"name": name, "networks": len(spec.Networks), "shard": t.sh.id,
 	})
 }
 
@@ -570,11 +570,12 @@ func (s *Server) handleServerStatus(w http.ResponseWriter, _ *http.Request) {
 		appends += snap.Appends
 		events += snap.Events
 	}
+	counts := s.shardCounts()
 	shards := make([]map[string]any, 0, len(s.shards))
 	for _, sh := range s.shards {
 		shards = append(shards, map[string]any{
 			"shard":         sh.id,
-			"tenants":       sh.count(),
+			"tenants":       counts[sh.id],
 			"pending":       sh.pending.Load(),
 			"drain_seconds": time.Duration(sh.drainNanos.Load()).Seconds(),
 		})

@@ -382,10 +382,8 @@ func (l *lifecycle) drain() {
 // its durable prefix, or is gone if it never had one. The reference is
 // rebuilt from those prefixes.
 func (l *lifecycle) crash() {
-	for _, sh := range l.srv.shards {
-		for _, name := range sh.names() {
-			sh.tenant(name).stop()
-		}
+	for _, name := range l.srv.tenantNames() {
+		l.srv.tenant(name).stop()
 	}
 	l.srv.hist.Stop()
 	l.srv = l.start(l.cfg)

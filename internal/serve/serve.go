@@ -14,14 +14,14 @@
 // byte-identically to one that never stopped.
 //
 // Tenants are partitioned across S in-process shards (Config.Shards,
-// `fenrir -shards`) by consistent hash of the tenant name. Each shard
-// owns its tenant map, its own lock, and its own snapshot subdirectory
-// (<dir>/shard-<k>/), so admission on one shard never contends with
-// creates, lookups, or drains on another, and SIGTERM drains all
-// shards in parallel. POST /v1/admin/rebalance moves a tenant between
-// shards by handing its monitor to the target shard — flush, checkpoint
-// into the target's subdirectory, insert, flip placement — so it
-// answers byte-identically to never having moved.
+// `fenrir -shards`), placed on create by consistent hash of the tenant
+// name. One table maps each tenant name to its tenant, and a tenant's
+// shard is its placement. Each shard owns a snapshot subdirectory
+// (<dir>/shard-<k>/) and its gauges, and SIGTERM drains all shards in
+// parallel. POST /v1/admin/rebalance moves a tenant between shards by
+// handing its monitor to a tenant on the target shard — flush,
+// checkpoint into the target's subdirectory, swap the table entry — so
+// it answers byte-identically to never having moved.
 package serve
 
 import (
@@ -70,8 +70,8 @@ type Config struct {
 	DefaultWindow int
 	// Shards is the number of in-process shard workers tenants are
 	// placed across by consistent hash (jump hash over the tenant
-	// name); <= 0 means 1. Each shard has its own lock, tenant map, and
-	// snapshot subdirectory, and drains in parallel with the others.
+	// name); <= 0 means 1. Each shard has its own snapshot
+	// subdirectory and drains in parallel with the others.
 	Shards int
 	// Obs receives serve metrics; nil disables instrumentation.
 	Obs *obs.Registry
@@ -127,7 +127,15 @@ type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
-	shards   []*shard
+	shards []*shard
+
+	// mu guards tenants, the one table of hosted tenants. A tenant's sh
+	// is its placement: its hash-home shard on create, the shard whose
+	// directory held its checkpoint on restore, the target of its last
+	// rebalance. Drain sets draining under mu, so an insert either lands
+	// before Drain captures the table or fails with errDraining.
+	mu       sync.RWMutex
+	tenants  map[string]*tenant
 	draining atomic.Bool
 
 	// hist is the telemetry history store (nil unless HistoryEvery > 0);
@@ -138,14 +146,8 @@ type Server struct {
 	// resolved once in New (nil-safe no-ops without a registry).
 	met serverMetrics
 
-	// placement holds rebalance overrides: tenant name → shard id, for
-	// tenants living somewhere other than their hash-home shard. Reads
-	// are on every request path, writes only on rebalance and restore.
-	placeMu   sync.RWMutex
-	placement map[string]int
-
 	// rebalanceMu serializes admin rebalances so two concurrent moves
-	// cannot fight over one tenant or interleave placement flips.
+	// cannot fight over one tenant.
 	rebalanceMu sync.Mutex
 }
 
@@ -169,7 +171,7 @@ var rejectReasons = []string{"append", "draining", "read", "dropped", "malformed
 // every tenant checkpointed there onto the shard whose subdirectory
 // holds its snapshot.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, placement: make(map[string]int)}
+	s := &Server{cfg: cfg, tenants: make(map[string]*tenant)}
 	// The governor must be in place before any tenant-labeled series is
 	// resolved (restore creates per-tenant instruments), so overflow
 	// tenants collapse into __other__ from the very first registration.
@@ -253,23 +255,12 @@ func (s *Server) homeShard(name string) int {
 	return jumpHash(hashTenant(name), len(s.shards))
 }
 
-// shardFor resolves a tenant name to its shard: a rebalance override if
-// one exists, the hash-home shard otherwise.
-func (s *Server) shardFor(name string) *shard {
-	s.placeMu.RLock()
-	k, ok := s.placement[name]
-	s.placeMu.RUnlock()
-	if !ok {
-		k = s.homeShard(name)
-	}
-	return s.shards[k]
-}
-
 // restoreAll loads every checkpoint in SnapshotDir: each shard-<k>/
 // subdirectory is scanned and its tenants restored in place — a tenant
 // checkpointed on shard k (including one rebalanced there) comes back on
 // shard k. Orphaned checkpoint temp files are removed on the way, and
-// unreadable checkpoints are set aside (see setAside).
+// unreadable checkpoints are set aside (see setAside). New calls it
+// before the server is shared, so the table is written without mu.
 func (s *Server) restoreAll() error {
 	orphans := s.cfg.Obs.Counter("fenrir_snapshot_orphans_removed_total")
 	for _, sh := range s.shards {
@@ -297,7 +288,7 @@ func (s *Server) restoreAll() error {
 			}
 			name := strings.TrimSuffix(e.Name(), snapSuffix)
 			path := filepath.Join(sh.dir(), e.Name())
-			if prev := s.shardFor(name).tenant(name); prev != nil {
+			if prev := s.tenants[name]; prev != nil {
 				// The same tenant exists in two shard directories: a crash
 				// landed between a rebalance writing the target snapshot and
 				// removing the source one. Both copies held identical bytes
@@ -316,14 +307,7 @@ func (s *Server) restoreAll() error {
 				}
 				continue
 			}
-			sh.mu.Lock()
-			sh.tenants[name] = newTenant(name, mon, sh)
-			sh.mu.Unlock()
-			if home := s.homeShard(name); home != sh.id {
-				s.placeMu.Lock()
-				s.placement[name] = sh.id
-				s.placeMu.Unlock()
-			}
+			s.tenants[name] = newTenant(name, mon, sh)
 		}
 	}
 	return nil
@@ -388,28 +372,10 @@ func (s *Server) resolveDuplicate(prev *tenant, sh *shard, name, path string) er
 	}
 	// The later copy wins: re-home the tenant onto this shard.
 	prev.stop()
-	oldPath := prev.snapshotPath()
-	prev.sh.remove(name)
-	sh.mu.Lock()
-	sh.tenants[name] = newTenant(name, mon, sh)
-	sh.mu.Unlock()
-	s.setPlacement(name, sh.id)
+	s.tenants[name] = newTenant(name, mon, sh)
 	s.cfg.Obs.Logger().Warn("duplicate tenant snapshot resolved",
 		"tenant", name, "kept_shard", sh.id)
-	return os.Remove(oldPath)
-}
-
-// setPlacement records where a tenant lives; the override is dropped
-// when it matches the hash-home shard so the table only holds genuine
-// exceptions.
-func (s *Server) setPlacement(name string, shardID int) {
-	s.placeMu.Lock()
-	if s.homeShard(name) == shardID {
-		delete(s.placement, name)
-	} else {
-		s.placement[name] = shardID
-	}
-	s.placeMu.Unlock()
+	return os.Remove(prev.snapshotPath())
 }
 
 // Handler returns the daemon's HTTP API.
@@ -417,25 +383,64 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // tenant returns the named tenant, or nil.
 func (s *Server) tenant(name string) *tenant {
-	return s.shardFor(name).tenant(name)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.tenants[name]
 }
 
-// tenantNames returns all tenant names across shards, sorted for stable
-// listings.
-func (s *Server) tenantNames() []string {
-	var names []string
-	for _, sh := range s.shards {
-		names = append(names, sh.names()...)
+// insert creates a tenant on its hash-home shard. It checks the
+// draining flag under mu, which Drain holds to set the flag and capture
+// the table, so a create either lands before the capture (and is
+// stopped and checkpointed by Drain) or fails with errDraining: it can
+// never leave a running, never-checkpointed tenant behind.
+func (s *Server) insert(name string, mon *core.Monitor) (*tenant, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.draining.Load() {
+		return nil, errDraining
 	}
+	if _, ok := s.tenants[name]; ok {
+		return nil, errExists
+	}
+	t := newTenant(name, mon, s.shards[s.homeShard(name)])
+	s.tenants[name] = t
+	return t, nil
+}
+
+// place points the table entry for t's name at t.
+func (s *Server) place(t *tenant) {
+	s.mu.Lock()
+	s.tenants[t.name] = t
+	s.mu.Unlock()
+}
+
+// tenantNames returns all tenant names, sorted for stable listings.
+func (s *Server) tenantNames() []string {
+	s.mu.RLock()
+	names := make([]string, 0, len(s.tenants))
+	for name := range s.tenants {
+		names = append(names, name)
+	}
+	s.mu.RUnlock()
 	sort.Strings(names)
 	return names
 }
 
+// shardCounts returns how many tenants each shard hosts.
+func (s *Server) shardCounts() []int {
+	counts := make([]int, len(s.shards))
+	s.mu.RLock()
+	for _, t := range s.tenants {
+		counts[t.sh.id]++
+	}
+	s.mu.RUnlock()
+	return counts
+}
+
 func (s *Server) setTenantGauge() {
 	total := 0
-	for _, sh := range s.shards {
-		n := sh.count()
-		sh.tenantGauge.Set(float64(n))
+	for k, n := range s.shardCounts() {
+		s.shards[k].tenantGauge.Set(float64(n))
 		total += n
 	}
 	s.cfg.Obs.Gauge("fenrir_serve_tenants").Set(float64(total))
@@ -447,13 +452,20 @@ func (s *Server) setTenantGauge() {
 // before shutting the HTTP server down; afterwards queries still work
 // but ingest and creates return 503.
 func (s *Server) Drain() error {
-	// Flip the flag under rebalanceMu: a rebalance holds that mutex for
-	// its whole duration, so acquiring it here means no move is in
-	// flight, and every later move sees isDraining and refuses. Without
-	// this a move could run concurrently with shard drains and scatter a
-	// tenant's checkpoint across two shard directories.
+	// Set the flag and capture the table under rebalanceMu and then mu.
+	// A rebalance holds rebalanceMu for its whole duration, so no move
+	// is in flight and every later move sees isDraining and refuses;
+	// without this a move could run concurrently with shard drains and
+	// scatter a tenant's checkpoint across two shard directories. insert
+	// checks the flag under mu, so no create lands after the capture.
 	s.rebalanceMu.Lock()
+	s.mu.Lock()
 	s.draining.Store(true)
+	byShard := make([][]*tenant, len(s.shards))
+	for _, t := range s.tenants {
+		byShard[t.sh.id] = append(byShard[t.sh.id], t)
+	}
+	s.mu.Unlock()
 	s.rebalanceMu.Unlock()
 	errs := make([]error, len(s.shards))
 	var wg sync.WaitGroup
@@ -461,7 +473,7 @@ func (s *Server) Drain() error {
 		wg.Add(1)
 		go func(i int, sh *shard) {
 			defer wg.Done()
-			errs[i] = sh.drain()
+			errs[i] = sh.drain(byShard[i])
 		}(i, sh)
 	}
 	wg.Wait()

@@ -460,9 +460,7 @@ func TestServeBackpressure(t *testing.T) {
 	sh := s.shardFor("slow")
 	tn := &tenant{name: "slow", srv: s, sh: sh, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
 	tn.cond = sync.NewCond(&tn.mu)
-	sh.mu.Lock()
-	sh.tenants["slow"] = tn
-	sh.mu.Unlock()
+	s.place(tn)
 
 	for e := 0; e < 2; e++ {
 		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/slow/observations", observation(nets, e, 99)); code != http.StatusAccepted {

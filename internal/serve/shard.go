@@ -5,34 +5,28 @@ import (
 	"fmt"
 	"hash/fnv"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"fenrir/internal/core"
 	"fenrir/internal/obs"
 )
 
-// Sentinel errors the shard's admission-control surface returns; the API
-// layer maps them to 503 and 409.
+// Sentinel errors Server.insert returns; the API layer maps them to 503
+// and 409.
 var (
 	errDraining = errors.New("serve: server is draining")
 	errExists   = errors.New("serve: tenant already exists")
 )
 
-// shard is one in-process tenant partition: it owns its tenant map, its
-// own lock, and its own snapshot subdirectory, so tenant admission on
-// one shard never contends with lookups, creates, or drains on another.
-// Tenants are placed on shards by consistent hash of their name
-// (jumpHash below); POST /v1/admin/rebalance moves one and records the
-// override in the server's placement table.
+// shard is one in-process tenant partition: a snapshot subdirectory,
+// one lane of the parallel drain, and the shard-labelled gauges and
+// rollups. Which tenants a shard hosts is not kept here: a tenant's sh
+// field is its placement, in the server's one tenant table. A tenant is
+// placed on its hash-home shard (jumpHash below) when created; POST
+// /v1/admin/rebalance moves it.
 type shard struct {
 	id  int
 	srv *Server
-
-	mu       sync.Mutex
-	tenants  map[string]*tenant
-	draining bool
 
 	// pending aggregates admitted-but-not-yet-appended observations
 	// across the shard's tenants, mirrored into pendingGauge so /status
@@ -59,9 +53,8 @@ type shard struct {
 func newShard(id int, s *Server) *shard {
 	reg := s.cfg.Obs
 	return &shard{
-		id:      id,
-		srv:     s,
-		tenants: make(map[string]*tenant),
+		id:  id,
+		srv: s,
 
 		tenantGauge:  reg.Gauge(fmt.Sprintf(`fenrir_serve_shard_tenants{shard="%d"}`, id)),
 		pendingGauge: reg.Gauge(fmt.Sprintf(`fenrir_serve_shard_pending{shard="%d"}`, id)),
@@ -76,73 +69,12 @@ func (sh *shard) dir() string {
 	return filepath.Join(sh.srv.cfg.SnapshotDir, fmt.Sprintf("shard-%d", sh.id))
 }
 
-// tenant returns the named tenant hosted on this shard, or nil.
-func (sh *shard) tenant(name string) *tenant {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.tenants[name]
-}
-
-// insert creates and places a tenant, re-checking the draining flag
-// under the same lock Drain uses to set it and snapshot the tenant list.
-// That closes the create-vs-drain TOCTOU: a create either lands before
-// the drain snapshot (and is stopped and checkpointed by Drain) or fails
-// with errDraining — it can never slip in between and leave a running,
-// never-checkpointed tenant behind.
-func (sh *shard) insert(name string, mon *core.Monitor) (*tenant, error) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if sh.draining {
-		return nil, errDraining
-	}
-	if _, ok := sh.tenants[name]; ok {
-		return nil, errExists
-	}
-	t := newTenant(name, mon, sh)
-	sh.tenants[name] = t
-	return t, nil
-}
-
-// remove drops the named tenant from the shard's map (the caller has
-// already stopped it or re-homed it).
-func (sh *shard) remove(name string) {
-	sh.mu.Lock()
-	delete(sh.tenants, name)
-	sh.mu.Unlock()
-}
-
-// count returns the number of tenants hosted on this shard.
-func (sh *shard) count() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return len(sh.tenants)
-}
-
-// names returns the shard's tenant names, unsorted.
-func (sh *shard) names() []string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	out := make([]string, 0, len(sh.tenants))
-	for n := range sh.tenants {
-		out = append(out, n)
-	}
-	return out
-}
-
-// drain flips the shard to draining and, for every tenant present at
-// that instant, stops the worker and writes a final checkpoint. The
-// draining flag and the tenant list are taken under one critical
-// section (see insert). Shards drain in parallel with each other;
-// within a shard tenants drain serially.
-func (sh *shard) drain() error {
+// drain stops the worker of every tenant in ts, the shard's tenants as
+// Drain captured them, and writes each a final checkpoint. Shards
+// drain in parallel with each other; within a shard tenants drain
+// serially.
+func (sh *shard) drain(ts []*tenant) error {
 	t0 := time.Now()
-	sh.mu.Lock()
-	sh.draining = true
-	ts := make([]*tenant, 0, len(sh.tenants))
-	for _, t := range sh.tenants {
-		ts = append(ts, t)
-	}
-	sh.mu.Unlock()
 	var firstErr error
 	for _, t := range ts {
 		// stop drains the queue and parks the worker, so the final

@@ -8,13 +8,33 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"fenrir/internal/core"
 	"fenrir/internal/obs"
 	"fenrir/internal/snapshot"
 )
+
+// shardFor returns the shard hosting the named tenant, or the name's
+// hash-home shard when no tenant has it.
+func (s *Server) shardFor(name string) *shard {
+	if t := s.tenant(name); t != nil {
+		return t.sh
+	}
+	return s.shards[s.homeShard(name)]
+}
+
+// tenant returns the named tenant if sh hosts it, or nil.
+func (sh *shard) tenant(name string) *tenant {
+	if t := sh.srv.tenant(name); t != nil && t.sh == sh {
+		return t
+	}
+	return nil
+}
 
 // jumpHash must be a valid consistent hash: in range, deterministic,
 // and monotone — growing the bucket count only moves keys into the new
@@ -186,6 +206,46 @@ func TestCreateDuringDrainRace(t *testing.T) {
 	t.Logf("created=%d refused=%d", created, refused)
 }
 
+// The guard behind TestCreateDuringDrainRace, without the race: Drain
+// sets the draining flag and captures the tenant table under the lock
+// insert checks the flag under, so an insert after the capture returns
+// errDraining and leaves nothing behind: no table entry, and no tenant
+// object, whose construction registers the tenant's series and starts
+// its worker. The create handler checks isDraining before it inserts,
+// so only a direct call reaches the guard every time.
+func TestInsertAfterDrainRefused(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := New(Config{Shards: 4, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newMon := func() *core.Monitor {
+		mon, err := monitorFromSpec(defaultSpec(6), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	if _, err := s.insert("early", newMon()); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	tn, err := s.insert("late", newMon())
+	if !errors.Is(err, errDraining) || tn != nil {
+		t.Fatalf("insert after Drain: tenant returned %v, error %v; want errDraining", tn != nil, err)
+	}
+	if names := s.tenantNames(); !slices.Equal(names, []string{"early"}) {
+		t.Fatalf("tenants after a refused insert: %v, want [early]", names)
+	}
+	var exposition strings.Builder
+	reg.WritePrometheus(&exposition)
+	if strings.Contains(exposition.String(), `tenant="late"`) {
+		t.Fatal("the refused insert built a tenant: its series are registered")
+	}
+}
+
 // A checkpoint written without a window frame (or with window 0) must
 // come back bounded when the daemon restarts under -window, exactly like
 // a freshly created windowed tenant that saw the same stream.
@@ -334,6 +394,95 @@ func TestRebalanceByteIdentical(t *testing.T) {
 		map[string]any{"tenant": "bgp", "shard": 99}); code != http.StatusBadRequest {
 		t.Fatalf("bad shard rebalance got %d, want 400", code)
 	}
+}
+
+// A rebalance's checkpoint is accounted like any other: the tenant's
+// size gauge reads the target file's size, the write lands once in the
+// daemon-wide and per-tenant checkpoint histograms, and the flight
+// recorder logs it. SnapshotEvery exceeds the stream, so the move's
+// write is the tenant's first checkpoint.
+func TestRebalanceCheckpointAccounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := testServer(t, Config{Shards: 4, SnapshotDir: t.TempDir(), SnapshotEvery: 1 << 20, Obs: reg})
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/acct", defaultSpec(20)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts, "acct", specNets(20), 0, 12, 6)
+	waitHistory(t, ts, "acct", 12)
+	target := rebalanceTarget(s, "acct")
+	if code, body := doReq(t, ts, http.MethodPost, "/v1/admin/rebalance",
+		map[string]any{"tenant": "acct", "shard": target}); code != http.StatusOK {
+		t.Fatalf("rebalance: %d %s", code, body)
+	}
+	fi, err := os.Stat(filepath.Join(s.shards[target].dir(), "acct"+snapSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge(`fenrir_snapshot_bytes{tenant="acct"}`).Value(); got != float64(fi.Size()) {
+		t.Errorf("fenrir_snapshot_bytes = %v, target file holds %d bytes", got, fi.Size())
+	}
+	for _, name := range []string{
+		"fenrir_snapshot_seconds",
+		`fenrir_serve_checkpoint_seconds{tenant="acct"}`,
+		`fenrir_serve_checkpoint_bytes{tenant="acct"}`,
+	} {
+		if got := reg.Histogram(name).Count(); got != 1 {
+			t.Errorf("%s count = %d, want 1", name, got)
+		}
+	}
+	if got := reg.Counter("fenrir_snapshot_writes_total").Value(); got != 1 {
+		t.Errorf("fenrir_snapshot_writes_total = %d, want 1", got)
+	}
+	logged := 0
+	for _, e := range reg.Events(0) {
+		if e.Msg == "checkpoint written" {
+			logged++
+		}
+	}
+	if logged != 1 {
+		t.Errorf("%d checkpoints logged, want 1", logged)
+	}
+}
+
+// A move whose target checkpoint fails never happens: the rebalance
+// answers 500, the failure is counted, and the tenant stays on its
+// source shard with a live worker and its source checkpoint.
+func TestRebalanceCheckpointFailureKeepsTenant(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, ts := testServer(t, Config{Shards: 4, SnapshotDir: t.TempDir(), Obs: reg})
+	nets := specNets(20)
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/stay", defaultSpec(20)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts, "stay", nets, 0, 8, 4)
+	waitHistory(t, ts, "stay", 8)
+	if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/stay/checkpoint", nil); code != http.StatusOK {
+		t.Fatalf("checkpoint: %d %s", code, body)
+	}
+	src := s.shardFor("stay")
+	dst := s.shards[rebalanceTarget(s, "stay")]
+	// A file where the target's directory should be fails its checkpoint.
+	if err := os.RemoveAll(dst.dir()); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dst.dir(), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, body := doReq(t, ts, http.MethodPost, "/v1/admin/rebalance",
+		map[string]any{"tenant": "stay", "shard": dst.id}); code != http.StatusInternalServerError {
+		t.Fatalf("rebalance onto a broken shard dir: %d %s, want 500", code, body)
+	}
+	if got := reg.Counter("fenrir_snapshot_errors_total").Value(); got != 1 {
+		t.Fatalf("fenrir_snapshot_errors_total = %d, want 1", got)
+	}
+	if got := s.shardFor("stay"); got != src {
+		t.Fatalf("tenant on shard %d after a failed move, want %d", got.id, src.id)
+	}
+	if _, err := os.Stat(filepath.Join(src.dir(), "stay"+snapSuffix)); err != nil {
+		t.Fatalf("source checkpoint: %v", err)
+	}
+	mustIngest(t, ts, "stay", nets, 8, 12, 4)
+	waitHistory(t, ts, "stay", 12)
 }
 
 // Rebalance on a memory-only daemon writes no file: the target shard

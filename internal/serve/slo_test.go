@@ -54,9 +54,7 @@ func TestBackpressureRetryAfterHeader(t *testing.T) {
 	// No worker ever runs, so none closes done; close it before the
 	// cleanup drain (cleanups run last-in first-out) waits on it.
 	t.Cleanup(func() { close(tn.done) })
-	sh.mu.Lock()
-	sh.tenants["stall"] = tn
-	sh.mu.Unlock()
+	s.place(tn)
 
 	for e := 0; e < 2; e++ {
 		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/stall/observations", observation(nets, e, 99)); code != http.StatusAccepted {

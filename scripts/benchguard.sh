@@ -26,8 +26,8 @@
 #                        ms over a few runs; explaining every event again
 #                        would cost thousands.
 #   DetectChanges        batch detection on the large-alphabet series, 54
-#                        events, each explained: one allocation more per
-#                        explanation is 3% more.
+#                        events, each explained: 836 allocations, so one
+#                        allocation more per explanation is 6% more.
 #   ScenarioBRoot        one op is one run of a few seconds, and six
 #   ScenarioGRoot        consecutive runs on a 2-core host spread
 #                        1.19-1.22x (max/min) in time, wider than the 15%

@@ -5,18 +5,18 @@
 # stream keeps strict epoch order) plus one contended tenant that all
 # writers race to feed (exercising the duplicate/out-of-order rejection
 # path), while READERS goroutines hammer the query and metrics
-# endpoints. Any race report or 5xx fails the script.
-#
-# On success the run's ingest throughput and client-observed admission
-# latency quantiles (per accepted POST, ordered writers only) are written
-# to BENCH_OUT in the same JSON shape bench2json.sh produces for `make
-# bench`, so serve-path regressions diff exactly like kernel ones.
+# endpoints. Any race report or 5xx fails the script. This phase is a
+# correctness check only: a -race build's timings are not perf numbers,
+# so it writes no rows.
 #
 # Phase 2 is the tenant-scale sweep: a release (non-race) build serves
 # TENANTS tenants (default 1024) at each shard count in SHARD_SET while
 # scripts/serveload feeds them from LOAD_WRITERS concurrent producers,
-# recording per-shard-count throughput and admission p50/p90/p99 rows
-# alongside the phase-1 rows. SHARD_SET="" skips the sweep.
+# recording per-shard-count throughput and admission p50/p90/p99 rows.
+# SHARD_SET="" skips the sweep. Phases 2 and 3 write BENCH_OUT in the
+# JSON shape bench2json.sh produces for `make bench`, gomaxprocs and
+# num_cpu included, so serve-path regressions diff exactly like kernel
+# ones.
 #
 #   WRITERS=8 EPOCHS=200 READERS=6 ./scripts/serve_load.sh
 #   TENANTS=2048 SHARD_SET="1 8" ./scripts/serve_load.sh
@@ -82,8 +82,8 @@ obs_json() { # epoch
 }
 
 # One tenant per writer plus a shared tenant every writer races to feed,
-# plus one sliding-window tenant whose sustained append throughput (every
-# append past the bound also pays an eviction) lands in BENCH_OUT.
+# plus one sliding-window tenant, where every append past the bound also
+# pays an eviction.
 winspec=$(printf '%s' "$spec" | sed "s/^{/{\"window\":$WINDOW,/")
 
 w=0
@@ -96,17 +96,11 @@ curl -s -o /dev/null -X PUT -d "$winspec" "$url/v1/tenants/bounded"
 
 writer() { # tenant
     e=0
-    lat="$work/lat.$1"
     while [ $e -lt "$EPOCHS" ]; do
-        body=$(obs_json $e)
-        out=$(curl -s -o /dev/null -w '%{http_code} %{time_total}' -X POST -d "$body" \
+        code=$(curl -s -o /dev/null -w '%{http_code}' -X POST -d "$(obs_json $e)" \
             "$url/v1/tenants/$1/observations")
-        code="${out%% *}"
         case "$code" in
-        202)
-            echo "${out#* }" >>"$lat"
-            e=$((e + 1))
-            ;;
+        202) e=$((e + 1)) ;;
         429) sleep 0.02 ;; # backpressure: retry same epoch
         *)
             echo "serve-load: writer $1 epoch $e: HTTP $code" >&2
@@ -145,16 +139,6 @@ reader() { # id
     done
 }
 
-# Windowed writer: same strict-order stream, but its wall clock is
-# captured separately so the windowed-ingest row measures only it.
-windowed_writer() {
-    ws=$(date +%s%N)
-    writer bounded
-    we=$(date +%s%N)
-    echo $((we - ws)) >"$work/bounded.wall"
-}
-
-start_ns=$(date +%s%N)
 writer_pids=""
 w=0
 while [ $w -lt "$WRITERS" ]; do
@@ -164,7 +148,7 @@ while [ $w -lt "$WRITERS" ]; do
     writer_pids="$writer_pids $!"
     w=$((w + 1))
 done
-windowed_writer &
+writer bounded &
 writer_pids="$writer_pids $!"
 r=0
 reader_pids=""
@@ -179,7 +163,6 @@ fail=0
 for p in $writer_pids; do
     wait "$p" || fail=1
 done
-end_ns=$(date +%s%N)
 touch "$work/stop"
 for p in $reader_pids; do
     wait "$p" || true
@@ -229,32 +212,11 @@ if [ "$fail" -ne 0 ]; then
     exit 1
 fi
 
-# Roll the accepted-POST latencies into bench2json.sh-shaped rows:
-# throughput as ns per accepted observation over the whole write phase,
-# p50/p90/p99 admission latency across ordered writers, and the bounded
-# tenant's sustained append throughput over its own wall clock (every
-# accepted append past the bound also pays an eviction). Rows accumulate
-# one-per-line in $work/rows; the sweep below appends to them and the
-# array is assembled at the end.
-win_n=$(wc -l <"$work/lat.bounded")
-win_wall=$(cat "$work/bounded.wall")
-sort -g "$work"/lat.w[0-9]* | awk \
-    -v wall_ns=$((end_ns - start_ns)) \
-    -v writers="$WRITERS" -v readers="$READERS" \
-    -v window="$WINDOW" -v win_n="$win_n" -v win_wall="$win_wall" '
-    { v[NR] = $1 }
-    END {
-        if (NR == 0 || win_n == 0) exit 1
-        q50 = v[int(0.50 * (NR - 1)) + 1] * 1e9
-        q90 = v[int(0.90 * (NR - 1)) + 1] * 1e9
-        q99 = v[int(0.99 * (NR - 1)) + 1] * 1e9
-        printf "{\"name\": \"ServeLoad/ingest-throughput/W=%d/R=%d\", \"iterations\": %d, \"ns_per_op\": %.0f}\n", writers, readers, NR, wall_ns / NR
-        printf "{\"name\": \"ServeLoad/admission-latency-p50\", \"iterations\": %d, \"ns_per_op\": %.0f}\n", NR, q50
-        printf "{\"name\": \"ServeLoad/admission-latency-p90\", \"iterations\": %d, \"ns_per_op\": %.0f}\n", NR, q90
-        printf "{\"name\": \"ServeLoad/admission-latency-p99\", \"iterations\": %d, \"ns_per_op\": %.0f}\n", NR, q99
-        printf "{\"name\": \"ServeLoad/windowed-ingest-throughput/window=%d\", \"iterations\": %d, \"ns_per_op\": %.0f}\n", window, win_n, win_wall / win_n
-    }' >"$work/rows"
 echo "serve-load: ok — $WRITERS ordered writers + $WRITERS contended writers + 1 windowed writer (window $WINDOW) + $READERS readers, $EPOCHS epochs each, no races, no 5xx"
+
+# Rows accumulate one per line in $work/rows; the phases below append
+# to them and the array is assembled at the end.
+: >"$work/rows"
 
 # Phase 2: the tenant-scale sweep. A release build (throughput, not race
 # hunting) hosts TENANTS tenants at each shard count; scripts/serveload

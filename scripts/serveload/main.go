@@ -1,6 +1,9 @@
 // Command serveload drives a running fenrir daemon with a sustained
 // multi-tenant ingest load and reports throughput and client-observed
 // admission latency as bench2json.sh-shaped JSON rows, one per line.
+// Each row records the load generator's GOMAXPROCS and CPU count;
+// scripts/serve_load.sh starts it beside the daemon on one host, in
+// one environment, so they are the daemon's too.
 //
 // Each of -writers workers owns a disjoint slice of the -tenants fleet
 // and walks it epoch by epoch, so every tenant sees a strictly ordered
@@ -28,6 +31,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -166,8 +170,8 @@ func run(base string, tenants, epochs, writers, networks int, label, prefix stri
 		suffix = "/" + label + suffix
 	}
 	emit := func(name string, iters int, nsPerOp float64) {
-		fmt.Printf("{\"name\": \"ServeLoad/%s%s\", \"iterations\": %d, \"ns_per_op\": %.0f}\n",
-			name, suffix, iters, nsPerOp)
+		fmt.Printf("{\"name\": \"ServeLoad/%s%s\", \"iterations\": %d, \"ns_per_op\": %.0f, \"gomaxprocs\": %d, \"num_cpu\": %d}\n",
+			name, suffix, iters, nsPerOp, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
 	emit(prefix+"-ingest-throughput", len(all), float64(wall.Nanoseconds())/float64(len(all)))
 	emit(prefix+"-admission-p50", len(all), float64(q(0.50).Nanoseconds()))
