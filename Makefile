@@ -36,18 +36,19 @@ race:
 # append, the /mode read that re-clusters that window, the /events read
 # that replays detection over it (plain and explained), batch change
 # detection with every event explained on the large-alphabet series,
-# the incremental threshold sweep, the end-to-end Analyze pipeline, and
-# a default B-Root run and a 4-minute G-Root run, whose wall time is
-# almost all the observe stage. Output is parsed into BENCH_core.json,
-# each row with the GOMAXPROCS and CPU count it ran with; a failing
-# bench run aborts loudly instead of writing an empty file. benchguard
-# guards the plain events row, the batch detection row and the two
-# scenario rows by allocations, not time: their allocation counts
-# repeat, while their times spread wider than its 15% margin (a scenario
-# op is one run of a few seconds, and repeated runs spread by about
-# 1.2x). The /mode read row is guarded both ways.
+# the W=1024 checkpoint save, the incremental threshold sweep, the
+# end-to-end Analyze pipeline, and a default B-Root run and a 4-minute
+# G-Root run, whose wall time is almost all the observe stage. Output is
+# parsed into BENCH_core.json, each row with the GOMAXPROCS and CPU
+# count it ran with; a failing bench run aborts loudly instead of
+# writing an empty file. benchguard guards the plain events row, the
+# batch detection row, the checkpoint row and the two scenario rows by
+# allocations, not time: their allocation counts repeat, while their
+# times spread wider than its 15% margin (a scenario op is one run of a
+# few seconds, and repeated runs spread by about 1.2x; a checkpoint is
+# fsync-bound). The /mode read row is guarded both ways.
 bench:
-	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|MonitorEvents|DetectChanges|AnalyzePipeline|ScenarioBRoot|ScenarioGRoot' -benchmem . > bench.out 2>&1 \
+	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|MonitorEvents|Checkpoint|DetectChanges|AnalyzePipeline|ScenarioBRoot|ScenarioGRoot' -benchmem . > bench.out 2>&1 \
 		|| { cat bench.out >&2; rm -f bench.out; exit 1; }
 	@./scripts/bench2json.sh < bench.out > BENCH_core.json.tmp \
 		|| { rm -f bench.out BENCH_core.json.tmp; exit 1; }
@@ -59,8 +60,8 @@ bench:
 # large-alphabet similarity row, the windowed append row or the mode
 # read row runs >15% slower than its committed BENCH_core.json
 # baseline, or if one op of the mode read row, the plain events read
-# row, the batch detection row or the B-Root or G-Root scenario row
-# allocates >1% more than its baseline.
+# row, the checkpoint row, the batch detection row or the B-Root or
+# G-Root scenario row allocates >1% more than its baseline.
 benchguard:
 	./scripts/benchguard.sh
 

@@ -13,12 +13,14 @@ package fenrir
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"fenrir/internal/core"
 	"fenrir/internal/rng"
 	"fenrir/internal/scenario"
+	"fenrir/internal/snapshot"
 	"fenrir/internal/timeline"
 )
 
@@ -394,6 +396,28 @@ func BenchmarkMonitorEvents(b *testing.B) {
 				mon.Events(20, bc.explain)
 			}
 		})
+	}
+}
+
+// BenchmarkCheckpoint measures one served checkpoint of
+// MonitorAppendHot's W=1024 state (256 networks, a 5.25 MB file):
+// SaveMonitor streams the snapshot into a temporary file, fsyncs and
+// renames it and syncs the directory. Its time is fsync-bound and
+// depends on the disk, so scripts/benchguard.sh guards its allocations
+// only. One save runs before the timer, so the op count holds no
+// first-use setup.
+func BenchmarkCheckpoint(b *testing.B) {
+	mon, _ := hotMonitor(b)
+	st := mon.State()
+	path := filepath.Join(b.TempDir(), "hot.fsnap")
+	if _, err := snapshot.SaveMonitor(path, st); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := snapshot.SaveMonitor(path, st); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -41,10 +41,18 @@ type tenant struct {
 	pending      int  // accepted but not yet appended
 	stopped      bool // worker told to exit
 
-	// sinceCheckpoint counts appends since the last checkpoint,
-	// guarded by mu (the worker increments it, any goroutine may
-	// checkpoint and reset it).
+	// sinceCheckpoint counts the appends the last checkpoint's state
+	// did not cover, guarded by mu: the worker adds each append, and a
+	// checkpoint subtracts the appends its state covered since the
+	// previous one.
 	sinceCheckpoint int
+
+	// ckptMu orders the tenant's checkpoints: each holds it from taking
+	// its state to the rename, so a slower write of an older state never
+	// lands over a newer one. ckptAppends, guarded by it, is the Appends
+	// count of the state last written (or restored).
+	ckptMu      sync.Mutex
+	ckptAppends uint64
 
 	queue chan queued
 	done  chan struct{}
@@ -78,6 +86,8 @@ func newTenant(name string, mon *core.Monitor, sh *shard) *tenant {
 		mon:   mon,
 		queue: make(chan queued, s.cfg.queueDepth()),
 		done:  make(chan struct{}),
+
+		ckptAppends: mon.Snapshot().Appends,
 
 		admitHist:   reg.Histogram(fmt.Sprintf("fenrir_serve_admission_seconds{tenant=%q}", name)),
 		lagHist:     reg.Histogram(fmt.Sprintf("fenrir_serve_queryable_lag_seconds{tenant=%q}", name)),
@@ -229,16 +239,27 @@ func (t *tenant) snapshotPath() string {
 	return filepath.Join(t.sh.dir(), t.name+snapSuffix)
 }
 
+// beforeSave, when set, runs in every checkpoint between taking the
+// tenant's state and saving it. Tests set it to hold a checkpoint there.
+var beforeSave func(st core.MonitorState)
+
 // checkpoint writes the tenant's state to its snapshot file and returns
 // the encoded size. Callers who need the checkpoint to cover all
 // accepted observations flush first; the worker calls it between
-// appends where that already holds.
+// appends where that already holds. One checkpoint of a tenant runs at
+// a time, and each takes its state once the previous one has landed.
 func (t *tenant) checkpoint() (int, error) {
 	if t.srv.cfg.SnapshotDir == "" {
 		return 0, fmt.Errorf("serve: no snapshot dir configured")
 	}
+	t.ckptMu.Lock()
+	defer t.ckptMu.Unlock()
 	t0 := time.Now()
-	size, err := snapshot.SaveMonitor(t.snapshotPath(), t.mon.State())
+	st := t.mon.State()
+	if beforeSave != nil {
+		beforeSave(st)
+	}
+	size, err := snapshot.SaveMonitor(t.snapshotPath(), st)
 	if err != nil {
 		// Count here, once, so every failure path — periodic worker
 		// checkpoint, explicit POST …/checkpoint, drain — feeds the same
@@ -246,9 +267,12 @@ func (t *tenant) checkpoint() (int, error) {
 		t.srv.met.snapErrors.Inc()
 		return 0, err
 	}
+	// Appends made after st was taken stay counted toward the next
+	// periodic checkpoint.
 	t.mu.Lock()
-	t.sinceCheckpoint = 0
+	t.sinceCheckpoint -= int(st.Appends - t.ckptAppends)
 	t.mu.Unlock()
+	t.ckptAppends = st.Appends
 	t.srv.met.snapWrites.Inc()
 	t.srv.met.snapSeconds.ObserveSince(t0)
 	t.snapBytes.Set(float64(size))
@@ -256,7 +280,7 @@ func (t *tenant) checkpoint() (int, error) {
 	t.ckptHist.Observe(d.Seconds())
 	t.ckptBytes.Observe(float64(size))
 	t.srv.cfg.Obs.Logger().Info("checkpoint written",
-		"tenant", t.name, "bytes", size, "history", t.mon.Len(),
+		"tenant", t.name, "bytes", size, "history", len(st.Vectors),
 		"seconds", d.Seconds())
 	return size, nil
 }

@@ -1,30 +1,17 @@
 package snapshot
 
 import (
+	"encoding/binary"
 	"io"
 
 	"fenrir/internal/core"
 	"fenrir/internal/timeline"
 )
 
-// encodeSpace renders the space section: the network universe in row
-// order, then the interned site alphabet in interning order. Restoring
-// interns the sites in the same order, so every persisted int32
-// assignment decodes to the same label it encoded from.
-func encodeSpace(s *core.Space) []byte {
-	var e enc
-	e.u32(uint32(s.NumNetworks()))
-	for i := 0; i < s.NumNetworks(); i++ {
-		e.str(s.Network(i))
-	}
-	sites := s.Sites()
-	e.u32(uint32(len(sites)))
-	for _, site := range sites {
-		e.str(site)
-	}
-	return e.buf
-}
-
+// decodeSpace reads the space section: the network universe in row
+// order, then the site alphabet in interning order, interned again in
+// that order so every persisted int32 assignment decodes to the label
+// it was encoded from.
 func decodeSpace(payload []byte) (*core.Space, int, error) {
 	d := &dec{buf: payload}
 	// Every string costs at least its 4-byte length prefix.
@@ -52,15 +39,9 @@ func decodeSpace(payload []byte) (*core.Space, int, error) {
 	return space, numSites, nil
 }
 
-// encodeSchedule renders a schedule as (start unix-nanos, interval,
-// length). The start instant round-trips exactly; its wall-clock zone is
-// normalized to UTC on restore.
-func encodeSchedule(e *enc, sched timeline.Schedule) {
-	e.i64(sched.Start.UnixNano())
-	e.i64(int64(sched.Interval))
-	e.i64(int64(sched.N))
-}
-
+// decodeSchedule reads a schedule written as (start unix-nanos,
+// interval, length). The start instant round-trips exactly; its
+// wall-clock zone is normalized to UTC.
 func decodeSchedule(d *dec) timeline.Schedule {
 	start := d.i64()
 	interval := d.i64()
@@ -75,21 +56,8 @@ func decodeSchedule(d *dec) timeline.Schedule {
 	}
 }
 
-// encodeVectors renders the observation history: per-vector epoch plus
-// the raw interned assignment row.
-func encodeVectors(space *core.Space, vs []*core.Vector) []byte {
-	var e enc
-	e.u32(uint32(len(vs)))
-	e.u32(uint32(space.NumNetworks()))
-	for _, v := range vs {
-		e.i64(int64(v.T))
-		for _, a := range v.Assignments() {
-			e.u32(uint32(a))
-		}
-	}
-	return e.buf
-}
-
+// decodeVectors reads the observation history: a count and a width,
+// then per vector its epoch and its raw interned assignment row.
 func decodeVectors(payload []byte, space *core.Space, numSites int) ([]*core.Vector, error) {
 	d := &dec{buf: payload}
 	count := int(d.u32())
@@ -126,70 +94,126 @@ func decodeVectors(payload []byte, space *core.Space, numSites int) ([]*core.Vec
 // (schedule, weights, unknown mode, detection options), the vector
 // history, the lower-triangular Φ values bit for bit, and the ingest
 // statistics.
+//
+// The snapshot streams to w through one buffer of writeBufSize bytes:
+// each frame's length is computed from the state before its payload,
+// vectors and Φ rows are written in place a row at a time, and the CRC
+// is folded in as the bytes pass. Encoding allocates that buffer and a
+// copy of the site list, whatever the window. The first error w returns
+// ends the encoding; nothing is written after it.
 func EncodeMonitor(w io.Writer, st core.MonitorState) error {
-	if err := writeHeader(w, kindMonitor); err != nil {
-		return err
-	}
-	if err := writeFrame(w, encodeSpace(st.Space)); err != nil {
-		return err
-	}
+	_, err := encodeMonitor(w, st)
+	return err
+}
 
-	var cfg enc
-	encodeSchedule(&cfg, st.Schedule)
+// encodeMonitor is EncodeMonitor, returning the bytes written.
+func encodeMonitor(w io.Writer, st core.MonitorState) (int, error) {
+	fw := newFrameWriter(w, kindMonitor)
+
+	// Space: the network universe in row order, then the interned site
+	// alphabet in interning order. Restoring interns the sites in the
+	// same order, so every persisted int32 assignment decodes to the
+	// same label it encoded from.
+	space, sites := st.Space, st.Space.Sites()
+	nets := space.NumNetworks()
+	size := 4 + 4
+	for i := 0; i < nets; i++ {
+		size += 4 + len(space.Network(i))
+	}
+	for _, site := range sites {
+		size += 4 + len(site)
+	}
+	fw.begin(size)
+	fw.u32(uint32(nets))
+	for i := 0; i < nets; i++ {
+		fw.str(space.Network(i))
+	}
+	fw.u32(uint32(len(sites)))
+	for _, site := range sites {
+		fw.str(site)
+	}
+	fw.end()
+
+	// Config: the schedule's start, interval and length, the weights
+	// behind a presence flag, the unknown mode and the detection options.
+	size = 3*8 + 1 + 1 + 8 + 8 + 1 + 8
 	if st.Weights != nil {
-		cfg.u8(1)
-		cfg.u32(uint32(len(st.Weights)))
-		for _, wt := range st.Weights {
-			cfg.f64(wt)
-		}
+		size += 4 + 8*len(st.Weights)
+	}
+	fw.begin(size)
+	fw.i64(st.Schedule.Start.UnixNano())
+	fw.i64(int64(st.Schedule.Interval))
+	fw.i64(int64(st.Schedule.N))
+	if st.Weights != nil {
+		fw.u8(1)
+		fw.u32(uint32(len(st.Weights)))
+		fw.f64s(st.Weights)
 	} else {
-		cfg.u8(0)
+		fw.u8(0)
 	}
-	cfg.u8(uint8(st.Mode))
-	cfg.i64(int64(st.Detect.Window))
-	cfg.f64(st.Detect.MinDrop)
-	cfg.u8(uint8(st.Detect.Mode))
-	cfg.i64(int64(st.Detect.Cooldown))
-	if err := writeFrame(w, cfg.buf); err != nil {
-		return err
-	}
+	fw.u8(uint8(st.Mode))
+	fw.i64(int64(st.Detect.Window))
+	fw.f64(st.Detect.MinDrop)
+	fw.u8(uint8(st.Detect.Mode))
+	fw.i64(int64(st.Detect.Cooldown))
+	fw.end()
 
-	if err := writeFrame(w, encodeVectors(st.Space, st.Vectors)); err != nil {
-		return err
+	// Vectors: count and width, then per vector its epoch and its raw
+	// interned assignment row.
+	fw.begin(8 + len(st.Vectors)*(8+4*nets))
+	fw.u32(uint32(len(st.Vectors)))
+	fw.u32(uint32(nets))
+	for _, v := range st.Vectors {
+		fw.i64(int64(v.T))
+		fw.assignments(v, nets)
 	}
+	fw.end()
 
-	var sim enc
-	sim.u32(uint32(len(st.Sim)))
+	// Sim: the row count, then row i's i values of Φ against each
+	// earlier vector.
+	size = 4
 	for _, row := range st.Sim {
-		for _, phi := range row {
-			sim.f64(phi)
-		}
+		size += 8 * len(row)
 	}
-	if err := writeFrame(w, sim.buf); err != nil {
-		return err
+	fw.begin(size)
+	fw.u32(uint32(len(st.Sim)))
+	for _, row := range st.Sim {
+		fw.f64s(row)
 	}
+	fw.end()
 
-	var stats enc
-	stats.u64(st.Appends)
-	stats.u64(st.Events)
-	stats.i64(int64(st.TotalIngest))
-	stats.i64(int64(st.LastIngest))
-	stats.i64(int64(st.LastEvent))
+	// Stats: the append and event counts, the ingest times and the last
+	// event.
+	fw.begin(5*8 + 1)
+	fw.u64(st.Appends)
+	fw.u64(st.Events)
+	fw.i64(int64(st.TotalIngest))
+	fw.i64(int64(st.LastIngest))
+	fw.i64(int64(st.LastEvent))
 	if st.HasEvent {
-		stats.u8(1)
+		fw.u8(1)
 	} else {
-		stats.u8(0)
+		fw.u8(0)
 	}
-	if err := writeFrame(w, stats.buf); err != nil {
-		return err
-	}
+	fw.end()
 
 	// Trailing window frame: the sliding-window bound and the eviction
 	// count.
-	var win enc
-	win.i64(int64(st.Window))
-	win.u64(st.Evictions)
-	return writeFrame(w, win.buf)
+	fw.begin(16)
+	fw.i64(int64(st.Window))
+	fw.u64(st.Evictions)
+	fw.end()
+	return fw.close()
+}
+
+// assignments writes a vector's interned assignment row in place, as
+// many networks per pass as the buffer holds.
+func (fw *frameWriter) assignments(v *core.Vector, width int) {
+	for n := 0; n < width && fw.room(4); {
+		for end := min(width, n+(cap(fw.buf)-len(fw.buf))/4); n < end; n++ {
+			fw.buf = binary.LittleEndian.AppendUint32(fw.buf, uint32(v.Get(n)))
+		}
+	}
 }
 
 // DecodeMonitor reads a monitor snapshot written by EncodeMonitor, at

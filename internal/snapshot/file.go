@@ -1,7 +1,6 @@
 package snapshot
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,17 +12,35 @@ import (
 func unixNanoUTC(ns int64) time.Time      { return time.Unix(0, ns).UTC() }
 func timeDuration(ns int64) time.Duration { return time.Duration(ns) }
 
-// SaveMonitor atomically writes a monitor snapshot to path: the bytes
-// land in a temporary file in the same directory and are renamed into
-// place, so a crash mid-checkpoint leaves the previous snapshot intact
-// rather than a truncated file, and the directory is synced so the
-// rename survives a power loss. Returns the encoded size.
+// SaveMonitor atomically writes a monitor snapshot to path and returns
+// its size. The encoder streams straight into a temporary file in the
+// same directory, which is fsynced, closed and renamed into place, so a
+// crash mid-checkpoint leaves the previous snapshot intact rather than a
+// truncated file. The directory is synced after the rename: without it
+// a power loss could keep a later unlink elsewhere (a rebalance removing
+// the tenant's source file) and lose the rename, leaving no checkpoint
+// at all. The temporary file is removed on any failure.
 func SaveMonitor(path string, st core.MonitorState) (int, error) {
-	var buf bytes.Buffer
-	if err := EncodeMonitor(&buf, st); err != nil {
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
+	if err != nil {
 		return 0, err
 	}
-	return buf.Len(), writeAtomic(path, buf.Bytes())
+	defer os.Remove(tmp.Name())
+	size, err := encodeMonitor(tmp, st)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return 0, err
+	}
+	if err := os.Rename(tmp.Name(), path); err != nil {
+		return 0, err
+	}
+	return size, syncDir(dir)
 }
 
 // LoadMonitor reads a monitor snapshot file and restores the monitor.
@@ -53,33 +70,4 @@ var syncDir = func(dir string) error {
 	}
 	defer d.Close()
 	return d.Sync()
-}
-
-// writeAtomic writes data to path via a same-directory temp file and
-// rename, fsyncing the file before the swap and the directory after it.
-// Without the directory sync a power loss could keep a later unlink
-// elsewhere (a rebalance removing the tenant's source file) and lose
-// the rename, leaving no checkpoint at all.
-func writeAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }

@@ -94,16 +94,121 @@ const maxFrameLen = 1 << 30
 // with one exact allocation.
 const frameChunk = 1 << 24
 
-// writeHeader emits magic, version, and kind.
-func writeHeader(w io.Writer, kind uint8) error {
-	if _, err := w.Write(magic[:]); err != nil {
-		return err
+// writeBufSize is the size of the one buffer a snapshot is written
+// through. Frames of any length pass through it a piece at a time, so
+// encoding allocates this buffer and nothing that grows with the state.
+const writeBufSize = 32 << 10
+
+// frameWriter streams a snapshot through one fixed buffer. Each frame's
+// length is declared before its payload (begin), so no payload is built
+// whole; the CRC is folded in as the bytes leave the buffer, and end
+// appends it. The first error from the underlying writer sticks: nothing
+// is written after it, and close returns it.
+type frameWriter struct {
+	w   io.Writer
+	buf []byte // pending bytes, cap(buf) == writeBufSize
+	sum int    // buf[sum:] is open-frame payload not yet in crc
+	crc uint32
+	n   int // bytes the underlying writer accepted
+	err error
+}
+
+// newFrameWriter starts a snapshot of the given kind on w: magic,
+// version and kind are the buffer's first bytes.
+func newFrameWriter(w io.Writer, kind uint8) *frameWriter {
+	buf := make([]byte, 0, writeBufSize)
+	buf = append(buf, magic[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, Version)
+	return &frameWriter{w: w, buf: append(buf, kind)}
+}
+
+// flush hands the buffered bytes to w, folding the open frame's payload
+// into its CRC first.
+func (fw *frameWriter) flush() {
+	if fw.err != nil {
+		return
 	}
-	var hdr [3]byte
-	binary.LittleEndian.PutUint16(hdr[:2], Version)
-	hdr[2] = kind
-	_, err := w.Write(hdr[:])
-	return err
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, fw.buf[fw.sum:])
+	n, err := fw.w.Write(fw.buf)
+	if err == nil && n < len(fw.buf) {
+		err = io.ErrShortWrite
+	}
+	fw.n += n
+	fw.buf, fw.sum, fw.err = fw.buf[:0], 0, err
+}
+
+// room reports whether size more bytes fit in the buffer, flushing it
+// when they do not; false once a write has failed.
+func (fw *frameWriter) room(size int) bool {
+	if cap(fw.buf)-len(fw.buf) < size {
+		fw.flush()
+	}
+	return fw.err == nil
+}
+
+// begin opens a frame of size payload bytes: its length prefix goes
+// out, and its CRC starts over. The payload written before end must be
+// exactly size bytes.
+func (fw *frameWriter) begin(size int) {
+	fw.u32(uint32(size))
+	fw.crc, fw.sum = 0, len(fw.buf)
+}
+
+// end closes the open frame with its CRC.
+func (fw *frameWriter) end() {
+	fw.crc = crc32.Update(fw.crc, crc32.IEEETable, fw.buf[fw.sum:])
+	fw.sum = len(fw.buf)
+	fw.u32(fw.crc)
+}
+
+// close flushes the buffer and returns the bytes written and the first
+// error.
+func (fw *frameWriter) close() (int, error) {
+	fw.flush()
+	return fw.n, fw.err
+}
+
+func (fw *frameWriter) u8(v uint8) {
+	if fw.room(1) {
+		fw.buf = append(fw.buf, v)
+	}
+}
+
+func (fw *frameWriter) u32(v uint32) {
+	if fw.room(4) {
+		fw.buf = binary.LittleEndian.AppendUint32(fw.buf, v)
+	}
+}
+
+func (fw *frameWriter) u64(v uint64) {
+	if fw.room(8) {
+		fw.buf = binary.LittleEndian.AppendUint64(fw.buf, v)
+	}
+}
+
+func (fw *frameWriter) i64(v int64)   { fw.u64(uint64(v)) }
+func (fw *frameWriter) f64(v float64) { fw.u64(math.Float64bits(v)) }
+
+// str writes a length-prefixed string, as much of it per pass as the
+// buffer holds.
+func (fw *frameWriter) str(s string) {
+	fw.u32(uint32(len(s)))
+	for len(s) > 0 && fw.room(1) {
+		k := copy(fw.buf[len(fw.buf):cap(fw.buf)], s)
+		fw.buf, s = fw.buf[:len(fw.buf)+k], s[k:]
+	}
+}
+
+// f64s writes a row of float64 values bit for bit, as many per pass as
+// the buffer holds.
+func (fw *frameWriter) f64s(row []float64) {
+	for len(row) > 0 && fw.room(8) {
+		k := min(len(row), (cap(fw.buf)-len(fw.buf))/8)
+		for _, v := range row[:k] {
+			fw.buf = binary.LittleEndian.AppendUint64(fw.buf, math.Float64bits(v))
+		}
+		row = row[k:]
+	}
 }
 
 // readHeader validates magic and version and returns the kind and the
@@ -125,21 +230,6 @@ func readHeader(r io.Reader) (kind uint8, version uint16, err error) {
 		return 0, 0, &UnsupportedVersionError{Version: version}
 	}
 	return hdr[2], version, nil
-}
-
-// writeFrame emits one CRC-checked frame.
-func writeFrame(w io.Writer, payload []byte) error {
-	var pre [4]byte
-	binary.LittleEndian.PutUint32(pre[:], uint32(len(payload)))
-	if _, err := w.Write(pre[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	binary.LittleEndian.PutUint32(pre[:], crc32.ChecksumIEEE(payload))
-	_, err := w.Write(pre[:])
-	return err
 }
 
 // readFrame reads one frame, verifying its CRC. section names the frame
@@ -172,24 +262,7 @@ func readFrame(r io.Reader, section string) ([]byte, error) {
 	return payload, nil
 }
 
-// enc is a deterministic little-endian payload builder.
-type enc struct {
-	buf []byte
-}
-
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-
-// dec is the matching payload reader; it fails loudly on truncation via
+// dec is a little-endian payload reader; it fails loudly on truncation via
 // the ok flag so callers convert to CorruptError with section context.
 type dec struct {
 	buf []byte

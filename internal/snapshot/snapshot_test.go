@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -684,9 +686,10 @@ func TestHugeElementCountRejectedCheaply(t *testing.T) {
 }
 
 // FuzzDecodeSnapshot: no input may panic the decoders. Every error is
-// one of the typed snapshot errors, every decoded monitor state is
-// either accepted or rejected with an error by core.RestoreMonitor, and
-// every accepted monitor answers its first mode read.
+// one of the typed snapshot errors, every decoded state re-encodes to
+// the whole-frame oracle's bytes, every decoded monitor state is either
+// accepted or rejected with an error by core.RestoreMonitor, and every
+// accepted monitor answers its first mode read.
 func FuzzDecodeSnapshot(f *testing.F) {
 	space, vs := fixture(13, 12, nil)
 	mon := core.NewMonitorOpts(space, testSched(12), core.MonitorOptions{
@@ -735,8 +738,381 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			typed(t, err)
 			return
 		}
+		sameAsOracle(t, "decoded input", st)
 		if m, err := core.RestoreMonitor(st); err == nil {
 			m.LiveModes()
 		}
 	})
+}
+
+// --- The whole-frame encoder, kept as the byte-identity oracle ---------
+//
+// EncodeMonitor used to build each frame's payload whole, by appending,
+// and write it with its length and CRC after. It is kept here, unchanged
+// in output, so the streamed encoder can be held to it byte for byte.
+
+// enc is a deterministic little-endian payload builder.
+type enc struct {
+	buf []byte
+}
+
+func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
+func (e *enc) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
+func (e *enc) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
+func (e *enc) i64(v int64)  { e.u64(uint64(v)) }
+func (e *enc) f64(v float64) {
+	e.u64(math.Float64bits(v))
+}
+func (e *enc) str(s string) {
+	e.u32(uint32(len(s)))
+	e.buf = append(e.buf, s...)
+}
+
+// writeHeader emits magic, version, and kind.
+func writeHeader(w io.Writer, kind uint8) error {
+	if _, err := w.Write(magic[:]); err != nil {
+		return err
+	}
+	var hdr [3]byte
+	binary.LittleEndian.PutUint16(hdr[:2], Version)
+	hdr[2] = kind
+	_, err := w.Write(hdr[:])
+	return err
+}
+
+// writeFrame emits one CRC-checked frame.
+func writeFrame(w io.Writer, payload []byte) error {
+	var pre [4]byte
+	binary.LittleEndian.PutUint32(pre[:], uint32(len(payload)))
+	if _, err := w.Write(pre[:]); err != nil {
+		return err
+	}
+	if _, err := w.Write(payload); err != nil {
+		return err
+	}
+	binary.LittleEndian.PutUint32(pre[:], crc32.ChecksumIEEE(payload))
+	_, err := w.Write(pre[:])
+	return err
+}
+
+// encodeSpace renders the space section: the network universe in row
+// order, then the interned site alphabet in interning order.
+func encodeSpace(s *core.Space) []byte {
+	var e enc
+	e.u32(uint32(s.NumNetworks()))
+	for i := 0; i < s.NumNetworks(); i++ {
+		e.str(s.Network(i))
+	}
+	sites := s.Sites()
+	e.u32(uint32(len(sites)))
+	for _, site := range sites {
+		e.str(site)
+	}
+	return e.buf
+}
+
+// encodeSchedule renders a schedule as (start unix-nanos, interval,
+// length).
+func encodeSchedule(e *enc, sched timeline.Schedule) {
+	e.i64(sched.Start.UnixNano())
+	e.i64(int64(sched.Interval))
+	e.i64(int64(sched.N))
+}
+
+// encodeVectors renders the observation history: per-vector epoch plus
+// the raw interned assignment row.
+func encodeVectors(space *core.Space, vs []*core.Vector) []byte {
+	var e enc
+	e.u32(uint32(len(vs)))
+	e.u32(uint32(space.NumNetworks()))
+	for _, v := range vs {
+		e.i64(int64(v.T))
+		for _, a := range v.Assignments() {
+			e.u32(uint32(a))
+		}
+	}
+	return e.buf
+}
+
+// encodeWhole is the whole-frame monitor encoder.
+func encodeWhole(w io.Writer, st core.MonitorState) error {
+	if err := writeHeader(w, kindMonitor); err != nil {
+		return err
+	}
+	if err := writeFrame(w, encodeSpace(st.Space)); err != nil {
+		return err
+	}
+
+	var cfg enc
+	encodeSchedule(&cfg, st.Schedule)
+	if st.Weights != nil {
+		cfg.u8(1)
+		cfg.u32(uint32(len(st.Weights)))
+		for _, wt := range st.Weights {
+			cfg.f64(wt)
+		}
+	} else {
+		cfg.u8(0)
+	}
+	cfg.u8(uint8(st.Mode))
+	cfg.i64(int64(st.Detect.Window))
+	cfg.f64(st.Detect.MinDrop)
+	cfg.u8(uint8(st.Detect.Mode))
+	cfg.i64(int64(st.Detect.Cooldown))
+	if err := writeFrame(w, cfg.buf); err != nil {
+		return err
+	}
+
+	if err := writeFrame(w, encodeVectors(st.Space, st.Vectors)); err != nil {
+		return err
+	}
+
+	var sim enc
+	sim.u32(uint32(len(st.Sim)))
+	for _, row := range st.Sim {
+		for _, phi := range row {
+			sim.f64(phi)
+		}
+	}
+	if err := writeFrame(w, sim.buf); err != nil {
+		return err
+	}
+
+	var stats enc
+	stats.u64(st.Appends)
+	stats.u64(st.Events)
+	stats.i64(int64(st.TotalIngest))
+	stats.i64(int64(st.LastIngest))
+	stats.i64(int64(st.LastEvent))
+	if st.HasEvent {
+		stats.u8(1)
+	} else {
+		stats.u8(0)
+	}
+	if err := writeFrame(w, stats.buf); err != nil {
+		return err
+	}
+
+	var win enc
+	win.i64(int64(st.Window))
+	win.u64(st.Evictions)
+	return writeFrame(w, win.buf)
+}
+
+// sameAsOracle fails unless EncodeMonitor writes exactly the bytes the
+// whole-frame encoder writes for st, and returns them.
+func sameAsOracle(t *testing.T, where string, st core.MonitorState) []byte {
+	t.Helper()
+	var got, want bytes.Buffer
+	if err := EncodeMonitor(&got, st); err != nil {
+		t.Fatalf("%s: EncodeMonitor: %v", where, err)
+	}
+	if err := encodeWhole(&want, st); err != nil {
+		t.Fatalf("%s: whole-frame encoder: %v", where, err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		n := 0
+		for n < min(got.Len(), want.Len()) && got.Bytes()[n] == want.Bytes()[n] {
+			n++
+		}
+		t.Fatalf("%s: streamed encoding (%d bytes) differs from the whole-frame oracle (%d bytes) at offset %d",
+			where, got.Len(), want.Len(), n)
+	}
+	return got.Bytes()
+}
+
+// servedMonitor is a Window=W monitor fed 3W/2+10 observations of the
+// serve-deep routing model, the one core's tests of the live mode
+// engine use: 256 networks over 5 sites, 30% of cells unobserved, 2%
+// flipped to a random site, and a move to another of 4 recurring modes
+// every 10 epochs, so its Φ triangle has been slid by evictions.
+// Options other than the window (weights, unknown mode) come from opts.
+func servedMonitor(tb testing.TB, W int, seed uint64, opts core.MonitorOptions) *core.Monitor {
+	tb.Helper()
+	const networks, numModes = 256, 4
+	r := rng.New(seed)
+	space := core.NewSpace(nets(networks))
+	sites := []string{"A", "B", "C", "D", "E"}
+	modes := make([][]string, numModes)
+	for k := range modes {
+		modes[k] = make([]string, networks)
+		for i := range modes[k] {
+			modes[k][i] = sites[r.Intn(len(sites))]
+		}
+	}
+	opts.Detect, opts.Window = core.DefaultDetectOptions(), W
+	mon := core.NewMonitorOpts(space, testSched(1<<20), opts)
+	cur := 0
+	for e := 0; e < W+W/2+10; e++ {
+		if e > 0 && e%10 == 0 {
+			cur = (cur + 1 + r.Intn(numModes-1)) % numModes
+		}
+		v := space.NewVector(timeline.Epoch(e))
+		for i, site := range modes[cur] {
+			switch {
+			case r.Bool(0.3):
+			case r.Bool(0.02):
+				v.Set(i, sites[r.Intn(len(sites))])
+			default:
+				v.Set(i, site)
+			}
+		}
+		if _, _, err := mon.Append(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return mon
+}
+
+// TestEncodeMatchesWholeFrameOracle: the streamed encoder writes the
+// whole-frame encoder's bytes for every state shape a daemon holds — no
+// history, one vector, windows of 2, 64 and 1024 slid by evictions,
+// nil and non-nil weights, known-only Φ, and both version-2 fixtures as
+// decoded — and SaveMonitor's file is those bytes, its returned size
+// the file's size.
+func TestEncodeMatchesWholeFrameOracle(t *testing.T) {
+	type state struct {
+		name string
+		st   core.MonitorState
+	}
+	states := []state{{"empty", newMon(core.NewSpace(nets(120)), 4).State()}}
+	space, vs := fixture(4, 1, nil)
+	one := newMon(space, 1)
+	appendAll(t, one, vs)
+	states = append(states, state{"one vector", one.State()})
+	for _, W := range []int{2, 64, 1024} {
+		states = append(states, state{fmt.Sprintf("W=%d", W), servedMonitor(t, W, uint64(W), core.MonitorOptions{}).State()})
+	}
+	weights := make([]float64, 256)
+	for i := range weights {
+		weights[i] = 1 + float64(i%5)/4
+	}
+	states = append(states,
+		state{"weighted W=64", servedMonitor(t, 64, 7, core.MonitorOptions{Weights: weights}).State()},
+		state{"known-only W=64", servedMonitor(t, 64, 8, core.MonitorOptions{Mode: core.KnownOnly}).State()},
+		state{"known-only weighted W=64", servedMonitor(t, 64, 9, core.MonitorOptions{Mode: core.KnownOnly, Weights: weights}).State()},
+	)
+	for _, name := range v2Fixtures {
+		raw, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := DecodeMonitor(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		states = append(states, state{name, st})
+	}
+
+	dir := t.TempDir()
+	for _, s := range states {
+		want := sameAsOracle(t, s.name, s.st)
+		path := filepath.Join(dir, "tenant.fsnap")
+		size, err := SaveMonitor(path, s.st)
+		if err != nil {
+			t.Fatalf("%s: SaveMonitor: %v", s.name, err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || size != len(got) {
+			t.Fatalf("%s: SaveMonitor wrote %d bytes and reported %d; EncodeMonitor wrote %d (equal: %v)",
+				s.name, len(got), size, len(want), bytes.Equal(got, want))
+		}
+	}
+}
+
+// TestCheckpointAllocationsFlat: a checkpoint's memory does not grow
+// with the window. EncodeMonitor and SaveMonitor of W=64 and W=1024
+// serve-deep states each allocate under 256 KiB, where building every
+// frame whole allocated 27.4 MB to encode the W=1024 state and 33.7 MB
+// to save it.
+func TestCheckpointAllocationsFlat(t *testing.T) {
+	const budget = 256 << 10
+	dir := t.TempDir()
+	for _, W := range []int{64, 1024} {
+		st := servedMonitor(t, W, 5, core.MonitorOptions{}).State()
+		path := filepath.Join(dir, "tenant.fsnap")
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"EncodeMonitor", func() error { return EncodeMonitor(io.Discard, st) }},
+			{"SaveMonitor", func() error { _, err := SaveMonitor(path, st); return err }},
+		} {
+			var ms0, ms1 runtime.MemStats
+			runtime.ReadMemStats(&ms0)
+			err := op.run()
+			runtime.ReadMemStats(&ms1)
+			if err != nil {
+				t.Fatalf("W=%d %s: %v", W, op.name, err)
+			}
+			if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= budget {
+				t.Fatalf("W=%d %s allocated %d bytes, want < %d", W, op.name, grew, budget)
+			}
+		}
+	}
+}
+
+// failWriter accepts limit bytes and fails the write that would pass
+// them and every write after, keeping what it accepted and counting the
+// writes made after its failure.
+type failWriter struct {
+	limit  int
+	got    []byte
+	failed bool
+	after  int
+}
+
+var errWriteFailed = errors.New("write failed")
+
+func (w *failWriter) Write(p []byte) (int, error) {
+	if w.failed {
+		w.after++
+		return 0, errWriteFailed
+	}
+	n := min(len(p), w.limit-len(w.got))
+	w.got = append(w.got, p[:n]...)
+	if n < len(p) {
+		w.failed = true
+		return n, errWriteFailed
+	}
+	return n, nil
+}
+
+// TestEncodeStopsAtWriteError: EncodeMonitor into a writer that fails
+// after k bytes returns that writer's error and makes no write after
+// it, for k at every frame boundary, at the buffer's boundaries and
+// inside the vectors and Φ payloads; what the writer accepted is the
+// snapshot's first k bytes.
+func TestEncodeStopsAtWriteError(t *testing.T) {
+	st := servedMonitor(t, 64, 3, core.MonitorOptions{}).State()
+	want := sameAsOracle(t, "W=64", st)
+	cuts := []int{0, 11, writeBufSize - 1, writeBufSize, writeBufSize + 1, 2 * writeBufSize}
+	for off, frame := 11, 0; off < len(want); frame++ {
+		n := int(binary.LittleEndian.Uint32(want[off:]))
+		cuts = append(cuts, off+4, off+4+n, off+8+n) // payload, CRC, next frame
+		if frame == 2 || frame == 3 {                // vectors, sim
+			for _, k := range []int{1, 5, 8 + 4*256 + 3, n / 2, n - 1} {
+				cuts = append(cuts, off+4+k)
+			}
+		}
+		off += 8 + n
+	}
+	for _, k := range cuts {
+		if k >= len(want) {
+			continue // the writer never fails
+		}
+		w := &failWriter{limit: k}
+		if err := EncodeMonitor(w, st); !errors.Is(err, errWriteFailed) {
+			t.Fatalf("fail after %d bytes: EncodeMonitor = %v, want the writer's error", k, err)
+		}
+		if w.after != 0 {
+			t.Fatalf("fail after %d bytes: %d writes after the failed one", k, w.after)
+		}
+		if !bytes.Equal(w.got, want[:k]) {
+			t.Fatalf("fail after %d bytes: the writer accepted bytes that are not the snapshot's first %d", k, k)
+		}
+	}
 }

@@ -13,7 +13,7 @@
 #   MonitorAppendHot                        windowed append at depth 1024
 #   MonitorModeRead                         append plus /mode re-cluster at depth 1024
 #
-# Five rows are guarded by allocations. One op of each (-benchtime 1x)
+# Six rows are guarded by allocations. One op of each (-benchtime 1x)
 # fails the gate when its allocs/op exceed the committed row's by more
 # than 1%. Their allocation counts repeat from run to run, so this guard
 # does not flake the way time does on a loaded host:
@@ -25,6 +25,11 @@
 #                        read, every time, while its time spread 0.15-0.29
 #                        ms over a few runs; explaining every event again
 #                        would cost thousands.
+#   Checkpoint           SaveMonitor of the W=1024 state, a 5.25 MB file
+#                        streamed through one fixed buffer: 19 allocations
+#                        per save, where building each frame whole took
+#                        1,153. Its time is fsync-bound and follows the
+#                        disk, so it is not guarded.
 #   DetectChanges        batch detection on the large-alphabet series, 54
 #                        events, each explained: 836 allocations, so one
 #                        allocation more per explanation is 6% more.
@@ -34,7 +39,7 @@
 #                        time margin, while their allocation counts
 #                        repeat to within 100 of 6.66 M and 26.8 M.
 #
-# The ns/op of the last four rows is not guarded.
+# The ns/op of the last five rows is not guarded.
 #
 # The minimum over -count runs is the standard noise filter: a loaded
 # box can only make code look slower, never faster, so min-vs-baseline
@@ -126,6 +131,7 @@ time_guard 'MonitorAppendHot' '^BenchmarkMonitorAppendHot$' || status=1
 time_guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' || status=1
 alloc_guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' || status=1
 alloc_guard 'MonitorEvents/plain' '^BenchmarkMonitorEvents$/^plain$' || status=1
+alloc_guard 'Checkpoint' '^BenchmarkCheckpoint$' || status=1
 alloc_guard 'DetectChanges' '^BenchmarkDetectChanges$' || status=1
 alloc_guard 'ScenarioBRoot' '^BenchmarkScenarioBRoot$' || status=1
 alloc_guard 'ScenarioGRoot' '^BenchmarkScenarioGRoot$' || status=1
