@@ -60,7 +60,7 @@ func TestQuarantine(t *testing.T) {
 	valid := func(site string) bool { return site == "LAX" || site == "AMS" }
 	const total = `fenrir_quarantined_total{reason="invalid-site"}`
 	counters := func(reg *obs.Registry) map[string]int64 {
-		return reg.Snapshot()["counters"].(map[string]int64)
+		return reg.Read().Counters
 	}
 
 	tidy := seriesOf(sp, 2, map[int][]string{0: {"LAX", "AMS"}, 1: {"AMS", ""}})

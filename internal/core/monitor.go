@@ -664,7 +664,7 @@ func (m *Monitor) LiveModes() *ModesResult {
 		}
 	}
 	mat := m.matrixLocked()
-	threshold, clusters, churn := m.engine.partition(mat, sp)
+	threshold, clusters, churn := m.engine.partition(mat)
 	if m.obs != nil {
 		sp.SetAttr("threshold", threshold)
 		sp.SetAttr("clusters", len(clusters))

@@ -316,7 +316,7 @@ func TestInstrumentNilDetaches(t *testing.T) {
 		}
 	}
 	mon.LiveModes()
-	counters := func() map[string]int64 { return reg.Snapshot()["counters"].(map[string]int64) }
+	counters := func() map[string]int64 { return reg.Read().Counters }
 	before := counters()
 	if before["fenrir_monitor_appends_total"] != 24 || before["fenrir_monitor_evictions_total"] != 24-W ||
 		before["fenrir_monitor_mode_rebuilds_total"] != 1 {

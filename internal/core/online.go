@@ -1,7 +1,5 @@
 package core
 
-import "fenrir/internal/obs"
-
 // Live mode discovery: the batch pipeline (§2.6) builds a dendrogram and
 // sweeps the distance threshold from scratch on every query. modeEngine
 // caches the outcome — the swept partition of the default §2.6.2 sweep —
@@ -41,17 +39,18 @@ func (e *modeEngine) invalidate() { e.valid = false }
 
 // partition returns the swept (threshold, clusters) for the history whose
 // matrix is m, re-clustering only when the cache is stale:
-// ClusterAdaptive with the default §2.6.2 sweep, whose per-threshold
-// spans sp parents. churn reports whether the reported structure
-// (threshold or cluster count) moved since the previous call.
-func (e *modeEngine) partition(m *SimMatrix, sp *obs.Span) (threshold float64, clusters [][]int, churn bool) {
+// ClusterAdaptive with the default §2.6.2 sweep. churn reports whether
+// the reported structure (threshold or cluster count) moved since the
+// previous call.
+func (e *modeEngine) partition(m *SimMatrix) (threshold float64, clusters [][]int, churn bool) {
 	if !e.valid {
 		// No registry: the daemon's one registry would otherwise hold
 		// whichever tenant was read last in the unlabelled fenrir_cluster_*
 		// series. fenrir_monitor_mode_rebuilds_total counts these sweeps.
-		opts := DefaultAdaptiveOptions()
-		opts.Span = sp
-		e.threshold, e.clusters = ClusterAdaptive(m, opts)
+		// No span either: a per-threshold sweep span per rebuild would
+		// fill a daemon's trace ring, each taken under the monitor's
+		// lock; the caller's recluster span records the outcome.
+		e.threshold, e.clusters = ClusterAdaptive(m, DefaultAdaptiveOptions())
 		e.valid = true
 		e.rebuilds++
 	}

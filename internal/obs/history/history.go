@@ -199,30 +199,23 @@ func (s *Store) Tick() {
 		return
 	}
 	now := s.now()
-	snap := s.reg.Snapshot()
+	vals := s.reg.Read()
 	s.mu.Lock()
 	s.times.Push(now)
 	s.ticks++
-	if snap != nil {
-		if counters, ok := snap["counters"].(map[string]int64); ok {
-			for name, v := range counters {
-				s.sampleLocked(name, kindCounter, float64(v))
-			}
-		}
-		if gauges, ok := snap["gauges"].(map[string]float64); ok {
-			for name, v := range gauges {
-				s.sampleLocked(name, kindGauge, v)
-			}
-		}
-		if hists, ok := snap["histograms"].(map[string]obs.HistogramSummary); ok {
-			for name, h := range hists {
-				s.sampleLocked(name+statSep+"count", kindCounter, float64(h.Count))
-				s.sampleLocked(name+statSep+"sum", kindCounter, h.Sum)
-				s.sampleLocked(name+statSep+"p50", kindGauge, h.P50)
-				s.sampleLocked(name+statSep+"p90", kindGauge, h.P90)
-				s.sampleLocked(name+statSep+"p99", kindGauge, h.P99)
-			}
-		}
+	for name, v := range vals.Counters {
+		s.sampleLocked(name, kindCounter, float64(v))
+	}
+	for name, v := range vals.Gauges {
+		s.sampleLocked(name, kindGauge, v)
+	}
+	for name, hist := range vals.Histograms {
+		h := hist.Summary()
+		s.sampleLocked(name+statSep+"count", kindCounter, float64(h.Count))
+		s.sampleLocked(name+statSep+"sum", kindCounter, h.Sum)
+		s.sampleLocked(name+statSep+"p50", kindGauge, h.P50)
+		s.sampleLocked(name+statSep+"p90", kindGauge, h.P90)
+		s.sampleLocked(name+statSep+"p99", kindGauge, h.P99)
 	}
 	s.evalAlertsLocked(now)
 	s.mu.Unlock()

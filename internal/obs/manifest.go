@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"time"
 )
@@ -105,31 +104,21 @@ func (m *Manifest) Stage(name string) *StageRecord {
 	return nil
 }
 
-// FillFromRegistry copies the registry's stage summary and metric
-// snapshot into the manifest. No-op on a nil registry.
+// FillFromRegistry copies the registry's stage summary, flight events
+// and current values (see Registry.Read) into the manifest. No-op on a
+// nil registry.
 func (m *Manifest) FillFromRegistry(r *Registry) {
 	if r == nil {
 		return
 	}
 	m.Stages = r.StageSummary()
 	m.Events = r.Events(0)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m.Counters = make(map[string]int64, len(r.counters)+2)
-	for k, v := range r.counters {
-		m.Counters[k] = v.Value()
-	}
-	for k, v := range r.evictionCounters() {
-		m.Counters[k] = v
-	}
-	m.Gauges = make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		m.Gauges[k] = v.Value()
-	}
-	if len(r.hists) > 0 {
-		m.Histograms = make(map[string]HistogramSummary, len(r.hists))
-		for k, v := range r.hists {
-			m.Histograms[k] = v.Summary()
+	v := r.Read()
+	m.Counters, m.Gauges = v.Counters, v.Gauges
+	if len(v.Histograms) > 0 {
+		m.Histograms = make(map[string]HistogramSummary, len(v.Histograms))
+		for k, h := range v.Histograms {
+			m.Histograms[k] = h.Summary()
 		}
 	}
 }
@@ -156,10 +145,9 @@ func LoadManifest(path string) (*Manifest, error) {
 	return &m, nil
 }
 
-// RuntimeSampler polls runtime.NumGoroutine and the heap allocation at
-// a fixed interval, tracking peaks for the manifest. ReadMemStats
-// briefly stops the world, so the interval should stay in the tens of
-// milliseconds.
+// RuntimeSampler polls the live goroutine count and the bytes in heap
+// objects at a fixed interval, through the runtime/metrics read /status
+// uses (ReadRuntimeHealth), tracking peaks for the manifest.
 type RuntimeSampler struct {
 	stop chan struct{}
 	done chan struct{}
@@ -193,16 +181,10 @@ func StartRuntimeSampler(interval time.Duration) *RuntimeSampler {
 }
 
 func (s *RuntimeSampler) sample() {
-	g := runtime.NumGoroutine()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
+	h := ReadRuntimeHealth()
 	s.mu.Lock()
-	if g > s.peakG {
-		s.peakG = g
-	}
-	if ms.HeapAlloc > s.peakHeap {
-		s.peakHeap = ms.HeapAlloc
-	}
+	s.peakG = max(s.peakG, h.Goroutines)
+	s.peakHeap = max(s.peakHeap, h.HeapBytes)
 	s.mu.Unlock()
 }
 

@@ -37,7 +37,7 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	if d := sp.End(); d != 0 {
 		t.Fatalf("nil span duration = %v", d)
 	}
-	if r.Spans() != nil || r.StageSummary() != nil || r.Snapshot() != nil {
+	if v := r.Read(); r.StageSummary() != nil || v.Counters != nil || v.Gauges != nil || v.Histograms != nil {
 		t.Fatal("nil registry returned data")
 	}
 	r.WritePrometheus(io.Discard)
@@ -119,12 +119,16 @@ func TestSpansAndStageSummary(t *testing.T) {
 	sp2.End()
 	r.StartSpan("cluster").End()
 
-	if got := len(r.Spans()); got != 3 {
-		t.Fatalf("raw spans = %d, want 3", got)
-	}
 	sum := r.StageSummary()
 	if len(sum) != 2 {
 		t.Fatalf("summary stages = %d, want 2", len(sum))
+	}
+	var runs uint64
+	for _, st := range sum {
+		runs += r.Histogram(`fenrir_stage_duration_seconds{stage="` + st.Name + `"}`).Count()
+	}
+	if runs != 3 {
+		t.Fatalf("stage runs = %d, want 3", runs)
 	}
 	if sum[0].Name != "similarity" || sum[0].Items != 150 || sum[0].Workers != 4 {
 		t.Fatalf("similarity rollup = %+v", sum[0])
@@ -134,6 +138,31 @@ func TestSpansAndStageSummary(t *testing.T) {
 	}
 	if got := r.Histogram(`fenrir_stage_duration_seconds{stage="similarity"}`).Count(); got != 2 {
 		t.Fatalf("stage duration count = %d, want 2", got)
+	}
+}
+
+// A long-lived registry's stage log is bounded by its number of stage
+// names: every End folds into its name's rollup, summing seconds and
+// items in End order.
+func TestStageSummaryBoundedByNames(t *testing.T) {
+	r := NewRegistry()
+	names := []string{"generate", "observe", "similarity", "cluster"}
+	var seconds [4]float64
+	var items [4]int64
+	for i := 0; i < 10000; i++ {
+		sp := r.StartSpan(names[i%4])
+		sp.SetItems(int64(i))
+		seconds[i%4] += sp.End().Seconds()
+		items[i%4] += int64(i)
+	}
+	sum := r.StageSummary()
+	if len(sum) != len(names) {
+		t.Fatalf("summary stages = %d, want %d", len(sum), len(names))
+	}
+	for j, st := range sum {
+		if st.Name != names[j] || st.Seconds != seconds[j] || st.Items != items[j] {
+			t.Fatalf("stage %d = %+v, want %s with %v s and %d items", j, st, names[j], seconds[j], items[j])
+		}
 	}
 }
 
@@ -266,7 +295,7 @@ func TestRuntimeSampler(t *testing.T) {
 // counters are always present (zero included — presence is the proof
 // nothing was dropped), the flight ring counts overwrites once it
 // wraps, the trace ring likewise, and both surface through
-// WritePrometheus, Snapshot, and the manifest.
+// WritePrometheus, Read, and the manifest.
 func TestEvictionCounters(t *testing.T) {
 	r := NewRegistry()
 	var buf bytes.Buffer
@@ -298,10 +327,10 @@ func TestEvictionCounters(t *testing.T) {
 		t.Fatalf("trace evictions = %d, want 3", got)
 	}
 
-	snapCounters := r.Snapshot()["counters"].(map[string]int64)
-	if snapCounters["fenrir_flight_events_evicted_total"] != 7 ||
-		snapCounters["fenrir_trace_spans_evicted_total"] != 3 {
-		t.Fatalf("snapshot counters wrong: %+v", snapCounters)
+	readCounters := r.Read().Counters
+	if readCounters["fenrir_flight_events_evicted_total"] != 7 ||
+		readCounters["fenrir_trace_spans_evicted_total"] != 3 {
+		t.Fatalf("Read counters wrong: %+v", readCounters)
 	}
 	var m Manifest
 	m.FillFromRegistry(r)

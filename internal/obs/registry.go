@@ -25,7 +25,7 @@ import (
 	"time"
 )
 
-// Registry holds named metrics and completed stage spans. All methods
+// Registry holds named metrics and per-stage span rollups. All methods
 // are safe for concurrent use, and all methods on a nil *Registry are
 // no-ops returning nil handles (whose methods are in turn no-ops).
 //
@@ -36,17 +36,17 @@ type Registry struct {
 	counters  map[string]*Counter
 	gauges    map[string]*Gauge
 	hists     map[string]*Histogram
-	spans     []StageRecord
+	stages    []StageRecord // one rollup per stage name, first-End order
 	start     time.Time
 	logger    *slog.Logger
 	flight    *FlightRecorder
 	hasFlight atomic.Bool
 
-	// Trace-tree state (see trace.go): monotone span ids, the active
-	// root, and the bounded ring of completed spans.
-	nextSpanID int64
-	root       *Span
-	traceOn    atomic.Bool
+	// Trace-tree state (see trace.go): monotone span ids and the active
+	// root, both lock-free, and the bounded ring of completed spans,
+	// guarded by mu. A nil root means tracing is off.
+	nextSpanID atomic.Int64
+	root       atomic.Pointer[Span]
 	trace      *Ring[TraceRecord]
 
 	// Cardinality governor state (see SetSeriesCap): per-family sets of
@@ -463,16 +463,46 @@ func (h *Histogram) Summary() HistogramSummary {
 	return s
 }
 
-// evictionCounters reports the bounded rings' eviction totals as
-// synthetic counters, so /metrics, Snapshot, and manifests always carry
-// them (zero included — a zero is the proof nothing was silently
-// dropped). Callers hold r.mu, which guards the trace ring; the flight
-// recorder's own lock nests inside it.
-func (r *Registry) evictionCounters() map[string]int64 {
-	return map[string]int64{
-		"fenrir_trace_spans_evicted_total":   int64(r.trace.Evicted()),
-		"fenrir_flight_events_evicted_total": int64(r.flight.Evicted()),
+// Values is one read of a registry: every counter's and gauge's value
+// and every histogram's handle, keyed by full series name. Counters
+// also carry the bounded rings' eviction totals,
+// fenrir_trace_spans_evicted_total and fenrir_flight_events_evicted_total,
+// so every reader reports them (zero included — a zero is the proof
+// nothing was silently dropped).
+type Values struct {
+	Counters   map[string]int64
+	Gauges     map[string]float64
+	Histograms map[string]*Histogram
+}
+
+// Read returns the registry's current values. /metrics, run manifests
+// and telemetry history all read the registry through it. Returns the
+// zero Values (nil maps) on a nil registry.
+func (r *Registry) Read() Values {
+	if r == nil {
+		return Values{}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	v := Values{
+		Counters:   make(map[string]int64, len(r.counters)+2),
+		Gauges:     make(map[string]float64, len(r.gauges)),
+		Histograms: make(map[string]*Histogram, len(r.hists)),
+	}
+	for k, c := range r.counters {
+		v.Counters[k] = c.Value()
+	}
+	// r.mu guards the trace ring; the flight recorder's own lock nests
+	// inside it.
+	v.Counters["fenrir_trace_spans_evicted_total"] = int64(r.trace.Evicted())
+	v.Counters["fenrir_flight_events_evicted_total"] = int64(r.flight.Evicted())
+	for k, g := range r.gauges {
+		v.Gauges[k] = g.Value()
+	}
+	for k, h := range r.hists {
+		v.Histograms[k] = h
+	}
+	return v
 }
 
 // splitName splits a metric name into its base and an optional verbatim
@@ -601,25 +631,7 @@ type expoFamily struct {
 // (label block included). Two back-to-back scrapes of an unchanged
 // registry are byte-identical. No-op on a nil registry.
 func (r *Registry) WritePrometheus(w io.Writer) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	evictions := r.evictionCounters()
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
-
+	v := r.Read()
 	families := make(map[string]*expoFamily)
 	add := func(name, kind, lines string) {
 		base, _ := splitName(name)
@@ -630,20 +642,13 @@ func (r *Registry) WritePrometheus(w io.Writer) {
 		}
 		f.series = append(f.series, expoSeries{name: name, lines: lines})
 	}
-	counterVals := make(map[string]int64, len(counters)+len(evictions))
-	for k, c := range counters {
-		counterVals[k] = c.Value()
+	for name, c := range v.Counters {
+		add(name, "counter", fmt.Sprintf("%s %d\n", name, c))
 	}
-	for k, v := range evictions {
-		counterVals[k] = v
+	for name, g := range v.Gauges {
+		add(name, "gauge", fmt.Sprintf("%s %g\n", name, g))
 	}
-	for name, v := range counterVals {
-		add(name, "counter", fmt.Sprintf("%s %d\n", name, v))
-	}
-	for name, g := range gauges {
-		add(name, "gauge", fmt.Sprintf("%s %g\n", name, g.Value()))
-	}
-	for name, h := range hists {
+	for name, h := range v.Histograms {
 		base, labels := splitName(name)
 		var b strings.Builder
 		var cum uint64
@@ -686,38 +691,4 @@ func sortedKeys[V any](m map[string]V) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// Snapshot returns a plain-data view of the registry (counters, gauges,
-// histogram summaries, and stage records), suitable for JSON encoding.
-// Returns nil on a nil registry.
-func (r *Registry) Snapshot() map[string]any {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	counters := make(map[string]int64, len(r.counters)+2)
-	for k, v := range r.counters {
-		counters[k] = v.Value()
-	}
-	for k, v := range r.evictionCounters() {
-		counters[k] = v
-	}
-	gauges := make(map[string]float64, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v.Value()
-	}
-	hists := make(map[string]HistogramSummary, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v.Summary()
-	}
-	stages := append([]StageRecord(nil), r.spans...)
-	return map[string]any{
-		"counters":       counters,
-		"gauges":         gauges,
-		"histograms":     hists,
-		"stages":         stages,
-		"uptime_seconds": time.Since(r.start).Seconds(),
-	}
 }

@@ -6,9 +6,9 @@ import (
 	"time"
 )
 
-// StageRecord is one completed span: a named pipeline stage with its
-// wall duration and optional work attributes. Records are what the run
-// manifest serializes.
+// StageRecord is one pipeline stage's rollup: its name, the wall
+// seconds and work items its spans summed, and the widest worker pool
+// any of them used. Records are what the run manifest serializes.
 type StageRecord struct {
 	Name    string  `json:"name"`
 	Seconds float64 `json:"seconds"`
@@ -59,13 +59,8 @@ func (r *Registry) StartSpan(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{r: r, name: name, start: time.Now(), stage: true}
-	r.mu.Lock()
-	r.nextSpanID++
-	sp.id = r.nextSpanID
-	sp.parent = r.root
-	r.mu.Unlock()
-	return sp
+	return &Span{r: r, name: name, start: time.Now(), stage: true,
+		id: r.nextSpanID.Add(1), parent: r.root.Load()}
 }
 
 // SetItems records how many work units the stage processed.
@@ -96,8 +91,8 @@ func (s *Span) SetWorkers(n int) {
 // stage duration. Safe to call more than once (later calls are no-ops)
 // and on a nil span (returns 0).
 //
-// A StartSpan span (no parent, or a direct child of the trace root)
-// appends a StageRecord and observes its duration in
+// A StartSpan span folds into its stage name's rollup (see
+// StageSummary) and observes its duration in
 // fenrir_stage_duration_seconds{stage}. Spans opened with Child — and
 // the root itself — land only in the trace ring, no matter where they
 // sit.
@@ -107,20 +102,17 @@ func (s *Span) End() time.Duration {
 	}
 	d := time.Since(s.start)
 	if s.stage {
-		rec := StageRecord{
+		s.r.foldStage(StageRecord{
 			Name:    s.name,
 			Seconds: d.Seconds(),
 			Items:   s.items.Load(),
 			Workers: s.workers,
-		}
-		s.r.mu.Lock()
-		s.r.spans = append(s.r.spans, rec)
-		s.r.mu.Unlock()
+		})
 		// The histogram's _count and _sum are the stage's runs and
 		// seconds; no other metric repeats them.
 		s.r.Histogram(`fenrir_stage_duration_seconds{stage="` + s.name + `"}`).Observe(d.Seconds())
 	}
-	if s.r.traceOn.Load() {
+	if s.r.root.Load() != nil {
 		rec := s.traceRecord(d)
 		s.r.mu.Lock()
 		s.r.trace.Push(rec)
@@ -129,39 +121,33 @@ func (s *Span) End() time.Duration {
 	return d
 }
 
-// Spans returns a copy of all completed stage records in End order.
-// Returns nil on a nil registry.
-func (r *Registry) Spans() []StageRecord {
+// foldStage adds one completed stage span to its name's rollup: seconds
+// and items sum, and the widest worker pool wins. The rollups are
+// bounded by the number of stage names, however long the registry
+// lives.
+func (r *Registry) foldStage(rec StageRecord) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for i := range r.stages {
+		st := &r.stages[i]
+		if st.Name == rec.Name {
+			st.Seconds += rec.Seconds
+			st.Items += rec.Items
+			st.Workers = max(st.Workers, rec.Workers)
+			return
+		}
+	}
+	r.stages = append(r.stages, rec)
+}
+
+// StageSummary returns the per-stage rollups of completed StartSpan
+// spans in first-End order — the rollup the manifest stores. Returns nil
+// on a nil registry or before any stage ends.
+func (r *Registry) StageSummary() []StageRecord {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return append([]StageRecord(nil), r.spans...)
-}
-
-// StageSummary folds completed spans by stage name (first-End order),
-// summing seconds and items and keeping the widest worker pool — the
-// per-stage rollup the manifest stores. Returns nil on a nil registry.
-func (r *Registry) StageSummary() []StageRecord {
-	spans := r.Spans()
-	if spans == nil {
-		return nil
-	}
-	idx := make(map[string]int)
-	var out []StageRecord
-	for _, s := range spans {
-		i, ok := idx[s.Name]
-		if !ok {
-			idx[s.Name] = len(out)
-			out = append(out, s)
-			continue
-		}
-		out[i].Seconds += s.Seconds
-		out[i].Items += s.Items
-		if s.Workers > out[i].Workers {
-			out[i].Workers = s.Workers
-		}
-	}
-	return out
+	return append([]StageRecord(nil), r.stages...)
 }

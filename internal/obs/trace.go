@@ -97,25 +97,18 @@ func (r *Registry) BeginTrace(name string) *Span {
 	if r == nil {
 		return nil
 	}
-	sp := &Span{r: r, name: name, start: time.Now()}
-	r.mu.Lock()
-	r.nextSpanID++
-	sp.id = r.nextSpanID
-	r.root = sp
-	r.mu.Unlock()
-	r.traceOn.Store(true)
+	sp := &Span{r: r, name: name, start: time.Now(), id: r.nextSpanID.Add(1)}
+	r.root.Store(sp)
 	return sp
 }
 
 // TraceRoot returns the active root span (nil when not tracing), so
 // request paths far from the run entry point can attach children.
 func (r *Registry) TraceRoot() *Span {
-	if r == nil || !r.traceOn.Load() {
+	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.root
+	return r.root.Load()
 }
 
 // Child opens a sub-span under s. Children exist only while tracing: on
@@ -126,15 +119,11 @@ func (r *Registry) TraceRoot() *Span {
 // per request must not grow the stage log — so they live solely in the
 // bounded trace ring.
 func (s *Span) Child(name string) *Span {
-	if s == nil || !s.r.traceOn.Load() {
+	if s == nil || s.r.root.Load() == nil {
 		return nil
 	}
-	c := &Span{r: s.r, name: name, start: time.Now(), parent: s, lane: s.lane}
-	s.r.mu.Lock()
-	s.r.nextSpanID++
-	c.id = s.r.nextSpanID
-	s.r.mu.Unlock()
-	return c
+	return &Span{r: s.r, name: name, start: time.Now(), parent: s, lane: s.lane,
+		id: s.r.nextSpanID.Add(1)}
 }
 
 // SetAttr attaches a key/value attribute to the span; values are
@@ -166,8 +155,8 @@ func (s *Span) SetLane(n int) {
 	s.lane = n
 }
 
-// record captures the span as a TraceRecord; callers have checked
-// traceOn.
+// traceRecord captures the span as a TraceRecord; callers have checked
+// that tracing is on.
 func (s *Span) traceRecord(d time.Duration) TraceRecord {
 	var parent int64
 	if s.parent != nil {
@@ -274,10 +263,7 @@ type traceFile struct {
 // if any) into sorted top-level nodes.
 func (r *Registry) buildTraceTree() []*traceNode {
 	recs := r.TraceRecords()
-	r.mu.Lock()
-	root := r.root
-	r.mu.Unlock()
-	if root != nil && !root.ended.Load() {
+	if root := r.root.Load(); root != nil && !root.ended.Load() {
 		// A live trace (the serve daemon, or an export mid-run): include
 		// the open root so its finished children have a parent.
 		recs = append(recs, root.traceRecord(time.Since(root.start)))

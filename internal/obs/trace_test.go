@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -229,9 +230,9 @@ func TestTraceTreeShape(t *testing.T) {
 	}
 	// Only the top-level stage feeds StageRecords — never the root or
 	// the tile child — so manifest stage accounting stays truthful.
-	spans := r.Spans()
-	if len(spans) != 1 || spans[0].Name != "similarity" {
-		t.Fatalf("stage records = %+v, want only similarity", spans)
+	stages := r.StageSummary()
+	if len(stages) != 1 || stages[0].Name != "similarity" {
+		t.Fatalf("stage records = %+v, want only similarity", stages)
 	}
 }
 
@@ -245,8 +246,8 @@ func TestRootChildIsNotAStage(t *testing.T) {
 		sp := root.Child("request")
 		sp.End()
 	}
-	if spans := r.Spans(); len(spans) != 0 {
-		t.Fatalf("root children created %d stage records, want 0", len(spans))
+	if stages := r.StageSummary(); len(stages) != 0 {
+		t.Fatalf("root children created %d stage records, want 0", len(stages))
 	}
 	if recs := r.TraceRecords(); len(recs) != 3 || recs[0].Name != "request" {
 		t.Fatalf("trace records = %+v, want 3 request spans", recs)
@@ -483,37 +484,75 @@ func TestManifestCarriesEventsAndHistograms(t *testing.T) {
 	}
 }
 
-// Exercise the trace/flight paths under -race: concurrent children,
-// attrs, events, and a concurrent export.
+// Exercise the registry under -race: concurrent children, stage spans
+// and their children, attrs, events, metric registration, a root
+// replaced by BeginTrace, and concurrent exports and reads. Every span
+// gets its own id.
 func TestTraceAndFlightConcurrent(t *testing.T) {
+	const workers, iters, retraces = 8, 50, 10
 	r := NewRegistry()
 	root := r.BeginTrace("run/race")
 	var wg sync.WaitGroup
-	for k := 0; k < 8; k++ {
+	for k := 0; k < workers; k++ {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			for i := 0; i < 50; i++ {
+			for i := 0; i < iters; i++ {
 				c := root.Child("tile")
 				c.SetLane(k + 1)
 				c.SetAttr("i", i)
 				c.End()
 				r.Logger().Info("tick", "worker", k, "i", i)
+				st := r.StartSpan(fmt.Sprintf("stage%d", k%4))
+				st.Child("step").End()
+				st.End()
+				r.Counter(fmt.Sprintf(`fenrir_race_total{worker="%d"}`, k)).Inc()
+				r.Gauge(fmt.Sprintf(`fenrir_race_level{i="%d"}`, i)).Set(float64(i))
 			}
 		}(k)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < retraces; i++ {
+			r.BeginTrace("run/again").End()
+		}
+	}()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 10; i++ {
 			_ = r.WriteTrace(io.Discard)
 			_ = r.Events(16)
+			_ = r.Read()
+			_ = r.TraceRoot()
 		}
 	}()
 	wg.Wait()
 	<-done
 	root.End()
-	if got := len(r.TraceRecords()); got != 8*50+1 {
-		t.Fatalf("trace records = %d, want %d", got, 8*50+1)
+
+	// Each worker iteration ends a tile, a stage and its step; each
+	// retrace ends one root; the first root ends last.
+	recs := r.TraceRecords()
+	want := workers*iters*3 + retraces + 1
+	if len(recs) != want {
+		t.Fatalf("trace records = %d, want %d", len(recs), want)
+	}
+	seen := make(map[int64]bool, len(recs))
+	for _, rec := range recs {
+		if rec.ID < 1 || rec.ID > int64(want) || seen[rec.ID] {
+			t.Fatalf("span id %d repeated or outside 1..%d", rec.ID, want)
+		}
+		seen[rec.ID] = true
+	}
+	counters := r.Read().Counters
+	for k := 0; k < workers; k++ {
+		if got := counters[fmt.Sprintf(`fenrir_race_total{worker="%d"}`, k)]; got != iters {
+			t.Fatalf("worker %d counter = %d, want %d", k, got, iters)
+		}
+	}
+	if got := len(r.StageSummary()); got != 4 {
+		t.Fatalf("stage rollups = %d, want 4", got)
 	}
 }

@@ -386,8 +386,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		writeErr(w, http.StatusBadRequest, "epoch %d is negative", ob.Epoch)
 		return
 	}
+	// Resolve every network before admission; admit interns the sites
+	// only once it accepts the epoch.
 	space := t.mon.Space()
-	v := space.NewVector(timeline.Epoch(ob.Epoch))
+	cells := make([]siteCell, 0, len(ob.Sites))
 	for net, site := range ob.Sites {
 		n := space.NetworkIndex(net)
 		if n < 0 {
@@ -396,10 +398,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 			writeErr(w, http.StatusBadRequest, "unknown network %q", net)
 			return
 		}
-		v.Set(n, inj.SiteLabel("serve", site))
+		cells = append(cells, siteCell{n, inj.SiteLabel("serve", site)})
 	}
+	epoch := timeline.Epoch(ob.Epoch)
 
-	admitErr, full := t.admit(v)
+	admitErr, full := t.admit(epoch, cells)
 	if full {
 		s.rejectIngest("backpressure")
 		// Retry-After is an estimate of queue-drain time from recent
@@ -434,7 +437,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		// must bounce off the duplicate-epoch check like any replay. The
 		// request itself was accepted, so only the per-reason counter
 		// moves — not the request-level rejected aggregate.
-		if dupErr, _ := t.admit(v); dupErr != nil {
+		if dupErr, _ := t.admit(epoch, cells); dupErr != nil {
 			s.met.rejected["duplicate"].Inc()
 		}
 	}

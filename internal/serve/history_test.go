@@ -214,8 +214,7 @@ func TestGovernorShardRollupsExact(t *testing.T) {
 		waitHistory(t, ts, fmt.Sprintf("t%02d", i), 3)
 	}
 
-	snap := reg.Snapshot()
-	counters := snap["counters"].(map[string]int64)
+	counters := reg.Read().Counters
 	var tenantSum, shardSum int64
 	tenantValues := map[string]struct{}{}
 	for name, v := range counters {

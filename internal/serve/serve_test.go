@@ -300,6 +300,97 @@ func TestServeIngestErrors(t *testing.T) {
 	}
 }
 
+// A rejected observation changes no tenant state: duplicate,
+// out-of-order and unknown-network 400s intern none of their sites, so
+// the tenant's alphabet, and every later checkpoint, stays as it was.
+func TestRejectedIngestLeavesAlphabet(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	nets := specNets(20)
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/abc", defaultSpec(20)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts, "abc", nets, 0, 4, 100)
+	waitHistory(t, ts, "abc", 4)
+	space := s.tenant("abc").mon.Space()
+	before := space.NumSites()
+
+	// Every rejected body labels each network with a site never seen.
+	novel := func(epoch int64, extra string) Observation {
+		sites := map[string]string{}
+		for i, n := range nets {
+			sites[n] = fmt.Sprintf("novel-%02d", i)
+		}
+		if extra != "" {
+			sites[extra] = "novel-extra"
+		}
+		return Observation{Epoch: epoch, Sites: sites}
+	}
+	for _, c := range []struct {
+		name string
+		ob   Observation
+	}{
+		{"duplicate", novel(3, "")},
+		{"out-of-order", novel(1, "")},
+		{"unknown-network", novel(10, "who-dis")},
+	} {
+		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/abc/observations", c.ob); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d: %s", c.name, code, body)
+		}
+		if got := space.NumSites(); got != before {
+			t.Fatalf("%s 400 took the alphabet from %d to %d sites", c.name, before, got)
+		}
+	}
+	// An accepted observation still interns its sites.
+	if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/abc/observations", novel(4, "")); code != http.StatusAccepted {
+		t.Fatalf("accepted: status %d: %s", code, body)
+	}
+	waitHistory(t, ts, "abc", 5)
+	if got, want := space.NumSites(), before+len(nets); got != want {
+		t.Fatalf("after an accepted observation: %d sites, want %d", got, want)
+	}
+}
+
+// One traced /mode rebuild records one recluster span and no
+// per-threshold sweep span, so a daemon's trace ring keeps requests,
+// not a hundred sweep steps per re-cluster.
+func TestTracedModeRebuildIsOneSpan(t *testing.T) {
+	reg := obs.NewRegistry()
+	reg.BeginTrace("serve-test")
+	_, ts := testServer(t, Config{Obs: reg})
+	nets := specNets(12)
+	if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/m", defaultSpec(12)); code != http.StatusCreated {
+		t.Fatal("create failed")
+	}
+	mustIngest(t, ts, "m", nets, 0, 16, 8)
+	waitHistory(t, ts, "m", 16)
+	spans := func(name string) (n int, last obs.TraceRecord) {
+		for _, rec := range reg.TraceRecords() {
+			if rec.Name == name {
+				n, last = n+1, rec
+			}
+		}
+		return n, last
+	}
+	reclusters, _ := spans("recluster")
+	sweeps, _ := spans("sweep")
+	if code, body := doReq(t, ts, http.MethodGet, "/v1/tenants/m/mode", nil); code != http.StatusOK {
+		t.Fatalf("mode: %d %s", code, body)
+	}
+	gotReclusters, rec := spans("recluster")
+	gotSweeps, _ := spans("sweep")
+	if gotReclusters != reclusters+1 || gotSweeps != sweeps {
+		t.Fatalf("one /mode rebuild added %d recluster and %d sweep spans, want 1 and 0",
+			gotReclusters-reclusters, gotSweeps-sweeps)
+	}
+	attrs := map[string]string{}
+	for _, a := range rec.Attrs {
+		attrs[a.Key] = a.Value
+	}
+	if attrs["path"] != "rebuild" || attrs["threshold"] == "" || attrs["clusters"] == "" {
+		t.Fatalf("recluster span attrs = %+v, want path=rebuild, threshold and clusters", rec.Attrs)
+	}
+}
+
 // Every per-event metric handle is resolved up front, so its series
 // exists at 0 before the first event: the reject counters and the
 // rebalance counter from New, a tenant monitor's verdict counters from
@@ -307,7 +398,7 @@ func TestServeIngestErrors(t *testing.T) {
 func TestServeMetricsExistFromStartup(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := testServer(t, Config{Obs: reg})
-	counters := func() map[string]int64 { return reg.Snapshot()["counters"].(map[string]int64) }
+	counters := func() map[string]int64 { return reg.Read().Counters }
 	want := []string{"fenrir_serve_ingest_rejected_total", "fenrir_serve_rebalances_total"}
 	for _, reason := range []string{"append", "draining", "read", "dropped", "malformed", "backpressure", "duplicate", "order"} {
 		want = append(want, fmt.Sprintf("fenrir_serve_rejected_total{reason=%q}", reason))

@@ -129,29 +129,43 @@ func (t *tenant) retryAfter() int {
 	return retryAfterEstimate(pending, t.mon.Snapshot().MeanIngest())
 }
 
+// siteCell is one network's site label in an observation, its network
+// already resolved to a row of the tenant's space.
+type siteCell struct {
+	net  int
+	site string
+}
+
 // admit validates epoch order and reserves a queue slot, all under mu so
-// concurrent producers serialize and each gets an accurate verdict. On
-// success the vector is enqueued for the worker. The returned error is
+// concurrent producers serialize and each gets an accurate verdict. Only
+// an accepted epoch's vector is built, interning its sites, and enqueued
+// for the worker: a rejected observation leaves the tenant's site
+// alphabet, and so its checkpoints, as they were. The returned error is
 // one of the core typed ingest errors (mapped to 400 by the API layer);
 // full reports queue saturation (mapped to 429).
-func (t *tenant) admit(v *core.Vector) (err error, full bool) {
+func (t *tenant) admit(epoch timeline.Epoch, cells []siteCell) (err error, full bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.stopped {
 		return fmt.Errorf("serve: tenant %q is draining", t.name), false
 	}
-	if t.hasAccepted && v.T <= t.lastAccepted {
-		if v.T == t.lastAccepted {
-			return &core.DuplicateEpochError{Epoch: v.T}, false
+	if t.hasAccepted && epoch <= t.lastAccepted {
+		if epoch == t.lastAccepted {
+			return &core.DuplicateEpochError{Epoch: epoch}, false
 		}
-		return &core.OutOfOrderEpochError{Epoch: v.T, Newest: t.lastAccepted}, false
+		return &core.OutOfOrderEpochError{Epoch: epoch, Newest: t.lastAccepted}, false
 	}
-	select {
-	case t.queue <- queued{v: v, admitted: time.Now()}:
-	default:
+	if len(t.queue) == cap(t.queue) {
 		return nil, true
 	}
-	t.lastAccepted = v.T
+	v := t.mon.Space().NewVector(epoch)
+	for _, c := range cells {
+		v.Set(c.net, c.site)
+	}
+	// Only admit sends, and only under mu, so the room seen above is
+	// still there: the send cannot block.
+	t.queue <- queued{v: v, admitted: time.Now()}
+	t.lastAccepted = epoch
 	t.hasAccepted = true
 	t.pending++
 	t.sh.addPending(1)

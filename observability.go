@@ -14,8 +14,8 @@ import (
 // run exactly as if no instrumentation existed, so libraries can
 // instrument unconditionally and let callers opt in.
 type (
-	// Registry holds named counters, gauges, and histograms plus the
-	// stage-span log.
+	// Registry holds named counters, gauges, and histograms plus one
+	// rollup per stage name.
 	Registry = obs.Registry
 	// ObsServer serves /metrics, /debug/pprof, /debug/trace, and
 	// /debug/events.

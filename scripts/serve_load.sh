@@ -258,8 +258,10 @@ fi
 # shape runs twice — telemetry history sampling at 100ms (aggressive:
 # the production default is 10s) versus fully off — and the paired
 # ServeLoad/history-overhead-* rows land next to each other so the
-# sampler's ingest cost is a one-line diff. The run prints the measured
-# overhead; the budget is <= 5% at the 100ms interval. HISTORY_AB=""
+# sampler's ingest cost is a one-line diff. The run prints the
+# difference of its one unpaired on/off run and no verdict: at this run
+# length (about 0.2 s per side), alternating on/off pairs spread about
+# +-30%, far wider than any overhead worth budgeting. HISTORY_AB=""
 # skips the phase.
 HISTORY_AB="${HISTORY_AB:-1}"
 HIST_TENANTS="${HIST_TENANTS:-64}"
@@ -306,7 +308,7 @@ if [ -n "$HISTORY_AB" ]; then
             split(on, a, "ns_per_op\": "); non = a[2] + 0
             split(off, b, "ns_per_op\": "); noff = b[2] + 0
             pct = 100 * (non - noff) / noff
-            printf "serve-load: history sampling overhead %.1f%% ns/op (on %.0f vs off %.0f; budget <= 5%%)\n", pct, non, noff
+            printf "serve-load: history on vs off, one unpaired run: %+.1f%% ns/op (on %.0f vs off %.0f)\n", pct, non, noff
         }' "$work/rows"
 fi
 
