@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"fenrir/internal/obs"
 )
@@ -48,20 +49,38 @@ type Dendrogram struct {
 	Merges []Merge // length N-1 for a fully merged tree
 }
 
+// triangles pools HAC's condensed distance triangles, as *[]float64. A
+// triangle is taken for one nnChain run and put back when it returns, so
+// the pool holds one triangle per re-cluster running at once (one per P
+// in steady state), not one per monitor, and the collector drops an idle
+// one after two cycles.
+var triangles sync.Pool
+
 // HAC builds a dendrogram from a similarity matrix using the nearest-
 // neighbour-chain algorithm (O(N²) time), with distances d = 1 − Φ. All
 // three supported linkages are reducible, so NN-chain yields the exact
-// same tree as naive O(N³) agglomeration. Memory is one condensed
-// n(n−1)/2 triangle of distances (see nnChain), laid out as the matrix's
-// rows and filled in one sequential pass over them.
+// same tree as naive O(N³) agglomeration. The only distance store is one
+// condensed n(n−1)/2 triangle (see nnChain), laid out as the matrix's
+// rows and filled in one sequential pass over them. It comes from a
+// shared pool and goes back once the merges are made; the Dendrogram
+// never references it. A pooled triangle too small for the matrix is
+// dropped and a new one allocated.
 func HAC(m *SimMatrix, linkage Linkage) *Dendrogram {
-	d := make([]float64, 0, m.N*(m.N-1)/2)
+	need := m.N * (m.N - 1) / 2
+	buf, _ := triangles.Get().(*[]float64)
+	if buf == nil || cap(*buf) < need {
+		buf = new([]float64)
+		*buf = make([]float64, 0, need)
+	}
+	d := (*buf)[:0]
 	for _, row := range m.rows {
 		for _, phi := range row {
 			d = append(d, 1-phi)
 		}
 	}
-	return nnChain(d, m.N, linkage)
+	dg := nnChain(d, m.N, linkage)
+	triangles.Put(buf)
+	return dg
 }
 
 // tri is the slot of pair (i, j), j < i, in a condensed lower triangle:

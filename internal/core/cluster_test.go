@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -364,25 +365,108 @@ func TestHACMatchesDenseNNChain(t *testing.T) {
 	}
 }
 
-// TestModeRebuildAllocatesOneTriangle pins the live re-cluster's memory
-// to one condensed distance triangle: a W=1024 rebuild may allocate the
-// n(n−1)/2 float64 triangle plus 1 MiB for everything else (chain, live
-// list, sweep and mode assembly), never a dense n×n copy.
+// TestModeRebuildAllocatesOneTriangle pins the live re-cluster's memory.
+// A cold W=1024 rebuild may allocate the n(n−1)/2 float64 triangle plus
+// 1 MiB for everything else (chain, live list, sweep and mode assembly),
+// never a dense n×n copy. A warm rebuild, after one more append, takes
+// the triangle the cold one returned to HAC's pool and must allocate
+// under 1 MiB. GOMAXPROCS is pinned to 1 so both run on the P that holds
+// the pooled triangle. The race detector makes the pool drop one Put in
+// four at random, so the warm rebuild may miss it a few times in a row,
+// but not eight.
 func TestModeRebuildAllocatesOneTriangle(t *testing.T) {
 	const W = 1024
 	mon := servedMonitor(t, W, 5)
-	before := mon.engine.rebuilds
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	mon.LiveModes()
-	runtime.ReadMemStats(&ms1)
-	if got := mon.engine.rebuilds - before; got != 1 {
-		t.Fatalf("read rebuilt %d times, want 1", got)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	rebuild := func() uint64 {
+		t.Helper()
+		before := mon.engine.rebuilds
+		var ms0, ms1 runtime.MemStats
+		runtime.ReadMemStats(&ms0)
+		mon.LiveModes()
+		runtime.ReadMemStats(&ms1)
+		if got := mon.engine.rebuilds - before; got != 1 {
+			t.Fatalf("read rebuilt %d times, want 1", got)
+		}
+		return ms1.TotalAlloc - ms0.TotalAlloc
 	}
 	limit := uint64(W*(W-1)/2*8 + 1<<20)
-	if grew := ms1.TotalAlloc - ms0.TotalAlloc; grew >= limit {
-		t.Fatalf("W=%d rebuild allocated %d bytes, want < %d", W, grew, limit)
+	if grew := rebuild(); grew >= limit {
+		t.Fatalf("W=%d cold rebuild allocated %d bytes, want < %d", W, grew, limit)
 	}
+	s := mon.Series()
+	last := s.Vectors[len(s.Vectors)-1]
+	var warm []uint64
+	for k := 1; k <= 8; k++ {
+		v := last.Clone()
+		v.T = last.T + timeline.Epoch(k)
+		if _, _, err := mon.Append(v); err != nil {
+			t.Fatal(err)
+		}
+		grew := rebuild()
+		if grew < 1<<20 {
+			return
+		}
+		warm = append(warm, grew)
+	}
+	t.Fatalf("W=%d warm rebuilds allocated %v bytes, want one < %d", W, warm, 1<<20)
+}
+
+// TestHACPooledTriangleReuse runs HAC over a W=1024 monitor, a 7-row
+// and a 300-row matrix, then the W=1024 one again, on one P, so each
+// fill after the first lands in the pooled triangle the first one left,
+// over whatever the fill before it wrote. Every dendrogram must equal
+// the dense oracle's: no distance a pooled triangle holds from an
+// earlier fill may reach a later one.
+func TestHACPooledTriangleReuse(t *testing.T) {
+	big := servedMonitor(t, 1024, 11).Matrix()
+	seven := servedMonitor(t, 7, 12).Matrix()
+	mid := servedMonitor(t, 300, 13).Matrix()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for i, m := range []*SimMatrix{big, seven, mid, big} {
+		for _, l := range []Linkage{AverageLinkage, SingleLinkage, CompleteLinkage} {
+			if got, want := HAC(m, l), denseNNChain(m, l); !reflect.DeepEqual(got, want) {
+				t.Fatalf("matrix %d (n=%d) %v: pooled-triangle dendrogram diverged from dense NN-chain", i, m.N, l)
+			}
+		}
+	}
+}
+
+// TestHACConcurrentReclusters re-clusters eight monitors of different
+// sizes at once, each through a cold LiveModes and then HAC itself, so
+// goroutines take pooled triangles of other sizes and put them back in
+// any order. Every result must equal its serial one; make race runs it
+// under the race detector.
+func TestHACConcurrentReclusters(t *testing.T) {
+	sizes := []int{7, 32, 64, 100, 128, 200, 256, 300}
+	mons := make([]*Monitor, len(sizes))
+	wantModes := make([]*ModesResult, len(sizes))
+	wantDG := make([]*Dendrogram, len(sizes))
+	for i, W := range sizes {
+		mons[i] = servedMonitor(t, W, uint64(100+i))
+		m := mons[i].Matrix()
+		wantModes[i] = DiscoverModes(m, DefaultAdaptiveOptions())
+		wantDG[i] = HAC(m, CompleteLinkage)
+	}
+	var wg sync.WaitGroup
+	for i, mon := range mons {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := mon.LiveModes(); !sameModes(got, wantModes[i]) {
+				t.Errorf("W=%d: concurrent LiveModes differs from the serial DiscoverModes", sizes[i])
+				return
+			}
+			m := mon.Matrix()
+			for r := 0; r < 3; r++ {
+				if got := HAC(m, CompleteLinkage); !reflect.DeepEqual(got, wantDG[i]) {
+					t.Errorf("W=%d round %d: concurrent HAC differs from the serial one", sizes[i], r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMonitorMatrixSharesRows pins Monitor.Matrix and Monitor.State to

@@ -221,13 +221,12 @@ func New(prof Profile, seed uint64, reg *obs.Registry) *Injector {
 	}
 }
 
-// count records one injected fault; callers hold inj.mu. Each injection
-// also lands in the flight recorder, so /debug/events shows the recent
-// fault history alongside quarantines and retries.
+// count records one injected fault; callers hold inj.mu. Injections are
+// counted, not logged: a faulted run injects thousands, and one flight
+// event each would evict everything else from the recorder's ring.
 func (inj *Injector) count(substrate, kind string) {
 	inj.injected[substrate+"/"+kind]++
 	inj.reg.Counter(fmt.Sprintf("fenrir_faults_injected_total{substrate=%q,kind=%q}", substrate, kind)).Inc()
-	inj.reg.Logger().Info("fault injected", "substrate", substrate, "kind", kind)
 }
 
 // lose runs the per-substrate loss-burst machine: a started burst eats
@@ -413,7 +412,8 @@ func (inj *Injector) Quarantine(reason string, n int) {
 	}
 }
 
-// retry records one retry attempt granted to substrate.
+// retry records one retry attempt granted to substrate. Like an
+// injection, a retry is counted, not logged.
 func (inj *Injector) retry(substrate string) {
 	if inj == nil {
 		return
@@ -422,7 +422,6 @@ func (inj *Injector) retry(substrate string) {
 	defer inj.mu.Unlock()
 	inj.retries[substrate]++
 	inj.reg.Counter(fmt.Sprintf("fenrir_fault_retries_total{substrate=%q}", substrate)).Inc()
-	inj.reg.Logger().Info("probe retried", "substrate", substrate)
 }
 
 // Report is a snapshot of everything the injector did, attached to

@@ -457,9 +457,10 @@ func (s *Server) handleMode(w http.ResponseWriter, _ *http.Request, t *tenant) {
 	// append re-clusters the tenant's cached Φ triangle (no dense
 	// matrix), and repeat queries reuse that result. Byte-identical to
 	// the batch pipeline with default adaptive options, pinned by the
-	// core equivalence tests.
+	// core equivalence tests. The newest row is the result's own last
+	// one: an append may land after LiveModes returns.
 	modes := t.mon.LiveModes()
-	cur := modes.ModeOf(t.mon.Len() - 1)
+	cur := modes.ModeOf(modes.Matrix.N - 1)
 	if cur == nil {
 		writeErr(w, http.StatusNotFound, "latest observation is in no mode")
 		return

@@ -18,9 +18,18 @@
 # than 1%. Their allocation counts repeat from run to run, so this guard
 # does not flake the way time does on a loaded host:
 #
-#   MonitorModeRead      also time-guarded above: 330 allocations at one
+#   MonitorModeRead      also time-guarded above: 327 allocations at one
 #                        op, while its min-of-3 time has spread 12.2-16.4
 #                        ms over six runs with no code change behind it.
+#                        Its re-cluster takes the distance triangle from
+#                        a sync.Pool, whose item sits in one P's slot, so
+#                        its allocation guards run at -cpu 1: at 2 Ps one
+#                        warmed op in three missed the pool and read 333
+#                        allocations and 4.48 MB. Its bytes are guarded
+#                        too, at +50%: its one op is the first eviction
+#                        after the fill and allocates 283 KB where later
+#                        ops average 219 KB, and a per-read triangle
+#                        (4.19 MB) would be 16 times the row.
 #   MonitorEvents/plain  /events replay at depth 1024: 27 allocations per
 #                        read, every time, while its time spread 0.15-0.29
 #                        ms over a few runs; explaining every event again
@@ -120,16 +129,23 @@ guard() {
 }
 
 # time_guard KEY PATTERN guards a row's ns/op, the minimum of 3 runs;
-# alloc_guard KEY PATTERN guards the allocs/op of one op, at +1%.
+# alloc_guard KEY PATTERN [ARGS...] guards the allocs/op of one op, at
+# +1%, passing ARGS on to go test.
 time_guard() { guard "$1" ns/op ns_per_op "$GUARD_PCT" -bench "$2" -count=3; }
-alloc_guard() { guard "$1" allocs/op allocs_per_op 1 -bench "$2" -benchtime 1x -benchmem; }
+alloc_guard() {
+	key="$1"
+	pattern="$2"
+	shift 2
+	guard "$key" allocs/op allocs_per_op 1 -bench "$pattern" -benchtime 1x -benchmem "$@"
+}
 
 status=0
 time_guard 'SimilarityMatrix/T=1024/P=1' '^BenchmarkSimilarityMatrix$/^T=1024$/^P=1$' || status=1
 time_guard 'SimilarityMatrix/T=512/N=512/S=128/P=1' '^BenchmarkSimilarityMatrix$/^T=512$/^N=512$/^S=128$/^P=1$' || status=1
 time_guard 'MonitorAppendHot' '^BenchmarkMonitorAppendHot$' || status=1
 time_guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' || status=1
-alloc_guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' || status=1
+alloc_guard 'MonitorModeRead' '^BenchmarkMonitorModeRead$' -cpu 1 || status=1
+guard 'MonitorModeRead' B/op bytes_per_op 50 -bench '^BenchmarkMonitorModeRead$' -benchtime 1x -benchmem -cpu 1 || status=1
 alloc_guard 'MonitorEvents/plain' '^BenchmarkMonitorEvents$/^plain$' || status=1
 alloc_guard 'Checkpoint' '^BenchmarkCheckpoint$' || status=1
 alloc_guard 'DetectChanges' '^BenchmarkDetectChanges$' || status=1
