@@ -101,7 +101,7 @@ func main() {
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "daemon: checkpoint a tenant after this many accepted observations (0 = 64)")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "daemon: per-tenant ingest queue depth (0 = 256)")
 	flag.IntVar(&o.window, "window", 0, "daemon: default sliding-window bound for tenants whose spec sets none (0 = unbounded history)")
-	flag.IntVar(&o.shards, "shards", 0, "daemon: in-process tenant shards, each with its own lock and snapshot subdirectory (0 = 1)")
+	flag.IntVar(&o.shards, "shards", 0, "daemon: tenant shards, each with its own snapshot subdirectory and drain lane (0 = 1)")
 	flag.DurationVar(&o.historyEvery, "history-every", 10*time.Second, "daemon: telemetry history sampling interval (0 disables /v1/query, /v1/alerts, /debug/timeline)")
 	flag.IntVar(&o.historyRetain, "history-retain", 0, "daemon: samples retained per history series (0 = 360)")
 	flag.StringVar(&o.alertRules, "alert-rules", "", "daemon: JSON file of alert rules evaluated in addition to the built-in defaults")
@@ -155,9 +155,8 @@ func run(o cliOptions) error {
 
 	run := scenario.Run{Seed: o.seed, Parallelism: o.parallel, Faults: prof, FaultSeed: o.faultSeed, Obs: reg}
 	var (
-		out     scenario.Outcome
-		changes []core.ChangeEvent
-		cfgAny  any // scenario config, recorded verbatim in the manifest
+		out    scenario.Outcome
+		cfgAny any // scenario config, recorded verbatim in the manifest
 	)
 	// finish writes the manifest; every exit path that has run a scenario
 	// goes through it so -manifest works for all scenarios.
@@ -190,16 +189,8 @@ func run(o cliOptions) error {
 			}
 		}
 		m.FillFromRegistry(reg)
-		if out.Matrix != nil {
-			m.MatrixRows = out.Matrix.N
-		}
-		if out.Series != nil {
-			m.Networks = out.Series.Space.NumNetworks()
-		}
-		if out.Modes != nil {
-			m.Modes = len(out.Modes.Modes)
-		}
-		m.Detections = core.SummarizeDetections(changes)
+		m.MatrixRows, m.Networks, m.Modes = out.Matrix.N, out.Series.Space.NumNetworks(), len(out.Modes.Modes)
+		m.Detections = core.SummarizeDetections(out.Changes)
 		m.PeakGoroutines, m.PeakHeapBytes = sampler.Stop()
 		if err := obs.WriteManifest(o.manifest, m); err != nil {
 			return err
@@ -267,7 +258,6 @@ func run(o cliOptions) error {
 		}
 		out = res.Outcome
 		sp := reg.StartSpan("report")
-		changes = res.Detections
 		v := res.Validation
 		fmt.Printf("ground-truth groups: %d (from %d raw entries)\n", len(res.Groups), res.RawEntries)
 		fmt.Printf("TP=%d FN=%d FP=%d TN=%d unmatched=%d\n", v.TP, v.FN, v.FP, v.TN, v.Unmatched)
@@ -276,12 +266,12 @@ func run(o cliOptions) error {
 			fmt.Printf("drain attribution: %d/%d top flows name the drained site\n", v.DrainAttributed, n)
 		}
 		if o.explain {
-			for _, c := range changes {
+			for _, c := range out.Changes {
 				fmt.Printf("change at epoch %d: Phi %.2f (baseline %.2f)\n", c.At, c.Phi, c.Baseline)
 				fmt.Print(explainText(c))
 			}
 		}
-		sp.SetItems(int64(len(changes)))
+		sp.SetItems(int64(len(out.Changes)))
 		sp.End()
 		return finish()
 	default:
@@ -309,18 +299,16 @@ func run(o cliOptions) error {
 	if o.stack {
 		fmt.Print(report.StackPlot(out.Series))
 	}
-	changes = core.DetectChangesMatrix(out.Series, out.Matrix, core.PessimisticUnknown, nil, core.DefaultDetectOptions())
-	core.ObserveDetections(reg, spRep, changes)
-	for _, c := range changes {
+	for _, c := range out.Changes {
 		fmt.Printf("change at epoch %d: Phi %.2f (baseline %.2f)\n", c.At, c.Phi, c.Baseline)
 		if o.explain {
 			fmt.Print(explainText(c))
 		}
 	}
-	if len(changes) == 0 {
+	if len(out.Changes) == 0 {
 		fmt.Println("no change events detected at default sensitivity")
 	}
-	spRep.SetItems(int64(len(changes)))
+	spRep.SetItems(int64(len(out.Changes)))
 	spRep.End()
 	return finish()
 }

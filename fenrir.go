@@ -51,12 +51,8 @@
 package fenrir
 
 import (
-	"fmt"
-
-	"fenrir/internal/clean"
 	"fenrir/internal/core"
-	"fenrir/internal/obs"
-	"fenrir/internal/report"
+	"fenrir/internal/scenario"
 	"fenrir/internal/timeline"
 	"fenrir/internal/weight"
 )
@@ -134,139 +130,18 @@ func CountWeights(s *Space, counts map[string]float64, def float64) []float64 {
 	return weight.ByCount(s, counts, def)
 }
 
-// AnalysisOptions configures the full pipeline run by Analyze.
-type AnalysisOptions struct {
-	// Weights is the per-network weight vector; nil means uniform.
-	Weights []float64
-	// Unknowns selects Φ's unknown handling.
-	Unknowns UnknownMode
-	// Parallelism sizes the worker pool of the similarity stage: 0 uses
-	// all cores (GOMAXPROCS), 1 fills the matrix on the calling
-	// goroutine. The result is bit-identical at every setting.
-	Parallelism int
-	// Kernel is ignored.
-	//
-	// Deprecated: the similarity stage has one engine.
-	Kernel SimKernel
-	// Clean enables the §2.4 cleaning stages before analysis.
-	Clean bool
-	// ValidSites, when non-nil, quarantines observations whose site label
-	// it rejects (replacing them with unknowns) before the other cleaning
-	// stages — the ingest guard for fault-injected or untrusted data (see
-	// DESIGN.md §7). Applied only when Clean is set.
-	ValidSites func(site string) bool
-	// InterpolateReach bounds temporal interpolation (default 3).
-	InterpolateReach int
-	// MicroCatchmentShare marks sites below this mean share of known
-	// assignments as micro-catchments to suppress (0 disables).
-	MicroCatchmentShare float64
-	// Clustering tunes mode discovery.
-	Clustering core.AdaptiveOptions
-	// Detection tunes change detection.
-	Detection core.DetectOptions
-	// Obs receives pipeline instrumentation: stage spans (clean,
-	// similarity, cluster, detect) plus the engine's counters and
-	// histograms. nil disables instrumentation with no behavioural
-	// change. See NewRegistry.
-	Obs *obs.Registry
-}
+// The pipeline of Table 1 is internal/scenario's, which every built-in
+// study runs as well; the facade re-exports it.
+type (
+	// AnalysisOptions configures the full pipeline run by Analyze.
+	AnalysisOptions = scenario.AnalysisOptions
+	// Analysis is the result of the full Fenrir pipeline over a series.
+	Analysis = scenario.Analysis
+)
 
 // DefaultAnalysisOptions mirrors the paper's configuration.
-func DefaultAnalysisOptions() AnalysisOptions {
-	return AnalysisOptions{
-		Unknowns:            PessimisticUnknown,
-		Clean:               true,
-		InterpolateReach:    3,
-		MicroCatchmentShare: 0,
-		Clustering:          core.DefaultAdaptiveOptions(),
-		Detection:           core.DefaultDetectOptions(),
-	}
-}
+func DefaultAnalysisOptions() AnalysisOptions { return scenario.DefaultAnalysisOptions() }
 
-// Analysis is the result of the full Fenrir pipeline over a series.
-type Analysis struct {
-	// Series is the (possibly cleaned) series the analysis ran on.
-	Series *Series
-	// Matrix is the all-pairs Φ matrix.
-	Matrix *SimMatrix
-	// Modes is the discovered mode structure.
-	Modes *ModesResult
-	// Changes are the detected change events.
-	Changes []ChangeEvent
-	// Coverage is the fraction of known (network, epoch) cells after
-	// cleaning.
-	Coverage float64
-	// Suppressed lists micro-catchment sites that were folded into
-	// "other".
-	Suppressed []string
-	// Quarantined reports what the ValidSites guard removed; nil when no
-	// guard was configured.
-	Quarantined *QuarantineReport
-}
-
-// Analyze runs the complete pipeline of Table 1 on a series: cleaning,
-// similarity, clustering, and change detection.
-func Analyze(s *Series, opts AnalysisOptions) *Analysis {
-	a := &Analysis{Series: s}
-	if opts.Clean {
-		spClean := opts.Obs.StartSpan("clean")
-		if opts.ValidSites != nil {
-			s, a.Quarantined = clean.Quarantine(s, opts.ValidSites, opts.Obs)
-			a.Series = s
-		}
-		if opts.MicroCatchmentShare > 0 {
-			a.Suppressed = clean.MicroCatchments(s, opts.MicroCatchmentShare)
-			s = clean.SuppressSites(s, a.Suppressed)
-		}
-		reach := opts.InterpolateReach
-		if reach <= 0 {
-			reach = 3
-		}
-		s = clean.Interpolate(s, clean.InterpolateOptions{MaxReach: reach})
-		a.Series = s
-		spClean.SetItems(int64(s.Len()))
-		spClean.End()
-	}
-	a.Coverage = clean.Coverage(s)
-	spSim := opts.Obs.StartSpan("similarity")
-	a.Matrix = core.SimilarityMatrixParallel(s, opts.Weights, opts.Unknowns,
-		core.MatrixOptions{Parallelism: opts.Parallelism, Obs: opts.Obs, Span: spSim})
-	spSim.SetItems(int64(a.Matrix.N) * int64(a.Matrix.N-1) / 2)
-	spSim.SetWorkers(int(opts.Obs.Gauge("fenrir_similarity_workers").Value()))
-	spSim.End()
-	spCl := opts.Obs.StartSpan("cluster")
-	clOpts := opts.Clustering
-	clOpts.Obs = opts.Obs
-	clOpts.Span = spCl
-	a.Modes = core.DiscoverModes(a.Matrix, clOpts)
-	spCl.End()
-	spDet := opts.Obs.StartSpan("detect")
-	a.Changes = core.DetectChangesMatrix(s, a.Matrix, opts.Unknowns, opts.Weights, opts.Detection)
-	core.ObserveDetections(opts.Obs, spDet, a.Changes)
-	spDet.SetItems(int64(len(a.Changes)))
-	spDet.End()
-	return a
-}
-
-// Report renders the analysis as human-readable text: the mode summary,
-// the ASCII heatmap, and the detected changes.
-func (a *Analysis) Report() string {
-	out := report.ModesSummary(a.Modes)
-	out += report.Heatmap(a.Matrix, 60)
-	for _, c := range a.Changes {
-		out += formatChange(c)
-	}
-	return out
-}
-
-func formatChange(c ChangeEvent) string {
-	out := fmt.Sprintf("change at epoch %d: Phi dropped to %.2f (baseline %.2f)\n",
-		int(c.At), c.Phi, c.Baseline)
-	if ex := c.Explanation; ex != nil {
-		out += fmt.Sprintf("  %s\n", ex.Label())
-		if f, ok := ex.TopFlow(); ok {
-			out += fmt.Sprintf("  top flow: %s -> %s (%.0f)\n", f.From, f.To, f.Count)
-		}
-	}
-	return out
-}
+// Analyze runs the complete pipeline of Table 1 on a series: quarantine
+// and cleaning, similarity, clustering, and change detection.
+func Analyze(s *Series, opts AnalysisOptions) *Analysis { return scenario.Analyze(s, opts) }

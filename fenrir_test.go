@@ -108,6 +108,39 @@ func TestAnalyzeMicroCatchmentSuppression(t *testing.T) {
 	}
 }
 
+// TestAnalyzeValidSitesCountedOnce holds the ValidSites guard to one
+// rule with and without cleaning: a label it rejects is quarantined, and
+// the quarantine is counted and logged once.
+func TestAnalyzeValidSitesCountedOnce(t *testing.T) {
+	for _, clean := range []bool{true, false} {
+		s := buildSeries(t)
+		s.Vectors[3].Set(7, "bogus-zz9")
+		reg := NewRegistry()
+		opts := DefaultAnalysisOptions()
+		opts.Clean, opts.Obs = clean, reg
+		opts.ValidSites = func(site string) bool { return site == "LAX" || site == "AMS" }
+		a := Analyze(s, opts)
+		if q := a.Quarantined; q == nil || q.Total != 1 || q.ByLabel["bogus-zz9"] != 1 {
+			t.Fatalf("clean %v: quarantine report %+v, want the one bogus cell", clean, q)
+		}
+		if site, ok := a.Series.Vectors[3].Site(7); ok && site == "bogus-zz9" {
+			t.Errorf("clean %v: bogus label survived analysis", clean)
+		}
+		if got := reg.Read().Counters[`fenrir_quarantined_total{reason="invalid-site"}`]; got != 1 {
+			t.Errorf("clean %v: invalid-site counter %d, want 1", clean, got)
+		}
+		logged := 0
+		for _, ev := range reg.Events(0) {
+			if strings.Contains(ev.Msg, "quarantined") {
+				logged++
+			}
+		}
+		if logged != 1 {
+			t.Errorf("clean %v: %d quarantine log lines, want 1", clean, logged)
+		}
+	}
+}
+
 func TestFacadeGowerAndTransition(t *testing.T) {
 	space := NewSpace([]string{"x", "y"})
 	a := space.NewVector(0)

@@ -184,12 +184,31 @@ type Injector struct {
 	rSite    *rng.Source
 	rTrunc   *rng.Source
 
-	lossLeft    map[string]int    // per-substrate remaining burst length
-	held        map[string][]byte // per-substrate reorder hold slot
-	stuck       map[string]string // per-substrate last observed site label
-	injected    map[string]int    // "substrate/kind" → count
-	retries     map[string]int    // substrate → retry count
-	quarantined map[string]int    // reason → observation count
+	lossLeft    map[string]int       // per-substrate remaining burst length
+	held        map[string][]byte    // per-substrate reorder hold slot
+	stuck       map[string]string    // per-substrate last observed site label
+	injected    map[[2]string]*tally // {substrate, kind} → count
+	retries     map[string]*tally    // substrate → retry count
+	quarantined map[string]*tally    // reason → observation count
+}
+
+// tally is one count of the report and the counter it mirrors to. The
+// counter is resolved when its key is first seen, so a repeat event
+// costs a map lookup and an atomic add, and allocates nothing.
+type tally struct {
+	n int
+	c *obs.Counter
+}
+
+// add bumps m[k] by n, resolving its counter name(k) in reg on first use.
+func add[K comparable](m map[K]*tally, k K, n int, reg *obs.Registry, name func(K) string) {
+	t := m[k]
+	if t == nil {
+		t = &tally{c: reg.Counter(name(k))}
+		m[k] = t
+	}
+	t.n += n
+	t.c.Add(int64(n))
 }
 
 // New builds an injector for the profile. The zero profile (including
@@ -215,9 +234,9 @@ func New(prof Profile, seed uint64, reg *obs.Registry) *Injector {
 		lossLeft:    make(map[string]int),
 		held:        make(map[string][]byte),
 		stuck:       make(map[string]string),
-		injected:    make(map[string]int),
-		retries:     make(map[string]int),
-		quarantined: make(map[string]int),
+		injected:    make(map[[2]string]*tally),
+		retries:     make(map[string]*tally),
+		quarantined: make(map[string]*tally),
 	}
 }
 
@@ -225,8 +244,9 @@ func New(prof Profile, seed uint64, reg *obs.Registry) *Injector {
 // counted, not logged: a faulted run injects thousands, and one flight
 // event each would evict everything else from the recorder's ring.
 func (inj *Injector) count(substrate, kind string) {
-	inj.injected[substrate+"/"+kind]++
-	inj.reg.Counter(fmt.Sprintf("fenrir_faults_injected_total{substrate=%q,kind=%q}", substrate, kind)).Inc()
+	add(inj.injected, [2]string{substrate, kind}, 1, inj.reg, func(k [2]string) string {
+		return fmt.Sprintf("fenrir_faults_injected_total{substrate=%q,kind=%q}", k[0], k[1])
+	})
 }
 
 // lose runs the per-substrate loss-burst machine: a started burst eats
@@ -405,8 +425,9 @@ func (inj *Injector) Quarantine(reason string, n int) {
 	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	inj.quarantined[reason] += n
-	inj.reg.Counter(fmt.Sprintf("fenrir_quarantined_total{reason=%q}", reason)).Add(int64(n))
+	add(inj.quarantined, reason, n, inj.reg, func(r string) string {
+		return fmt.Sprintf("fenrir_quarantined_total{reason=%q}", r)
+	})
 	if n > 0 {
 		inj.reg.Logger().Warn("observations quarantined", "reason", reason, "count", n)
 	}
@@ -420,8 +441,9 @@ func (inj *Injector) retry(substrate string) {
 	}
 	inj.mu.Lock()
 	defer inj.mu.Unlock()
-	inj.retries[substrate]++
-	inj.reg.Counter(fmt.Sprintf("fenrir_fault_retries_total{substrate=%q}", substrate)).Inc()
+	add(inj.retries, substrate, 1, inj.reg, func(s string) string {
+		return fmt.Sprintf("fenrir_fault_retries_total{substrate=%q}", s)
+	})
 }
 
 // Report is a snapshot of everything the injector did, attached to
@@ -448,14 +470,14 @@ func (inj *Injector) Report() *Report {
 		Retries:     make(map[string]int, len(inj.retries)),
 		Quarantined: make(map[string]int, len(inj.quarantined)),
 	}
-	for k, v := range inj.injected {
-		r.Injected[k] = v
+	for k, t := range inj.injected {
+		r.Injected[k[0]+"/"+k[1]] = t.n
 	}
-	for k, v := range inj.retries {
-		r.Retries[k] = v
+	for k, t := range inj.retries {
+		r.Retries[k] = t.n
 	}
-	for k, v := range inj.quarantined {
-		r.Quarantined[k] = v
+	for k, t := range inj.quarantined {
+		r.Quarantined[k] = t.n
 	}
 	return r
 }

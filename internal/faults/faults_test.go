@@ -313,3 +313,38 @@ func TestCountersMirrorToRegistry(t *testing.T) {
 		t.Fatal("nil report accessors broke")
 	}
 }
+
+// TestRepeatFaultAllocatesNothing pins that a fault's counter is resolved
+// once per key, not looked up by a formatted name on every event: once
+// its key has been seen, an always-losing Datagram and a retry allocate
+// nothing, with a registry or without one, and the report and the
+// counters still see every call.
+func TestRepeatFaultAllocatesNothing(t *testing.T) {
+	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+		inj := New(Profile{Name: "t", LossStart: 1}, 2, reg)
+		b := []byte{1}
+		event := func() {
+			inj.Datagram("atlas", b)
+			inj.retry("atlas")
+		}
+		event()
+		if allocs := testing.AllocsPerRun(100, event); allocs != 0 {
+			t.Errorf("registry %v: a repeat loss and retry allocate %v times, want 0", reg != nil, allocs)
+		}
+		// The call above, AllocsPerRun's warm-up call and its 100 runs.
+		const want = 102
+		rep := inj.Report()
+		if rep.Injected["atlas/loss"] != want || rep.Retries["atlas"] != want {
+			t.Errorf("registry %v: report %v, want %d losses and retries", reg != nil, rep, want)
+		}
+		if reg == nil {
+			continue
+		}
+		if got := reg.Counter(`fenrir_faults_injected_total{substrate="atlas",kind="loss"}`).Value(); got != want {
+			t.Errorf("loss counter = %d, want %d", got, want)
+		}
+		if got := reg.Counter(`fenrir_fault_retries_total{substrate="atlas"}`).Value(); got != want {
+			t.Errorf("retry counter = %d, want %d", got, want)
+		}
+	}
+}

@@ -174,7 +174,7 @@ var noopLogger = slog.New(noopHandler{})
 // in the flight-recorder ring. On a nil registry it returns a logger
 // that discards everything, preserving the no-op contract.
 func (r *Registry) Logger() *slog.Logger {
-	if r == nil || !r.hasFlight.Load() {
+	if r == nil {
 		return noopLogger
 	}
 	return r.logger

@@ -32,15 +32,14 @@ import (
 // Metric names follow Prometheus exposition syntax; a name may embed a
 // label set verbatim, e.g. `fenrir_stage_duration_seconds{stage="similarity"}`.
 type Registry struct {
-	mu        sync.Mutex
-	counters  map[string]*Counter
-	gauges    map[string]*Gauge
-	hists     map[string]*Histogram
-	stages    []StageRecord // one rollup per stage name, first-End order
-	start     time.Time
-	logger    *slog.Logger
-	flight    *FlightRecorder
-	hasFlight atomic.Bool
+	mu       sync.Mutex
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	hists    map[string]*Histogram
+	stages   []StageRecord // one rollup per stage name, first-End order
+	start    time.Time
+	logger   *slog.Logger
+	flight   *FlightRecorder
 
 	// Trace-tree state (see trace.go): monotone span ids and the active
 	// root, both lock-free, and the bounded ring of completed spans,
@@ -67,7 +66,6 @@ func NewRegistry() *Registry {
 		trace:    NewRing[TraceRecord](traceCap),
 	}
 	r.logger = slog.New(&flightHandler{fr: r.flight})
-	r.hasFlight.Store(true)
 	return r
 }
 

@@ -306,7 +306,7 @@ func RunBRoot(cfg BRootConfig) (*BRootResult, error) {
 		"LAX": true, "MIA": true, "ARI": true, "SIN": true,
 		"IAD": true, "AMS": true, "SCL": true,
 	}
-	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid)
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid, core.DefaultDetectOptions())
 	return res, nil
 }
 

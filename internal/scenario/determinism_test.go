@@ -107,7 +107,7 @@ func TestValidationDeterministic(t *testing.T) {
 	if a.Validation != b.Validation {
 		t.Fatalf("validation differs: %+v vs %+v", a.Validation, b.Validation)
 	}
-	if len(a.Detections) != len(b.Detections) {
+	if len(a.Changes) != len(b.Changes) {
 		t.Fatal("detections not deterministic")
 	}
 }

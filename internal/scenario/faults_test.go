@@ -65,8 +65,8 @@ func TestWikipediaZeroProfileIsByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	vectorsEqual(t, a.Series, b.Series)
-	if b.Faults != nil || b.Quarantine != nil {
-		t.Fatalf("zero profile produced reports: %+v %+v", b.Faults, b.Quarantine)
+	if b.Faults != nil || b.Quarantined != nil {
+		t.Fatalf("zero profile produced reports: %+v %+v", b.Faults, b.Quarantined)
 	}
 	if a.ReturnedFraction != b.ReturnedFraction {
 		t.Fatal("zero-profile run diverged from plain run")
@@ -99,7 +99,7 @@ func TestGRootFaultSeedReproducesFaults(t *testing.T) {
 	if a.Faults.TotalQuarantined() == 0 {
 		t.Fatal("corrupt profile quarantined nothing")
 	}
-	if a.Quarantine == nil || a.Quarantine.Total == 0 {
+	if a.Quarantined == nil || a.Quarantined.Total == 0 {
 		t.Fatal("quarantine report missing or empty")
 	}
 	// A different fault seed must produce a different fault pattern.

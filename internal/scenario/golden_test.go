@@ -134,9 +134,11 @@ func TestScenarioGoldenDigests(t *testing.T) {
 // TestScenarioRunContract holds every runner to the shared run contract:
 // a plain run carries no fault or quarantine report; a faulted run
 // carries both, except that USC, with no known site set, has no
-// quarantine; and neither the worker pool nor an instrumentation
-// registry moves the series or a bit of the matrix, while the registry
-// records the four stages every study shares.
+// quarantine, and counts each quarantined cell once, so its registry's
+// invalid-site counter, the quarantine report and the fault report
+// agree; and neither the worker pool nor an instrumentation registry
+// moves the series or a bit of the matrix, while the registry records
+// the stages every study shares, detection among them.
 func TestScenarioRunContract(t *testing.T) {
 	light, ok := faults.ByName("light")
 	if !ok {
@@ -148,19 +150,29 @@ func TestScenarioRunContract(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plain: %v", err)
 			}
-			if plain.Faults != nil || plain.Quarantine != nil {
-				t.Errorf("plain run has reports: faults %v, quarantine %v", plain.Faults, plain.Quarantine)
+			if plain.Faults != nil || plain.Quarantined != nil {
+				t.Errorf("plain run has reports: faults %v, quarantine %v", plain.Faults, plain.Quarantined)
 			}
 
-			faulted, err := c.run(func(r *Run) { r.Faults, r.FaultSeed = light, 7 })
+			freg := obs.NewRegistry()
+			faulted, err := c.run(func(r *Run) { r.Faults, r.FaultSeed, r.Obs = light, 7, freg })
 			if err != nil {
 				t.Fatalf("light: %v", err)
 			}
 			if faulted.Faults == nil {
-				t.Error("light run has no fault report")
+				t.Fatal("light run has no fault report")
 			}
-			if wantQ := c.name != "usc"; (faulted.Quarantine != nil) != wantQ {
-				t.Errorf("light run quarantine %v, want present=%v", faulted.Quarantine, wantQ)
+			if wantQ := c.name != "usc"; (faulted.Quarantined != nil) != wantQ {
+				t.Errorf("light run quarantine %v, want present=%v", faulted.Quarantined, wantQ)
+			}
+			total := 0
+			if faulted.Quarantined != nil {
+				total = faulted.Quarantined.Total
+			}
+			counter := freg.Read().Counters[`fenrir_quarantined_total{reason="invalid-site"}`]
+			if counter != int64(total) || faulted.Faults.Quarantined["invalid-site"] != total {
+				t.Errorf("invalid-site quarantine: counter %d, report total %d, fault report %d; want all equal",
+					counter, total, faulted.Faults.Quarantined["invalid-site"])
 			}
 
 			reg := obs.NewRegistry()
@@ -181,13 +193,15 @@ func TestScenarioRunContract(t *testing.T) {
 					}
 				}
 			}
-			stages := map[string]bool{}
-			for _, s := range reg.StageSummary() {
-				stages[s.Name] = true
-			}
-			for _, name := range []string{"generate", "observe", "similarity", "cluster"} {
-				if !stages[name] {
-					t.Errorf("stage summary lacks %q: %v", name, reg.StageSummary())
+			for _, r := range []*obs.Registry{reg, freg} {
+				stages := map[string]bool{}
+				for _, s := range r.StageSummary() {
+					stages[s.Name] = true
+				}
+				for _, name := range []string{"generate", "observe", "similarity", "cluster", "detect"} {
+					if !stages[name] {
+						t.Errorf("stage summary lacks %q: %v", name, r.StageSummary())
+					}
 				}
 			}
 		})

@@ -145,7 +145,7 @@ func RunGoogle(cfg GoogleConfig) (*GoogleResult, error) {
 	for _, label := range idx {
 		valid[label] = true
 	}
-	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid)
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid, core.DefaultDetectOptions())
 
 	// Headline Φ summaries over the 2024 rows.
 	o := cfg.Days2013

@@ -194,7 +194,7 @@ func RunGRoot(cfg GRootConfig) (*GRootResult, error) {
 	valid := map[string]bool{
 		"CMH": true, "SAT": true, "STR": true, "NAP": true, "NRT": true, "HNL": true,
 	}
-	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid)
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid, core.DefaultDetectOptions())
 
 	// Table 3: transitions at the first drain boundary and one epoch
 	// later.

@@ -5,8 +5,8 @@
 // mapping). Each scenario builds a topology, registers services, walks a
 // schedule applying the paper's narrated events (site adds, drains,
 // traffic engineering, third-party changes, collection outages), drives
-// the corresponding measurement engine every epoch, and returns the
-// series plus the derived Fenrir artefacts for its figures and tables.
+// the corresponding measurement engine every epoch, and runs Analyze, the
+// one Fenrir pipeline the facade re-exports, over the series.
 //
 // Everything is deterministic in the scenario seed. Scale knobs shrink
 // the paper's millions-of-networks datasets to laptop size without
@@ -24,7 +24,146 @@ import (
 	"fenrir/internal/dataplane"
 	"fenrir/internal/faults"
 	"fenrir/internal/obs"
+	"fenrir/internal/report"
 )
+
+// AnalysisOptions configures the full pipeline run by Analyze.
+type AnalysisOptions struct {
+	// Weights is the per-network weight vector; nil means uniform.
+	Weights []float64
+	// Unknowns selects Φ's unknown handling.
+	Unknowns core.UnknownMode
+	// Parallelism sizes the worker pool of the similarity stage: 0 uses
+	// all cores (GOMAXPROCS), 1 fills the matrix on the calling
+	// goroutine. The result is bit-identical at every setting.
+	Parallelism int
+	// Kernel is ignored.
+	//
+	// Deprecated: the similarity stage has one engine.
+	Kernel core.SimKernel
+	// Clean enables the §2.4 cleaning stages before analysis.
+	Clean bool
+	// ValidSites, when non-nil, quarantines observations whose site label
+	// it rejects (replacing them with unknowns) before the other cleaning
+	// stages — the ingest guard for fault-injected or untrusted data (see
+	// DESIGN.md §7). It applies whether or not Clean is set.
+	ValidSites func(site string) bool
+	// InterpolateReach bounds temporal interpolation (default 3).
+	InterpolateReach int
+	// MicroCatchmentShare marks sites below this mean share of known
+	// assignments as micro-catchments to suppress (0 disables).
+	MicroCatchmentShare float64
+	// Clustering tunes mode discovery.
+	Clustering core.AdaptiveOptions
+	// Detection tunes change detection.
+	Detection core.DetectOptions
+	// Obs receives pipeline instrumentation: stage spans (clean,
+	// similarity, cluster, detect) plus the engine's counters and
+	// histograms. nil disables instrumentation with no behavioural
+	// change.
+	Obs *obs.Registry
+}
+
+// DefaultAnalysisOptions mirrors the paper's configuration.
+func DefaultAnalysisOptions() AnalysisOptions {
+	return AnalysisOptions{
+		Unknowns:         core.PessimisticUnknown,
+		Clean:            true,
+		InterpolateReach: 3,
+		Clustering:       core.DefaultAdaptiveOptions(),
+		Detection:        core.DefaultDetectOptions(),
+	}
+}
+
+// Analysis is the result of the full Fenrir pipeline over a series.
+type Analysis struct {
+	// Series is the series analysed, after any quarantine and cleaning.
+	Series *core.Series
+	// Matrix is the all-pairs Φ matrix.
+	Matrix *core.SimMatrix
+	// Modes is the discovered mode structure.
+	Modes *core.ModesResult
+	// Changes are the detected change events.
+	Changes []core.ChangeEvent
+	// Coverage is the fraction of known (network, epoch) cells after
+	// cleaning.
+	Coverage float64
+	// Suppressed lists micro-catchment sites that were folded into
+	// "other".
+	Suppressed []string
+	// Quarantined reports what the ValidSites guard removed; nil when no
+	// guard was configured.
+	Quarantined *clean.QuarantineReport
+}
+
+// Analyze runs the complete pipeline of Table 1 on a series: quarantine
+// and cleaning, similarity, clustering, and change detection, each under
+// its stage span. It is the one pipeline: every scenario runs it too.
+func Analyze(s *core.Series, opts AnalysisOptions) *Analysis {
+	a := &Analysis{}
+	if opts.ValidSites != nil || opts.Clean {
+		spClean := opts.Obs.StartSpan("clean")
+		if opts.ValidSites != nil {
+			s, a.Quarantined = clean.Quarantine(s, opts.ValidSites, opts.Obs)
+		}
+		if opts.Clean {
+			if opts.MicroCatchmentShare > 0 {
+				a.Suppressed = clean.MicroCatchments(s, opts.MicroCatchmentShare)
+				s = clean.SuppressSites(s, a.Suppressed)
+			}
+			reach := opts.InterpolateReach
+			if reach <= 0 {
+				reach = 3
+			}
+			s = clean.Interpolate(s, clean.InterpolateOptions{MaxReach: reach})
+		}
+		spClean.SetItems(int64(s.Len()))
+		spClean.End()
+	}
+	a.Series = s
+	a.Coverage = clean.Coverage(s)
+	spSim := opts.Obs.StartSpan("similarity")
+	a.Matrix = core.SimilarityMatrixParallel(s, opts.Weights, opts.Unknowns,
+		core.MatrixOptions{Parallelism: opts.Parallelism, Obs: opts.Obs, Span: spSim})
+	spSim.SetItems(int64(a.Matrix.N) * int64(a.Matrix.N-1) / 2)
+	// The engine just published its effective (clamped) pool size.
+	spSim.SetWorkers(int(opts.Obs.Gauge("fenrir_similarity_workers").Value()))
+	spSim.End()
+	spCl := opts.Obs.StartSpan("cluster")
+	clOpts := opts.Clustering
+	clOpts.Obs, clOpts.Span = opts.Obs, spCl
+	a.Modes = core.DiscoverModes(a.Matrix, clOpts)
+	spCl.End()
+	spDet := opts.Obs.StartSpan("detect")
+	a.Changes = core.DetectChangesMatrix(s, a.Matrix, opts.Unknowns, opts.Weights, opts.Detection)
+	core.ObserveDetections(opts.Obs, spDet, a.Changes)
+	spDet.SetItems(int64(len(a.Changes)))
+	spDet.End()
+	return a
+}
+
+// Report renders the analysis as human-readable text: the mode summary,
+// the ASCII heatmap, and the detected changes.
+func (a *Analysis) Report() string {
+	out := report.ModesSummary(a.Modes)
+	out += report.Heatmap(a.Matrix, 60)
+	for _, c := range a.Changes {
+		out += formatChange(c)
+	}
+	return out
+}
+
+func formatChange(c core.ChangeEvent) string {
+	out := fmt.Sprintf("change at epoch %d: Phi dropped to %.2f (baseline %.2f)\n",
+		int(c.At), c.Phi, c.Baseline)
+	if ex := c.Explanation; ex != nil {
+		out += fmt.Sprintf("  %s\n", ex.Label())
+		if f, ok := ex.TopFlow(); ok {
+			out += fmt.Sprintf("  top flow: %s -> %s (%.0f)\n", f.From, f.To, f.Count)
+		}
+	}
+	return out
+}
 
 // Run is the part of every scenario config that callers set the same way
 // for every study: the scenario seed, the similarity worker pool, the
@@ -47,16 +186,12 @@ type Run struct {
 // Outcome is the analysis every scenario returns next to its study's own
 // figures. Each *Result embeds it.
 type Outcome struct {
-	Series *core.Series
-	// Matrix is Φ over Series, pessimistic and unweighted.
-	Matrix *core.SimMatrix
-	Modes  *core.ModesResult
+	// Analysis is Analyze over the study's series (see outcome). Its
+	// Quarantined is set on fault runs of studies with a known site set.
+	Analysis
 	// Faults reports injected faults, retries, and quarantined
 	// observations; nil when no fault layer was active.
 	Faults *faults.Report
-	// Quarantine details what the ingest quarantine removed: fault runs
-	// of studies with a known site set only, nil otherwise.
-	Quarantine *clean.QuarantineReport
 }
 
 // injector builds the run's fault injector: nil (no fault layer at all,
@@ -71,38 +206,26 @@ func (r Run) injector() *faults.Injector {
 	return faults.New(r.Faults, seed, r.Obs)
 }
 
-// outcome runs the shared tail of a scenario over its raw series. When a
-// fault layer is active and the study knows its site set (valid non-nil),
-// the ingest quarantine first maps labels that are neither in valid nor
-// the reserved err and other to unknown, and counts them; zero-fault runs
-// keep their exact pre-fault-layer pipeline.
-// Similarity and clustering then run under their stage spans, with the
-// registry threaded into the engine so tile timings and sweep statistics
-// land next to the spans; a nil registry makes every obs call a no-op and
-// the results bit-identical. Nothing injects after observation ends, so
-// the fault report is final here.
-func (r Run) outcome(inj *faults.Injector, s *core.Series, valid map[string]bool) Outcome {
-	o := Outcome{Series: s}
+// outcome runs Analyze over a scenario's raw series: pessimistic,
+// unweighted Φ, no §2.4 cleaning, and the study's detection options.
+// When a fault layer is active and the study knows its site set (valid
+// non-nil), the pipeline's quarantine maps labels that are neither in
+// valid nor the reserved err and other to unknown, and counts them;
+// zero-fault runs keep their exact pre-fault-layer pipeline. Nothing
+// injects after observation ends, so the fault report is final here,
+// and its invalid-site entry is the quarantine's total.
+func (r Run) outcome(inj *faults.Injector, s *core.Series, valid map[string]bool, det core.DetectOptions) Outcome {
+	opts := AnalysisOptions{Unknowns: core.PessimisticUnknown, Parallelism: r.Parallelism,
+		Clustering: core.DefaultAdaptiveOptions(), Detection: det, Obs: r.Obs}
 	if inj != nil && valid != nil {
-		o.Series, o.Quarantine = clean.Quarantine(s, func(site string) bool {
+		opts.ValidSites = func(site string) bool {
 			return valid[site] || site == core.SiteError || site == core.SiteOther
-		}, r.Obs)
-		inj.Quarantine("invalid-site", o.Quarantine.Total)
+		}
 	}
-	spSim := r.Obs.StartSpan("similarity")
-	o.Matrix = core.SimilarityMatrixParallel(o.Series, nil, core.PessimisticUnknown,
-		core.MatrixOptions{Parallelism: r.Parallelism, Obs: r.Obs, Span: spSim})
-	spSim.SetItems(int64(o.Matrix.N) * int64(o.Matrix.N-1) / 2)
-	// The engine just published its effective (clamped) pool size.
-	spSim.SetWorkers(int(r.Obs.Gauge("fenrir_similarity_workers").Value()))
-	spSim.End()
-	spCl := r.Obs.StartSpan("cluster")
-	opts := core.DefaultAdaptiveOptions()
-	opts.Obs = r.Obs
-	opts.Span = spCl
-	o.Modes = core.DiscoverModes(o.Matrix, opts)
-	spCl.End()
-	o.Faults = inj.Report()
+	o := Outcome{Analysis: *Analyze(s, opts), Faults: inj.Report()}
+	if o.Quarantined != nil {
+		o.Faults.Quarantined["invalid-site"] = o.Quarantined.Total
+	}
 	return o
 }
 

@@ -235,7 +235,7 @@ func RunUSC(cfg USCConfig) (*USCResult, error) {
 
 	// Hop labels form no known site set, so fault runs skip the
 	// quarantine.
-	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), nil)
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), nil, core.DefaultDetectOptions())
 	spTr := cfg.Obs.StartSpan("transitions")
 	res.FlowsBefore = traceroute.FlowsAtHops(tracesBefore, 1, 4)
 	res.FlowsAfter = traceroute.FlowsAtHops(tracesAfter, 1, 4)

@@ -50,12 +50,12 @@ func DefaultValidationConfig(seed uint64) ValidationConfig {
 // ValidationResult is the reproduced Table 4.
 type ValidationResult struct {
 	Groups     []events.Group
-	Detections []core.ChangeEvent
 	Validation events.Validation
 	// RawEntries is the ungrouped maintenance-log length (paper: 98).
 	RawEntries int
 	// Outcome exposes the underlying pipeline artefacts so the CLI can
-	// render the usual mode summary and heatmap alongside Table 4.
+	// render the usual mode summary and heatmap alongside Table 4; its
+	// Changes are the detections Validation scores.
 	Outcome
 }
 
@@ -289,24 +289,17 @@ func RunValidation(cfg ValidationConfig) (*ValidationResult, error) {
 	valid := map[string]bool{
 		"LAX": true, "IAD": true, "AMS": true, "SIN": true,
 	}
-	out := cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid)
 	opts := cfg.DetectOpts
 	if opts.Window == 0 {
 		opts = core.DefaultDetectOptions()
 		opts.MinDrop = 0.04
 		opts.Cooldown = 4
 	}
-	spDet := cfg.Obs.StartSpan("detect")
-	detections := core.DetectChangesMatrix(out.Series, out.Matrix, core.PessimisticUnknown, nil, opts)
-	core.ObserveDetections(cfg.Obs, spDet, detections)
+	out := cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid, opts)
 	groups := events.GroupEntries(log, 2)
-	val := events.Validate(groups, detections, 3)
-	spDet.SetItems(int64(len(detections)))
-	spDet.End()
 	return &ValidationResult{
 		Groups:     groups,
-		Detections: detections,
-		Validation: val,
+		Validation: events.Validate(groups, out.Changes, 3),
 		RawEntries: len(log),
 		Outcome:    out,
 	}, nil

@@ -155,7 +155,7 @@ func RunWikipedia(cfg WikipediaConfig) (*WikipediaResult, error) {
 	for _, s := range sites {
 		valid[s.name] = true
 	}
-	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid)
+	res.Outcome = cfg.outcome(inj, core.NewSeries(space, sched, vectors, nil), valid, core.DefaultDetectOptions())
 
 	spTr := cfg.Obs.StartSpan("transitions")
 	before := res.Series.At(drain - 1)

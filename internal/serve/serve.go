@@ -68,10 +68,10 @@ type Config struct {
 	// identical freshly created tenant. A windowed tenant retains only
 	// its newest Window observations; see core.MonitorOptions.
 	DefaultWindow int
-	// Shards is the number of in-process shard workers tenants are
-	// placed across by consistent hash (jump hash over the tenant
-	// name); <= 0 means 1. Each shard has its own snapshot
-	// subdirectory and drains in parallel with the others.
+	// Shards is the number of shards tenants are placed across by
+	// consistent hash (jump hash over the tenant name); <= 0 means 1.
+	// A shard is where a tenant lives, not a worker or a lock: a
+	// snapshot subdirectory and one lane of the parallel drain.
 	Shards int
 	// Obs receives serve metrics; nil disables instrumentation.
 	Obs *obs.Registry

@@ -3,7 +3,7 @@
 #
 # Re-runs each guarded benchmark and compares the best (minimum) ns/op of
 # a few repetitions against its committed baseline in BENCH_core.json.
-# Fails if any fresh number is more than GUARD_PCT percent slower —
+# Fails if any fresh number is more than 15 percent slower —
 # `make check` then refuses to pass a change that quietly gives back a
 # speedup. Refresh the baselines with `make bench` after a deliberate
 # perf change. Rows guarded by time:
@@ -59,7 +59,9 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-GUARD_PCT="${GUARD_PCT:-15}"
+# The time margin is fixed here, not read from the environment, so the
+# gate cannot be loosened from outside the script.
+TIME_PCT=15
 BASELINE="BENCH_core.json"
 
 if [ ! -f "$BASELINE" ]; then
@@ -131,7 +133,7 @@ guard() {
 # time_guard KEY PATTERN guards a row's ns/op, the minimum of 3 runs;
 # alloc_guard KEY PATTERN [ARGS...] guards the allocs/op of one op, at
 # +1%, passing ARGS on to go test.
-time_guard() { guard "$1" ns/op ns_per_op "$GUARD_PCT" -bench "$2" -count=3; }
+time_guard() { guard "$1" ns/op ns_per_op "$TIME_PCT" -bench "$2" -count=3; }
 alloc_guard() {
 	key="$1"
 	pattern="$2"

@@ -23,7 +23,7 @@ import (
 	"fenrir/internal/obs"
 )
 
-var pipelineStages = []string{"generate", "observe", "similarity", "cluster", "transitions", "report"}
+var pipelineStages = []string{"generate", "observe", "similarity", "cluster", "detect", "transitions", "report"}
 
 func main() {
 	checkFaults := flag.Bool("faults", false, "assert fault-injection and quarantine counters are present")
