@@ -1,8 +1,8 @@
 # Build, test, and benchmark entry points. `make test` is the tier-1
 # gate (vet and gofmt, then the full test suite, whose
 # TestLifecycleMatchesModel checks the daemon's create, ingest,
-# checkpoint, rebalance, drain, crash and restart interleavings against a
-# model); `make race` runs the analysis core, the fault layer, the
+# checkpoint, drain, crash and restart interleavings against a model);
+# `make race` runs the analysis core, the fault layer, the
 # instrumentation layer (registry, trace and flight rings, telemetry
 # history) and the serve/snapshot layer under the race detector;
 # `make bench` records the core perf trajectory to BENCH_core.json;
@@ -97,8 +97,8 @@ trace-smoke:
 explain-smoke:
 	./scripts/explain_smoke.sh
 
-# End-to-end self-observation check: a sharded, windowed, checkpointing
-# daemon with fast history sampling and a seeded tight burn-rate rule;
+# End-to-end self-observation check: a windowed, checkpointing daemon
+# with fast history sampling and a seeded tight burn-rate rule;
 # malformed ingest fires the alert, clean traffic resolves it, /v1/query
 # serves windowed functions, and the shutdown manifest carries the serve
 # metrics, flight-recorder events and the alerts block.
@@ -121,8 +121,7 @@ FUZZ_TARGETS = \
 	./internal/wire:FuzzUnmarshalBGP \
 	./internal/snapshot:FuzzDecodeSnapshot \
 	./internal/serve:FuzzIngestBody \
-	./internal/serve:FuzzTenantSpec \
-	./internal/serve:FuzzRebalanceRequest
+	./internal/serve:FuzzTenantSpec
 
 fuzz-smoke:
 	@set -e; for t in $(FUZZ_TARGETS); do \
@@ -132,8 +131,8 @@ fuzz-smoke:
 
 # Concurrent-load check (not part of `check`; slower): N writers + N
 # contended writers + readers against a -race daemon build, then the
-# release-build shard sweep and history A/B, which write throughput and
-# admission-latency quantiles to BENCH_serve.json.
+# release-build tenant-scale run and history A/B, which write throughput
+# and admission-latency quantiles to BENCH_serve.json.
 serve-load:
 	./scripts/serve_load.sh
 

@@ -30,7 +30,6 @@
 //	fenrir -serve :8080 -snapshot-dir /var/lib/fenrir
 //	fenrir -serve :8080 -snapshot-dir state -faults light -manifest run.json
 //	fenrir -serve :8080 -window 2048           # bounded tenant history
-//	fenrir -serve :8080 -shards 8              # sharded tenant tier (DESIGN.md §15)
 package main
 
 import (
@@ -75,7 +74,6 @@ type cliOptions struct {
 	snapshotEvery int
 	queueDepth    int
 	window        int
-	shards        int
 	historyEvery  time.Duration
 	historyRetain int
 	alertRules    string
@@ -101,7 +99,6 @@ func main() {
 	flag.IntVar(&o.snapshotEvery, "snapshot-every", 0, "daemon: checkpoint a tenant after this many accepted observations (0 = 64)")
 	flag.IntVar(&o.queueDepth, "queue-depth", 0, "daemon: per-tenant ingest queue depth (0 = 256)")
 	flag.IntVar(&o.window, "window", 0, "daemon: default sliding-window bound for tenants whose spec sets none (0 = unbounded history)")
-	flag.IntVar(&o.shards, "shards", 0, "daemon: tenant shards, each with its own snapshot subdirectory and drain lane (0 = 1)")
 	flag.DurationVar(&o.historyEvery, "history-every", 10*time.Second, "daemon: telemetry history sampling interval (0 disables /v1/query, /v1/alerts, /debug/timeline)")
 	flag.IntVar(&o.historyRetain, "history-retain", 0, "daemon: samples retained per history series (0 = 360)")
 	flag.StringVar(&o.alertRules, "alert-rules", "", "daemon: JSON file of alert rules evaluated in addition to the built-in defaults")
@@ -353,7 +350,6 @@ func runServe(o cliOptions) error {
 		SnapshotEvery: o.snapshotEvery,
 		QueueDepth:    o.queueDepth,
 		DefaultWindow: o.window,
-		Shards:        o.shards,
 		Obs:           reg,
 		Faults:        inj,
 		HistoryEvery:  o.historyEvery,

@@ -82,9 +82,9 @@ const DroppedSeriesMetric = "fenrir_obs_dropped_series_total"
 // request for a new tenant-labeled series resolves to the family's
 // {tenant="__other__"} aggregate series instead, and DroppedSeriesMetric
 // counts each rewritten request. Series without a tenant label — global
-// counters, per-shard rollups (shard="k"), per-endpoint latencies — are
-// never governed, which is what keeps shard-level SLOs exact while the
-// per-tenant dimension saturates. n <= 0 removes the cap. Already
+// counters and rollups, per-endpoint latencies — are never governed,
+// which is what keeps daemon-wide SLOs exact while the per-tenant
+// dimension saturates. n <= 0 removes the cap. Already
 // admitted tenant series are seeded into the governor so a cap applied
 // to a warm registry counts existing cardinality against the budget.
 func (r *Registry) SetSeriesCap(n int) {

@@ -136,9 +136,10 @@ func TestScenarioGoldenDigests(t *testing.T) {
 // carries both, except that USC, with no known site set, has no
 // quarantine, and counts each quarantined cell once, so its registry's
 // invalid-site counter, the quarantine report and the fault report
-// agree; and neither the worker pool nor an instrumentation registry
+// agree; neither the worker pool nor an instrumentation registry
 // moves the series or a bit of the matrix, while the registry records
-// the stages every study shares, detection among them.
+// the stages every study shares, detection among them; and Report
+// renders each analysis as the concatenating oracle does.
 func TestScenarioRunContract(t *testing.T) {
 	light, ok := faults.ByName("light")
 	if !ok {
@@ -191,6 +192,11 @@ func TestScenarioRunContract(t *testing.T) {
 					if a, b := plain.Matrix.At(i, j), par.Matrix.At(i, j); math.Float64bits(a) != math.Float64bits(b) {
 						t.Fatalf("matrix cell (%d,%d): %v at parallelism 1, %v at 2", i, j, a, b)
 					}
+				}
+			}
+			for _, o := range []Outcome{plain, faulted} {
+				if got, want := o.Report(), reportConcat(&o.Analysis); got != want {
+					t.Errorf("Report differs from the concatenated report:\n got: %q\nwant: %q", got, want)
 				}
 			}
 			for _, r := range []*obs.Registry{reg, freg} {

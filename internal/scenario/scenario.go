@@ -15,6 +15,7 @@ package scenario
 
 import (
 	"fmt"
+	"strings"
 	"time"
 
 	"fenrir/internal/astopo"
@@ -145,24 +146,20 @@ func Analyze(s *core.Series, opts AnalysisOptions) *Analysis {
 // Report renders the analysis as human-readable text: the mode summary,
 // the ASCII heatmap, and the detected changes.
 func (a *Analysis) Report() string {
-	out := report.ModesSummary(a.Modes)
-	out += report.Heatmap(a.Matrix, 60)
+	var b strings.Builder
+	b.WriteString(report.ModesSummary(a.Modes))
+	b.WriteString(report.Heatmap(a.Matrix, 60))
 	for _, c := range a.Changes {
-		out += formatChange(c)
-	}
-	return out
-}
-
-func formatChange(c core.ChangeEvent) string {
-	out := fmt.Sprintf("change at epoch %d: Phi dropped to %.2f (baseline %.2f)\n",
-		int(c.At), c.Phi, c.Baseline)
-	if ex := c.Explanation; ex != nil {
-		out += fmt.Sprintf("  %s\n", ex.Label())
-		if f, ok := ex.TopFlow(); ok {
-			out += fmt.Sprintf("  top flow: %s -> %s (%.0f)\n", f.From, f.To, f.Count)
+		fmt.Fprintf(&b, "change at epoch %d: Phi dropped to %.2f (baseline %.2f)\n",
+			int(c.At), c.Phi, c.Baseline)
+		if ex := c.Explanation; ex != nil {
+			fmt.Fprintf(&b, "  %s\n", ex.Label())
+			if f, ok := ex.TopFlow(); ok {
+				fmt.Fprintf(&b, "  top flow: %s -> %s (%.0f)\n", f.From, f.To, f.Count)
+			}
 		}
 	}
-	return out
+	return b.String()
 }
 
 // Run is the part of every scenario config that callers set the same way

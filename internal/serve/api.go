@@ -129,7 +129,6 @@ func (s *Server) buildMux() *http.ServeMux {
 	mux.HandleFunc("GET /v1/tenants/{name}/transitions", s.timed("transitions", s.withTenant(s.handleTransitions)))
 	mux.HandleFunc("GET /v1/tenants/{name}/flows", s.timed("flows", s.withTenant(s.handleFlows)))
 	mux.HandleFunc("POST /v1/tenants/{name}/checkpoint", s.withTenant(s.handleCheckpoint))
-	mux.HandleFunc("POST /v1/admin/rebalance", s.handleRebalance)
 	mux.Handle("GET /debug/trace", obs.TraceHandler(s.cfg.Obs))
 	mux.Handle("GET /debug/events", obs.EventsHandler(s.cfg.Obs))
 	// Telemetry history (nil store when -history-every 0: queries 404,
@@ -164,7 +163,6 @@ func (s *Server) withTenant(h func(http.ResponseWriter, *http.Request, *tenant))
 func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 	type entry struct {
 		Name    string `json:"name"`
-		Shard   int    `json:"shard"`
 		History int    `json:"history"`
 		Appends uint64 `json:"appends"`
 		Events  uint64 `json:"events"`
@@ -176,7 +174,7 @@ func (s *Server) handleListTenants(w http.ResponseWriter, _ *http.Request) {
 			continue
 		}
 		snap := t.mon.Snapshot()
-		out = append(out, entry{Name: name, Shard: t.sh.id, History: snap.History, Appends: snap.Appends, Events: snap.Events})
+		out = append(out, entry{Name: name, History: snap.History, Appends: snap.Appends, Events: snap.Events})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"tenants": out})
 }
@@ -205,8 +203,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	// same lock Drain holds to set it — so a create cannot slip between
 	// the isDraining check above and the insert and leave a running,
 	// never-drained tenant behind (the old create-vs-drain TOCTOU).
-	t, err := s.insert(name, mon)
-	if err != nil {
+	if _, err := s.insert(name, mon); err != nil {
 		switch {
 		case errors.Is(err, errDraining):
 			writeErr(w, http.StatusServiceUnavailable, "server is draining")
@@ -219,7 +216,7 @@ func (s *Server) handleCreateTenant(w http.ResponseWriter, r *http.Request) {
 	}
 	s.setTenantGauge()
 	writeJSON(w, http.StatusCreated, map[string]any{
-		"name": name, "networks": len(spec.Networks), "shard": t.sh.id,
+		"name": name, "networks": len(spec.Networks),
 	})
 }
 
@@ -312,7 +309,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request, t *tenant)
 	t.mu.Unlock()
 	out := map[string]any{
 		"name":           t.name,
-		"shard":          t.sh.id,
 		"history":        snap.History,
 		"appends":        snap.Appends,
 		"events":         snap.Events,
@@ -442,9 +438,9 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 		}
 	}
 	// Admission latency: request arrival to accepted verdict, recorded
-	// per tenant (governed) and rolled up per shard (never governed).
+	// per tenant (governed) and daemon-wide (never governed).
 	t.admitHist.ObserveSince(t0)
-	t.sh.admitHist.ObserveSince(t0)
+	s.met.admitSeconds.ObserveSince(t0)
 	writeJSON(w, http.StatusAccepted, map[string]any{"accepted": true, "epoch": ob.Epoch})
 }
 
@@ -574,24 +570,15 @@ func (s *Server) handleServerStatus(w http.ResponseWriter, _ *http.Request) {
 		appends += snap.Appends
 		events += snap.Events
 	}
-	counts := s.shardCounts()
-	shards := make([]map[string]any, 0, len(s.shards))
-	for _, sh := range s.shards {
-		shards = append(shards, map[string]any{
-			"shard":         sh.id,
-			"tenants":       counts[sh.id],
-			"pending":       sh.pending.Load(),
-			"drain_seconds": time.Duration(sh.drainNanos.Load()).Seconds(),
-		})
-	}
 	out := map[string]any{
-		"tenants":  len(names),
-		"shards":   shards,
-		"history":  history,
-		"appends":  appends,
-		"events":   events,
-		"draining": s.isDraining(),
-		"runtime":  obs.ReadRuntimeHealth(),
+		"tenants":       len(names),
+		"history":       history,
+		"appends":       appends,
+		"events":        events,
+		"pending":       s.pending.Load(),
+		"draining":      s.isDraining(),
+		"drain_seconds": time.Duration(s.drainNanos.Load()).Seconds(),
+		"runtime":       obs.ReadRuntimeHealth(),
 	}
 	if s.hist != nil {
 		// The self-observation block: what the daemon's own alert engine
@@ -707,23 +694,13 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, _ *http.Request, t *ten
 		writeErr(w, http.StatusConflict, "no -snapshot-dir configured")
 		return
 	}
-	// Serialize with rebalance and re-resolve: a move that landed between
-	// routing and here swapped the tenant onto another shard, and writing
-	// through the stale object would resurrect the old shard directory's
-	// snapshot file. Holding rebalanceMu pins the placement for the
-	// duration of the write.
-	s.rebalanceMu.Lock()
-	defer s.rebalanceMu.Unlock()
-	// Drain releases rebalanceMu before its shards take their final
-	// checkpoints, and queries keep being served meanwhile: a state taken
-	// here could miss an observation admitted late and then be renamed
-	// over the final checkpoint, losing that observation on restart.
+	// A draining daemon writes each tenant's final checkpoint itself.
+	// One that passed this check and is still writing cannot land over
+	// the final one: tenant.ckptMu orders a tenant's checkpoints from
+	// taking the state to the rename.
 	if s.isDraining() {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining")
 		return
-	}
-	if cur := s.tenant(t.name); cur != nil {
-		t = cur
 	}
 	t.flush()
 	size, err := t.checkpoint()

@@ -5,7 +5,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
-	"time"
 )
 
 // Fuzz targets for the daemon's JSON inputs, driven through the real
@@ -74,54 +73,6 @@ func FuzzTenantSpec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte) {
 		if rec := serveBody(h, http.MethodPut, "/v1/tenants/fz", body); rec.Code >= 500 {
 			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
-		}
-	})
-}
-
-// FuzzRebalanceRequest POSTs arbitrary bytes as a rebalance request to a
-// 4-shard daemon holding one tenant. Whatever a body does — move the
-// tenant, leave it where it is, or be refused — the tenant must keep
-// answering /mode with the body it gave before fuzzing.
-func FuzzRebalanceRequest(f *testing.F) {
-	s, err := New(Config{Shards: 4})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Cleanup(func() { s.Drain() }) //nolint:errcheck // nothing to checkpoint
-	h := s.Handler()
-	if rec := serveBody(h, http.MethodPut, "/v1/tenants/fz", mustJSON(f, defaultSpec(6))); rec.Code != http.StatusCreated {
-		f.Fatalf("create: %d %s", rec.Code, rec.Body)
-	}
-	const epochs = 4
-	nets := specNets(6)
-	for e := 0; e < epochs; e++ {
-		if rec := serveBody(h, http.MethodPost, "/v1/tenants/fz/observations", mustJSON(f, observation(nets, e, 2))); rec.Code != http.StatusAccepted {
-			f.Fatalf("ingest epoch %d: %d %s", e, rec.Code, rec.Body)
-		}
-	}
-	// Admission is synchronous, the append is not.
-	for deadline := time.Now().Add(10 * time.Second); s.shardFor("fz").tenant("fz").mon.Len() < epochs; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			f.Fatalf("tenant never reached history %d", epochs)
-		}
-	}
-	mode := serveBody(h, http.MethodGet, "/v1/tenants/fz/mode", nil)
-	if mode.Code != http.StatusOK {
-		f.Fatalf("mode: %d %s", mode.Code, mode.Body)
-	}
-	want := mode.Body.String()
-
-	f.Add(mustJSON(f, rebalanceRequest{Tenant: "fz", Shard: (s.shardFor("fz").id + 1) % 4}))
-	f.Add([]byte(`{"tenant":"fz","shard":-1}`))
-	f.Add([]byte(`{"tenant":"fz","shard":1e10}`))
-	f.Add(mustJSON(f, rebalanceRequest{Tenant: "nope", Shard: 0}))
-	f.Add([]byte("{"))
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if rec := serveBody(h, http.MethodPost, "/v1/admin/rebalance", body); rec.Code >= 500 {
-			t.Fatalf("status %d for %q: %s", rec.Code, body, rec.Body)
-		}
-		if rec := serveBody(h, http.MethodGet, "/v1/tenants/fz/mode", nil); rec.Code != http.StatusOK || rec.Body.String() != want {
-			t.Fatalf("after %q: /mode answered %d %s, want 200 %s", body, rec.Code, rec.Body, want)
 		}
 	})
 }

@@ -88,8 +88,8 @@ func TestHistoryEndpoints(t *testing.T) {
 		t.Fatalf("timeline missing fenrir_serve_ingest_total (have %d series)", len(tl.Series))
 	}
 	// Histogram rollups ride as derived |stat series.
-	if _, ok := tl.Series[`fenrir_serve_shard_ingest_total{shard="0"}`]; !ok {
-		t.Fatal("timeline missing the shard ingest rollup")
+	if _, ok := tl.Series["fenrir_serve_admission_seconds|p99"]; !ok {
+		t.Fatal("timeline missing the admission rollup's p99")
 	}
 
 	code, body = doReq(t, ts, http.MethodGet, "/status", nil)
@@ -191,16 +191,16 @@ func TestBurnRateFiresOverHTTP(t *testing.T) {
 	}
 }
 
-// TestGovernorShardRollupsExact is the cardinality acceptance test at
-// serve level: with far more tenants than the cap, tenant-labeled
-// families stay bounded, overflow is counted, and the ungoverned shard
-// rollups still account for every accepted observation — the sum over
-// tenant-labeled ingest counters (including __other__) equals the sum
-// over shard rollups.
-func TestGovernorShardRollupsExact(t *testing.T) {
+// TestGovernorRollupsExact is the cardinality acceptance test at serve
+// level: with far more tenants than the cap, tenant-labeled families
+// stay bounded, overflow is counted, and the ungoverned daemon-wide
+// ingest counter still accounts for every accepted observation — the
+// sum over tenant-labeled ingest counters (including __other__) equals
+// fenrir_serve_ingest_total.
+func TestGovernorRollupsExact(t *testing.T) {
 	reg := obs.NewRegistry()
 	const tenants, cap = 40, 8
-	_, ts := testServer(t, Config{Obs: reg, Shards: 4, SeriesCap: cap})
+	_, ts := testServer(t, Config{Obs: reg, SeriesCap: cap})
 
 	nets := specNets(4)
 	for i := 0; i < tenants; i++ {
@@ -215,23 +215,20 @@ func TestGovernorShardRollupsExact(t *testing.T) {
 	}
 
 	counters := reg.Read().Counters
-	var tenantSum, shardSum int64
+	var tenantSum int64
 	tenantValues := map[string]struct{}{}
 	for name, v := range counters {
 		if strings.HasPrefix(name, "fenrir_serve_tenant_ingest_total{") {
 			tenantSum += v
 			tenantValues[name] = struct{}{}
 		}
-		if strings.HasPrefix(name, "fenrir_serve_shard_ingest_total{") {
-			shardSum += v
-		}
 	}
-	want := int64(tenants * 3)
-	if shardSum != want {
-		t.Fatalf("shard rollup sum = %d, want %d (rollups must never be governed)", shardSum, want)
+	total := counters["fenrir_serve_ingest_total"]
+	if want := int64(tenants * 3); total != want {
+		t.Fatalf("fenrir_serve_ingest_total = %d, want %d (it must never be governed)", total, want)
 	}
-	if tenantSum != shardSum {
-		t.Fatalf("tenant-labeled sum %d != shard rollup sum %d", tenantSum, shardSum)
+	if tenantSum != total {
+		t.Fatalf("tenant-labeled sum %d != fenrir_serve_ingest_total %d", tenantSum, total)
 	}
 	if len(tenantValues) > cap+1 {
 		t.Fatalf("%d tenant ingest series, want <= cap+1 = %d", len(tenantValues), cap+1)

@@ -17,10 +17,10 @@ import (
 )
 
 // TestLifecycleMatchesModel drives a daemon through seeded random
-// interleavings of create, ingest, checkpoint, rebalance, drain, crash
-// and restart, and checks it after every step against a model: per
-// tenant, the accepted observations, the prefix of them made durable,
-// the periodic-checkpoint counter and the placement shard. The query
+// interleavings of create, ingest, checkpoint, drain, crash and restart,
+// and checks it after every step against a model: per tenant, the
+// accepted observations, the prefix of them made durable and the
+// periodic-checkpoint counter. The query
 // oracle is a memory-only reference daemon fed the model's accepted
 // observations. The event endpoints are also checked against batch
 // core.DetectChanges over the reference's monitor, on tenants that are
@@ -35,8 +35,8 @@ func TestLifecycleMatchesModel(t *testing.T) {
 		cfg     Config
 		weights []int // of each step kind
 	}{
-		{"dir", Config{Shards: 4, SnapshotEvery: 5, DefaultWindow: 16}, []int{2, 7, 2, 3, 1, 2}},
-		{"memory", Config{Shards: 3}, []int{2, 7, 2, 3, 0, 0}},
+		{"dir", Config{SnapshotEvery: 5, DefaultWindow: 16}, []int{2, 7, 2, 1, 2}},
+		{"memory", Config{}, []int{2, 7, 2, 0, 0}},
 	} {
 		for seed := int64(1); seed <= 5; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", d.name, seed), func(t *testing.T) {
@@ -63,12 +63,11 @@ const (
 	stepCreate = iota
 	stepIngest
 	stepCheckpoint
-	stepRebalance
 	stepDrain
 	stepCrash
 )
 
-var lifeSteps = []string{"create", "ingest", "checkpoint", "rebalance", "drain", "crash"}
+var lifeSteps = []string{"create", "ingest", "checkpoint", "drain", "crash"}
 
 // lifeSites are the sites observations draw from; lifeNets is every
 // tenant's network universe.
@@ -84,7 +83,6 @@ type lifeTenant struct {
 	accepted []Observation // every observation the tenant accepted, in order
 	durable  int           // accepted[:durable] is on disk; -1 before the first durable write
 	since    int           // appends since the tenant object's last write
-	shard    int           // placement
 	era      int           // current site pattern of generated observations
 }
 
@@ -185,8 +183,6 @@ func (l *lifecycle) run(steps int, weights []int) {
 			l.ingest()
 		case stepCheckpoint:
 			l.checkpoint()
-		case stepRebalance:
-			l.rebalance()
 		case stepDrain:
 			l.drain()
 		case stepCrash:
@@ -233,7 +229,7 @@ func (l *lifecycle) create() {
 	if window == 0 {
 		window = l.cfg.DefaultWindow
 	}
-	l.model[name] = &lifeTenant{spec: spec, window: window, durable: -1, shard: l.srv.homeShard(name)}
+	l.model[name] = &lifeTenant{spec: spec, window: window, durable: -1}
 }
 
 // lifeSpec is the spec of the n-th tenant name: odd ones weight their
@@ -339,32 +335,6 @@ func (l *lifecycle) checkpoint() {
 	m.durable, m.since = len(m.accepted), 0
 }
 
-// rebalance moves a tenant to a random shard, its current one included.
-func (l *lifecycle) rebalance() {
-	name, m := l.pick()
-	to := l.rng.Intn(len(l.srv.shards))
-	code, body := l.do(l.srv, http.MethodPost, "/v1/admin/rebalance",
-		map[string]any{"tenant": name, "shard": to})
-	what := fmt.Sprintf("rebalance %s %d -> %d", name, m.shard, to)
-	l.expect(what, code, body, http.StatusOK)
-	var res struct {
-		Moved bool `json:"moved"`
-	}
-	if err := json.Unmarshal(body, &res); err != nil {
-		l.t.Fatalf("%s: %v", what, err)
-	}
-	if res.Moved != (to != m.shard) {
-		l.t.Fatalf("%s: moved = %v", what, res.Moved)
-	}
-	if to == m.shard {
-		return
-	}
-	m.shard, m.since = to, 0
-	if l.cfg.SnapshotDir != "" {
-		m.durable = len(m.accepted)
-	}
-}
-
 // drain checkpoints every tenant and restarts on the same dir.
 func (l *lifecycle) drain() {
 	if err := l.srv.Drain(); err != nil {
@@ -415,7 +385,6 @@ type lifeStatus struct {
 	Window       int    `json:"window"`
 	Evictions    int    `json:"evictions"`
 	LastAccepted *int64 `json:"last_accepted"`
-	Shard        int    `json:"shard"`
 }
 
 func (l *lifecycle) status(s *Server, name string) lifeStatus {
@@ -443,7 +412,7 @@ func (l *lifecycle) check(step string) {
 		l.srv.tenant(name).flush()
 		l.ref.tenant(name).flush()
 		n := len(m.accepted)
-		want := lifeStatus{History: n, Appends: n, Window: m.window, Shard: m.shard}
+		want := lifeStatus{History: n, Appends: n, Window: m.window}
 		if m.window > 0 && n > m.window {
 			want.History, want.Evictions = m.window, n-m.window
 		}
@@ -544,22 +513,26 @@ func renderEvent(ev core.ChangeEvent, explain bool) map[string]any {
 	return e
 }
 
-// checkFiles requires each tenant's checkpoint file in its placement
-// shard's directory once it has a durable write, and nowhere else. A
-// periodic checkpoint of the last append may still be in flight after
-// flush, so the listing is polled until it matches.
+// checkFiles requires each tenant's checkpoint file at
+// <dir>/<name>.fsnap once it has a durable write, and no other
+// checkpoint and no shard-* directory. A periodic checkpoint of the last
+// append may still be in flight after flush, so the listing is polled
+// until it matches.
 func (l *lifecycle) checkFiles(step string) {
 	l.t.Helper()
+	if legacy, _ := filepath.Glob(filepath.Join(l.cfg.SnapshotDir, "shard-*")); len(legacy) > 0 {
+		l.t.Fatalf("%s: legacy shard directories %v", step, legacy)
+	}
 	var want []string
 	for _, name := range l.live() {
 		if m := l.model[name]; m.durable >= 0 {
-			want = append(want, filepath.Join(fmt.Sprintf("shard-%d", m.shard), name+snapSuffix))
+			want = append(want, name+snapSuffix)
 		}
 	}
 	sort.Strings(want)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		paths, err := filepath.Glob(filepath.Join(l.cfg.SnapshotDir, "shard-*", "*"+snapSuffix))
+		paths, err := filepath.Glob(filepath.Join(l.cfg.SnapshotDir, "*"+snapSuffix))
 		if err != nil {
 			l.t.Fatal(err)
 		}

@@ -471,14 +471,13 @@ func TestTracedModeRebuildIsOneSpan(t *testing.T) {
 }
 
 // Every per-event metric handle is resolved up front, so its series
-// exists at 0 before the first event: the reject counters and the
-// rebalance counter from New, a tenant monitor's verdict counters from
-// its Instrument.
+// exists at 0 before the first event: the reject counters from New, a
+// tenant monitor's verdict counters from its Instrument.
 func TestServeMetricsExistFromStartup(t *testing.T) {
 	reg := obs.NewRegistry()
 	_, ts := testServer(t, Config{Obs: reg})
 	counters := func() map[string]int64 { return reg.Read().Counters }
-	want := []string{"fenrir_serve_ingest_rejected_total", "fenrir_serve_rebalances_total"}
+	want := []string{"fenrir_serve_ingest_rejected_total"}
 	for _, reason := range []string{"append", "draining", "read", "dropped", "malformed", "backpressure", "duplicate", "order"} {
 		want = append(want, fmt.Sprintf("fenrir_serve_rejected_total{reason=%q}", reason))
 	}
@@ -627,15 +626,25 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A tenant with no worker: admitted observations stay queued.
-	sh := s.shardFor("slow")
-	tn := &tenant{name: "slow", srv: s, sh: sh, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
+	tn := &tenant{name: "slow", srv: s, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
 	tn.cond = sync.NewCond(&tn.mu)
-	s.place(tn)
+	s.addTenant(tn)
 
 	for e := 0; e < 2; e++ {
 		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/slow/observations", observation(nets, e, 99)); code != http.StatusAccepted {
 			t.Fatalf("epoch %d: %d %s", e, code, body)
 		}
+	}
+	// Both queued observations count in the daemon-wide backlog.
+	_, body := doReq(t, ts, http.MethodGet, "/status", nil)
+	var status struct {
+		Pending int64 `json:"pending"`
+	}
+	if err := json.Unmarshal(body, &status); err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Gauge("fenrir_serve_pending").Value(); status.Pending != 2 || got != 2 {
+		t.Fatalf("pending: /status %d, gauge %v, want 2", status.Pending, got)
 	}
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/tenants/slow/observations", bytes.NewReader(mustJSON(t, observation(nets, 2, 99))))
 	resp, err := http.DefaultClient.Do(req)
@@ -659,6 +668,14 @@ func TestServeBackpressure(t *testing.T) {
 		t.Fatal("retry after backpressure rejected")
 	}
 	waitHistory(t, ts, "slow", 3)
+}
+
+// addTenant puts a hand-built tenant in s's table, as insert would
+// without starting its worker.
+func (s *Server) addTenant(tn *tenant) {
+	s.mu.Lock()
+	s.tenants[tn.name] = tn
+	s.mu.Unlock()
 }
 
 func mustJSON(t testing.TB, v any) []byte {
@@ -894,8 +911,21 @@ func TestServeDrain(t *testing.T) {
 	if code, _ := doReq(t, ts, http.MethodGet, "/v1/tenants/d/heatmap", nil); code != http.StatusOK {
 		t.Fatal("draining daemon refused a query")
 	}
-	// An explicit checkpoint refuses too: one taken while the shards
-	// drain could rename older state over the final checkpoint.
+	// /status reports the drain, its wall time and the empty backlog.
+	_, body := doReq(t, ts, http.MethodGet, "/status", nil)
+	var status struct {
+		Draining     bool    `json:"draining"`
+		DrainSeconds float64 `json:"drain_seconds"`
+		Pending      *int64  `json:"pending"`
+	}
+	if err := json.Unmarshal(body, &status); err != nil {
+		t.Fatal(err)
+	}
+	if !status.Draining || status.DrainSeconds <= 0 || status.Pending == nil || *status.Pending != 0 {
+		t.Fatalf("/status after drain: %s", body)
+	}
+	// An explicit checkpoint refuses too: the drain wrote each tenant's
+	// final checkpoint.
 	path := s.tenant("d").snapshotPath()
 	final, err := os.ReadFile(path)
 	if err != nil {

@@ -48,13 +48,12 @@ func TestBackpressureRetryAfterHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	nets := specNets(10)
-	sh := s.shardFor("stall")
-	tn := &tenant{name: "stall", srv: s, sh: sh, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
+	tn := &tenant{name: "stall", srv: s, mon: mon, queue: make(chan queued, 2), done: make(chan struct{})}
 	tn.cond = sync.NewCond(&tn.mu)
 	// No worker ever runs, so none closes done; close it before the
 	// cleanup drain (cleanups run last-in first-out) waits on it.
 	t.Cleanup(func() { close(tn.done) })
-	s.place(tn)
+	s.addTenant(tn)
 
 	for e := 0; e < 2; e++ {
 		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/stall/observations", observation(nets, e, 99)); code != http.StatusAccepted {

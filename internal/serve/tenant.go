@@ -31,7 +31,6 @@ type queued struct {
 type tenant struct {
 	name string
 	srv  *Server
-	sh   *shard // owning shard: placement, snapshot subdirectory, pending rollup
 	mon  *core.Monitor
 
 	mu           sync.Mutex
@@ -71,18 +70,15 @@ type tenant struct {
 	// ingestCount is the tenant's accepted-append counter. Under the
 	// cardinality governor an overflow tenant's handle resolves to the
 	// shared {tenant="__other__"} counter, so the sum across all
-	// tenant-labeled series always equals the sum across the shard
-	// rollups.
+	// tenant-labeled series always equals fenrir_serve_ingest_total.
 	ingestCount *obs.Counter
 }
 
-func newTenant(name string, mon *core.Monitor, sh *shard) *tenant {
-	s := sh.srv
+func newTenant(name string, mon *core.Monitor, s *Server) *tenant {
 	reg := s.cfg.Obs
 	t := &tenant{
 		name:  name,
 		srv:   s,
-		sh:    sh,
 		mon:   mon,
 		queue: make(chan queued, s.cfg.queueDepth()),
 		done:  make(chan struct{}),
@@ -168,7 +164,7 @@ func (t *tenant) admit(epoch timeline.Epoch, cells []siteCell) (err error, full 
 	t.lastAccepted = epoch
 	t.hasAccepted = true
 	t.pending++
-	t.sh.addPending(1)
+	t.srv.addPending(1)
 	depth := len(t.queue)
 	t.queueGauge.Set(float64(depth))
 	t.depthHist.Observe(float64(depth))
@@ -197,13 +193,12 @@ func (t *tenant) worker() {
 		t.pending--
 		t.cond.Broadcast()
 		t.mu.Unlock()
-		t.sh.addPending(-1)
+		t.srv.addPending(-1)
 		if err != nil {
 			t.srv.met.rejected["append"].Inc()
 		} else {
 			t.srv.met.ingested.Inc()
 			t.ingestCount.Inc()
-			t.sh.ingestCount.Inc()
 			t.srv.met.ingestSeconds.ObserveSince(t0)
 			// Append-to-queryable lag: the observation became visible to
 			// queries now; it was accepted at q.admitted.
@@ -247,10 +242,9 @@ func (t *tenant) stop() {
 	<-t.done
 }
 
-// snapshotPath returns the tenant's checkpoint file path inside its
-// shard's snapshot subdirectory.
+// snapshotPath returns the tenant's checkpoint file path.
 func (t *tenant) snapshotPath() string {
-	return filepath.Join(t.sh.dir(), t.name+snapSuffix)
+	return filepath.Join(t.srv.cfg.SnapshotDir, t.name+snapSuffix)
 }
 
 // beforeSave, when set, runs in every checkpoint between taking the

@@ -17,9 +17,9 @@ func timeDuration(ns int64) time.Duration { return time.Duration(ns) }
 // same directory, which is fsynced, closed and renamed into place, so a
 // crash mid-checkpoint leaves the previous snapshot intact rather than a
 // truncated file. The directory is synced after the rename: without it
-// a power loss could keep a later unlink elsewhere (a rebalance removing
-// the tenant's source file) and lose the rename, leaving no checkpoint
-// at all. The temporary file is removed on any failure.
+// a power loss could lose the rename after the caller was told the
+// checkpoint is durable, leaving the previous snapshot, or none before
+// a tenant's first. The temporary file is removed on any failure.
 func SaveMonitor(path string, st core.MonitorState) (int, error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")

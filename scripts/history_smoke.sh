@@ -1,16 +1,17 @@
 #!/bin/sh
 # history_smoke.sh — end-to-end smoke test of the daemon's
 # self-observation surface (DESIGN.md §16). Runs a real daemon process
-# (2 shards, a default window of 16, a checkpoint every 5 observations)
+# (a default window of 16, a checkpoint every 5 observations)
 # with fast history sampling and a seeded tight burn-rate SLO rule, then
 # proves the full loop over the public API: malformed ingest trips the
 # rule (visible at /v1/alerts), clean traffic resolves it, /v1/query
 # serves windowed functions over at least two samples, /debug/timeline
 # carries the sampled series, the tenant reports the -window bound,
-# /status lists both shards, and the shutdown manifest carries the serve
-# metrics, the flight-recorder events and the alerts block
+# /status carries the pending backlog, an explicit checkpoint lands at
+# <snapshot-dir>/<tenant>.fsnap, and the shutdown manifest carries the
+# serve metrics, the flight-recorder events and the alerts block
 # (manifestcheck -serve -events -alerts). The daemon lifecycle itself
-# (checkpoint, rebalance, drain, crash, restart) is checked in-process
+# (checkpoint, drain, crash, restart) is checked in-process
 # by TestLifecycleMatchesModel. Used by `make history-smoke` /
 # `make check`.
 set -e
@@ -90,7 +91,7 @@ rule_firing() {
 
 manifest="$work/manifest.json"
 "$bin" -serve 127.0.0.1:0 -snapshot-dir "$work/state" \
-    -shards 2 -window 16 -snapshot-every 5 \
+    -window 16 -snapshot-every 5 \
     -history-every 150ms -history-retain 256 -alert-rules "$rules" \
     -manifest "$manifest" 2>"$work/daemon.log" &
 pid=$!
@@ -170,7 +171,8 @@ if ! curl -s "$url/debug/timeline" | grep -q '"fenrir_serve_ingest_requests_tota
 fi
 
 # --- The flags reached the process: the tenant inherits the -window
-# bound, and /status lists both shards. --------------------------------
+# bound, /status carries the pending backlog, and an explicit checkpoint
+# lands in -snapshot-dir as <tenant>.fsnap. -----------------------------
 flat=$(curl -s "$url/v1/tenants/smoke" | tr -d ' \n\t')
 case "$flat" in
 *'"window":16'[,}]*) ;;
@@ -179,16 +181,20 @@ case "$flat" in
     exit 1
     ;;
 esac
-shards=$(curl -s "$url/status" | grep -c '"shard": ')
-if [ "$shards" -ne 2 ]; then
-    echo "history-smoke: /status lists $shards shards, want 2" >&2
+if ! curl -s "$url/status" | grep -q '"pending": '; then
+    echo "history-smoke: /status lacks \"pending\"" >&2
     curl -s "$url/status" >&2
+    exit 1
+fi
+req POST "$url/v1/tenants/smoke/checkpoint" "" 200 "checkpoint"
+if [ ! -f "$work/state/smoke.fsnap" ]; then
+    echo "history-smoke: no checkpoint at state/smoke.fsnap after the explicit checkpoint" >&2
+    ls -R "$work/state" >&2
     exit 1
 fi
 
 # --- Shutdown: the manifest must carry the serve metrics, the flight-
 # recorder events and the alerts block. ---------------------------------
-req POST "$url/v1/tenants/smoke/checkpoint" "" 200 "checkpoint"
 kill -TERM "$pid"
 wait "$pid" 2>/dev/null || true
 

@@ -9,17 +9,15 @@
 # correctness check only: a -race build's timings are not perf numbers,
 # so it writes no rows.
 #
-# Phase 2 is the tenant-scale sweep: a release (non-race) build serves
-# TENANTS tenants (default 1024) at each shard count in SHARD_SET while
-# scripts/serveload feeds them from LOAD_WRITERS concurrent producers,
-# recording per-shard-count throughput and admission p50/p90/p99 rows.
-# SHARD_SET="" skips the sweep. Phases 2 and 3 write BENCH_OUT in the
-# JSON shape bench2json.sh produces for `make bench`, gomaxprocs and
-# num_cpu included, so serve-path regressions diff exactly like kernel
-# ones.
+# Phase 2 is the tenant-scale run: a release (non-race) build serves
+# TENANTS tenants (default 1024) while scripts/serveload feeds them from
+# LOAD_WRITERS concurrent producers, recording throughput and admission
+# p50/p90/p99 rows. Phases 2 and 3 write BENCH_OUT in the JSON shape
+# bench2json.sh produces for `make bench`, gomaxprocs and num_cpu
+# included, so serve-path regressions diff exactly like kernel ones.
 #
 #   WRITERS=8 EPOCHS=200 READERS=6 ./scripts/serve_load.sh
-#   TENANTS=2048 SHARD_SET="1 8" ./scripts/serve_load.sh
+#   TENANTS=2048 ./scripts/serve_load.sh
 set -e
 cd "$(dirname "$0")/.."
 
@@ -28,7 +26,6 @@ EPOCHS="${EPOCHS:-120}"
 READERS="${READERS:-4}"
 WINDOW="${WINDOW:-32}"
 BENCH_OUT="${BENCH_OUT:-BENCH_serve.json}"
-SHARD_SET="${SHARD_SET:-1 4 8}"
 TENANTS="${TENANTS:-1024}"
 LOAD_EPOCHS="${LOAD_EPOCHS:-16}"
 LOAD_WRITERS="${LOAD_WRITERS:-8}"
@@ -218,41 +215,36 @@ echo "serve-load: ok — $WRITERS ordered writers + $WRITERS contended writers +
 # to them and the array is assembled at the end.
 : >"$work/rows"
 
-# Phase 2: the tenant-scale sweep. A release build (throughput, not race
-# hunting) hosts TENANTS tenants at each shard count; scripts/serveload
-# feeds them from LOAD_WRITERS concurrent keepalive producers and emits
-# one throughput row plus admission quantile rows per shard count, all
-# labelled S=<shards> so shard scaling diffs row against row.
-if [ -n "$SHARD_SET" ]; then
-    relbin="$work/fenrir-rel"
-    loadbin="$work/serveload"
-    go build -o "$relbin" ./cmd/fenrir
-    go build -o "$loadbin" ./scripts/serveload
-    for S in $SHARD_SET; do
-        log="$work/sweep-$S.log"
-        "$relbin" -serve 127.0.0.1:0 -shards "$S" 2>"$log" &
-        sweep_pid=$!
-        pids="$pids $sweep_pid"
-        surl=""
-        i=0
-        while [ $i -lt 200 ]; do
-            surl=$(sed -n 's!^fenrir: serving api \(http://[^ ]*\).*!\1!p' "$log" | head -1)
-            [ -n "$surl" ] && break
-            sleep 0.05
-            i=$((i + 1))
-        done
-        if [ -z "$surl" ]; then
-            echo "serve-load: sweep daemon (S=$S) never announced its address" >&2
-            cat "$log" >&2
-            exit 1
-        fi
-        "$loadbin" -url "$surl" -tenants "$TENANTS" -epochs "$LOAD_EPOCHS" \
-            -writers "$LOAD_WRITERS" -label "S=$S" >>"$work/rows"
-        kill "$sweep_pid" 2>/dev/null || true
-        wait "$sweep_pid" 2>/dev/null || true
-        echo "serve-load: sweep S=$S done ($TENANTS tenants x $LOAD_EPOCHS epochs)"
-    done
+# Phase 2: the tenant-scale run. A release build (throughput, not race
+# hunting) hosts TENANTS tenants; scripts/serveload feeds them from
+# LOAD_WRITERS concurrent keepalive producers and emits one throughput
+# row plus admission quantile rows.
+relbin="$work/fenrir-rel"
+loadbin="$work/serveload"
+go build -o "$relbin" ./cmd/fenrir
+go build -o "$loadbin" ./scripts/serveload
+log="$work/scale.log"
+"$relbin" -serve 127.0.0.1:0 2>"$log" &
+scale_pid=$!
+pids="$pids $scale_pid"
+surl=""
+i=0
+while [ $i -lt 200 ]; do
+    surl=$(sed -n 's!^fenrir: serving api \(http://[^ ]*\).*!\1!p' "$log" | head -1)
+    [ -n "$surl" ] && break
+    sleep 0.05
+    i=$((i + 1))
+done
+if [ -z "$surl" ]; then
+    echo "serve-load: tenant-scale daemon never announced its address" >&2
+    cat "$log" >&2
+    exit 1
 fi
+"$loadbin" -url "$surl" -tenants "$TENANTS" -epochs "$LOAD_EPOCHS" \
+    -writers "$LOAD_WRITERS" >>"$work/rows"
+kill "$scale_pid" 2>/dev/null || true
+wait "$scale_pid" 2>/dev/null || true
+echo "serve-load: tenant-scale run done ($TENANTS tenants x $LOAD_EPOCHS epochs)"
 
 # Phase 3: the history-overhead A/B. The same release build and load
 # shape runs twice — telemetry history sampling at 100ms (aggressive:
@@ -267,10 +259,6 @@ HISTORY_AB="${HISTORY_AB:-1}"
 HIST_TENANTS="${HIST_TENANTS:-64}"
 HIST_EPOCHS="${HIST_EPOCHS:-32}"
 if [ -n "$HISTORY_AB" ]; then
-    relbin="$work/fenrir-rel"
-    loadbin="$work/serveload"
-    [ -x "$relbin" ] || go build -o "$relbin" ./cmd/fenrir
-    [ -x "$loadbin" ] || go build -o "$loadbin" ./scripts/serveload
     for hv in 100ms 0; do
         case "$hv" in
         0) hl=off ;;

@@ -7,20 +7,19 @@
 //
 // Each of -writers workers owns a disjoint slice of the -tenants fleet
 // and walks it epoch by epoch, so every tenant sees a strictly ordered
-// stream while the daemon as a whole absorbs W concurrent producers
-// spread across its shards. 429 backpressure retries the same epoch
-// after a short pause; any other non-202 status fails the run. After
-// the write phase the tool polls /status until every accepted
-// observation is appended, then asserts none were lost.
+// stream while the daemon as a whole absorbs W concurrent producers.
+// 429 backpressure retries the same epoch after a short pause; any
+// other non-202 status fails the run. After the write phase the tool
+// polls /status until every accepted observation is appended, then
+// asserts none were lost.
 //
-//	serveload -url http://127.0.0.1:8080 -tenants 1024 -epochs 16 \
-//	    -writers 8 -label S=4
+//	serveload -url http://127.0.0.1:8080 -tenants 1024 -epochs 16 -writers 8
 //
-// -prefix renames the row stem (default "sharded"), letting the same
-// load shape record differently-purposed rows — the history-overhead
-// A/B uses -prefix history-overhead.
+// -prefix puts a stem before each row name (default none), letting the
+// same load shape record differently-purposed rows — the
+// history-overhead A/B uses -prefix history-overhead.
 //
-// Used by scripts/serve_load.sh to record multi-shard and
+// Used by scripts/serve_load.sh to record tenant-scale and
 // history-overhead rows into BENCH_serve.json.
 package main
 
@@ -44,8 +43,8 @@ func main() {
 	epochs := flag.Int("epochs", 16, "observations per tenant")
 	writers := flag.Int("writers", 8, "concurrent producer workers")
 	networks := flag.Int("networks", 16, "networks per tenant universe")
-	label := flag.String("label", "", "row label suffix, e.g. S=4")
-	prefix := flag.String("prefix", "sharded", "row name stem, e.g. history-overhead")
+	label := flag.String("label", "", "row label suffix, e.g. history=on")
+	prefix := flag.String("prefix", "", "row name stem, e.g. history-overhead")
 	flag.Parse()
 	if *url == "" {
 		fmt.Fprintln(os.Stderr, "serveload: -url is required")
@@ -173,10 +172,13 @@ func run(base string, tenants, epochs, writers, networks int, label, prefix stri
 		fmt.Printf("{\"name\": \"ServeLoad/%s%s\", \"iterations\": %d, \"ns_per_op\": %.0f, \"gomaxprocs\": %d, \"num_cpu\": %d}\n",
 			name, suffix, iters, nsPerOp, runtime.GOMAXPROCS(0), runtime.NumCPU())
 	}
-	emit(prefix+"-ingest-throughput", len(all), float64(wall.Nanoseconds())/float64(len(all)))
-	emit(prefix+"-admission-p50", len(all), float64(q(0.50).Nanoseconds()))
-	emit(prefix+"-admission-p90", len(all), float64(q(0.90).Nanoseconds()))
-	emit(prefix+"-admission-p99", len(all), float64(q(0.99).Nanoseconds()))
+	if prefix != "" {
+		prefix += "-"
+	}
+	emit(prefix+"ingest-throughput", len(all), float64(wall.Nanoseconds())/float64(len(all)))
+	emit(prefix+"admission-p50", len(all), float64(q(0.50).Nanoseconds()))
+	emit(prefix+"admission-p90", len(all), float64(q(0.90).Nanoseconds()))
+	emit(prefix+"admission-p99", len(all), float64(q(0.99).Nanoseconds()))
 	fmt.Fprintf(os.Stderr, "serveload: %d tenants x %d epochs via %d writers in %.2fs (%.0f obs/s)\n",
 		tenants, epochs, writers, wall.Seconds(), float64(len(all))/wall.Seconds())
 	return nil
