@@ -87,14 +87,6 @@ func HAC(m *SimMatrix, linkage Linkage) *Dendrogram {
 // row i holds its i distances to rows 0..i−1 and starts at i(i−1)/2.
 func tri(i, j int) int { return i*(i-1)/2 + j }
 
-// slot is tri for a pair given in either order.
-func slot(i, j int) int {
-	if i < j {
-		i, j = j, i
-	}
-	return tri(i, j)
-}
-
 // nnChain is NN-chain HAC over a condensed distance triangle: d[tri(i, j)]
 // holds the distance between rows i and j for j < i, and is clobbered by
 // the run. The nearest neighbour of a chain's top is the smallest
@@ -102,94 +94,40 @@ func slot(i, j int) int {
 // number, so a NaN distance cannot send the chain round a cycle. Scans
 // and Lance–Williams updates visit only the live rows, kept as an
 // ascending list; a merge keeps the row of the chain element below the
-// top for the new cluster and retires the top's.
+// top for the new cluster and retires the top's. Row starts come from a
+// per-run offset table, off[i] = tri(i, 0).
 func nnChain(d []float64, n int, linkage Linkage) *Dendrogram {
 	dg := &Dendrogram{N: n}
 	if n < 2 {
 		return dg
 	}
 	dg.Merges = make([]Merge, 0, n-1)
-	size := make([]int, n)
-	id := make([]int, n) // current dendrogram node id of row i
-	live := make([]int, n)
+	// One slab holds the four per-row tables and the chain.
+	ints := make([]int, 5*n)
+	size, id, live, off := ints[:n], ints[n:2*n], ints[2*n:3*n:3*n], ints[3*n:4*n]
+	chain := ints[4*n : 4*n : 5*n]
 	for i := range live {
-		size[i] = 1
-		id[i] = i
-		live[i] = i
+		size[i], id[i], live[i], off[i] = 1, i, i, tri(i, 0)
 	}
-	chain := make([]int, 0, n)
 	for len(live) > 1 {
 		if len(chain) == 0 {
 			chain = append(chain, live[0])
 		}
 		top := chain[len(chain)-1]
-		// Nearest live neighbour of top, scanning in ascending row order
-		// so the first of equal distances wins: rows below top read top's
-		// own row, rows above it read their entry in column top.
-		best, bestD := -1, math.Inf(1)
 		at := sort.SearchInts(live, top)
-		row := d[tri(top, 0):tri(top, top)]
-		for _, j := range live[:at] {
-			if dj := row[j]; dj < bestD {
-				best, bestD = j, dj
-			}
-		}
-		for _, j := range live[at+1:] {
-			if dj := d[tri(j, top)]; dj < bestD {
-				best, bestD = j, dj
-			}
-		}
-		if best < 0 {
-			// No distance below +Inf: the first +Inf wins, else the
-			// first row (every distance is NaN).
-			for _, j := range live {
-				if j == top {
-					continue
-				}
-				if dj := d[slot(top, j)]; best < 0 || math.IsNaN(bestD) && !math.IsNaN(dj) {
-					best, bestD = j, dj
-				}
-			}
-		}
+		best, bestD := nearest(d, off, live, at)
 		if len(chain) < 2 || best != chain[len(chain)-2] {
 			chain = append(chain, best)
 			continue
 		}
 		// Reciprocal nearest neighbours: fold top into the row below it
-		// on the chain with Lance–Williams. A live row k below both a and
-		// b pairs with them in rows a and b, one above both in its own
-		// row, and one in between in one of each.
+		// on the chain.
 		a, b := chain[len(chain)-2], top
 		chain = chain[:len(chain)-2]
 		dg.Merges = append(dg.Merges, Merge{A: id[a], B: id[b], Height: bestD})
-		na, nb := float64(size[a]), float64(size[b])
-		fold := func(ia, ib int) {
-			da, db := d[ia], d[ib]
-			switch linkage {
-			case SingleLinkage:
-				d[ia] = min(da, db)
-			case CompleteLinkage:
-				d[ia] = max(da, db)
-			default:
-				d[ia] = (na*da + nb*db) / (na + nb)
-			}
-		}
-		lo, hi := min(a, b), max(a, b)
-		ra, rb := tri(a, 0), tri(b, 0)
-		i := 0
-		for ; live[i] < lo; i++ {
-			fold(ra+live[i], rb+live[i])
-		}
-		for i++; live[i] < hi; i++ {
-			fold(slot(a, live[i]), slot(b, live[i]))
-		}
-		for i++; i < len(live); i++ {
-			rk := tri(live[i], 0)
-			fold(rk+a, rk+b)
-		}
+		lanceWilliams(d, off, live, sort.SearchInts(live, a), at, linkage, float64(size[a]), float64(size[b]))
 		size[a] += size[b]
 		id[a] = n + len(dg.Merges) - 1
-		at = sort.SearchInts(live, b)
 		live = append(live[:at], live[at+1:]...)
 	}
 	// Merges are recorded in NN-chain execution order. For the reducible
@@ -197,6 +135,87 @@ func nnChain(d []float64, n int, linkage Linkage) *Dendrogram {
 	// can union any subset of merges with height below the threshold
 	// without caring about order.
 	return dg
+}
+
+// nearest is the nearest live neighbour of row live[at] and its
+// distance, scanning in ascending row order so the first of equal
+// distances wins: rows below it read its own row, rows above it read
+// their entry in its column.
+func nearest(d []float64, off, live []int, at int) (best int, bestD float64) {
+	top := live[at]
+	best, bestD = -1, math.Inf(1)
+	row := d[off[top] : off[top]+top]
+	for _, j := range live[:at] {
+		if dj := row[j]; dj < bestD {
+			best, bestD = j, dj
+		}
+	}
+	for _, j := range live[at+1:] {
+		if dj := d[off[j]+top]; dj < bestD {
+			best, bestD = j, dj
+		}
+	}
+	if best >= 0 {
+		return best, bestD
+	}
+	// No distance below +Inf: the first +Inf wins, else the first row
+	// (every distance is NaN).
+	for _, j := range live {
+		if j == top {
+			continue
+		}
+		var dj float64
+		if j < top {
+			dj = row[j]
+		} else {
+			dj = d[off[j]+top]
+		}
+		if best < 0 || math.IsNaN(bestD) && !math.IsNaN(dj) {
+			best, bestD = j, dj
+		}
+	}
+	return best, bestD
+}
+
+// lanceWilliams folds row b = live[ib] into row a = live[ia] after their
+// clusters, of na and nb leaves, merge: for every other live row k, the
+// distance between a and k becomes the linkage's update of d(a, k) and
+// d(b, k). The rows below both, between the two and above both are three
+// regions with a loop each: a row k below both pairs with them in rows a
+// and b, one above both in its own row, and one in between pairs with the
+// lower of the two in its own row and with the higher in the higher's.
+func lanceWilliams(d []float64, off, live []int, ia, ib int, linkage Linkage, na, nb float64) {
+	a, b := live[ia], live[ib]
+	lo, hi := min(ia, ib), max(ia, ib)
+	ra, rb := off[a], off[b]
+	for _, k := range live[:lo] {
+		d[ra+k] = linkage.update(na, nb, d[ra+k], d[rb+k])
+	}
+	for _, k := range live[lo+1 : hi] {
+		if a < b {
+			d[off[k]+a] = linkage.update(na, nb, d[off[k]+a], d[rb+k])
+		} else {
+			d[ra+k] = linkage.update(na, nb, d[ra+k], d[off[k]+b])
+		}
+	}
+	for _, k := range live[hi+1:] {
+		rk := off[k]
+		d[rk+a] = linkage.update(na, nb, d[rk+a], d[rk+b])
+	}
+}
+
+// update is the Lance–Williams update of one distance: the merged
+// cluster's distance to another from its parts' distances da and db, of
+// na and nb leaves. The average is (na·da + nb·db)/(na + nb) as written,
+// never through a reciprocal.
+func (l Linkage) update(na, nb, da, db float64) float64 {
+	switch l {
+	case SingleLinkage:
+		return min(da, db)
+	case CompleteLinkage:
+		return max(da, db)
+	}
+	return (na*da + nb*db) / (na + nb)
 }
 
 // Cut slices the dendrogram at a distance threshold, returning clusters as

@@ -117,16 +117,16 @@ type hit struct {
 
 // scan advances the detector over rows from, from+1, … of vs, each
 // against the row before it: the one loop that DetectChanges,
-// Monitor.Append, the monitor's rebuild and its event reads all run. A
-// collection gap (epochs not adjacent) resets the baseline. An adjacent
-// pair is decided on rowPhi(i, i-1); rowPhi(i, j) is the detection Φ
-// between rows i and j, which the recurrence check also asks of the mode
-// centroids. emit, when non-nil, receives each event. The scan builds no
-// Explanation and, once the detector's buffers are warm, allocates
-// nothing.
-func (d *detector) scan(vs []*Vector, from int, rowPhi func(i, j int) float64, emit func(hit)) {
-	for i := max(from, 1); i < len(vs); i++ {
-		if vs[i].T != vs[i-1].T+1 {
+// Monitor.Append, the monitor's rebuild and its event reads all run.
+// epochs[i] is row i's epoch and adj[i] its detection Φ against row i−1,
+// read only when the two epochs are adjacent; a collection gap resets
+// the baseline. rowPhi(i, j) is the detection Φ between any rows i and j,
+// which the recurrence check asks of the mode centroids. emit, when
+// non-nil, receives each event. The scan builds no Explanation and, once
+// the detector's buffers are warm, allocates nothing.
+func (d *detector) scan(vs []*Vector, epochs []timeline.Epoch, adj []float64, from int, rowPhi func(i, j int) float64, emit func(hit)) {
+	for i := max(from, 1); i < len(epochs); i++ {
+		if epochs[i] != epochs[i-1]+1 {
 			d.reset()
 			continue
 		}
@@ -134,7 +134,7 @@ func (d *detector) scan(vs []*Vector, from int, rowPhi func(i, j int) float64, e
 		if len(d.centroids) == 0 {
 			d.centroids = append(d.centroids, i-1)
 		}
-		phi, baseline := rowPhi(i, i-1), d.median()
+		phi, baseline := adj[i], d.median()
 		if len(d.history) >= 3 && d.cooldown == 0 && baseline-phi >= d.opts.MinDrop {
 			d.cooldown = d.opts.Cooldown
 			// Do not feed the anomalous pair into the baseline; the next
@@ -223,9 +223,19 @@ func DetectChangesMatrix(s *Series, m *SimMatrix, mode UnknownMode, w []float64,
 }
 
 // detectChanges runs a fresh detector over vs with the detection Φ
-// rowPhi and explains every event it fires.
+// rowPhi and explains every event it fires. The epochs and the
+// adjacent-pair Φ the scan reads are built once, up front, Φ only across
+// adjacent epochs: the pairs the scan decides on.
 func detectChanges(vs []*Vector, w []float64, opts DetectOptions, rowPhi func(i, j int) float64) []ChangeEvent {
+	epochs := make([]timeline.Epoch, len(vs))
+	adj := make([]float64, len(vs))
+	for i, v := range vs {
+		epochs[i] = v.T
+		if i > 0 && v.T == vs[i-1].T+1 {
+			adj[i] = rowPhi(i, i-1)
+		}
+	}
 	var events []ChangeEvent
-	newDetector(opts).scan(vs, 1, rowPhi, func(h hit) { events = append(events, h.event(w, true)) })
+	newDetector(opts).scan(vs, epochs, adj, 1, rowPhi, func(h hit) { events = append(events, h.event(w, true)) })
 	return events
 }

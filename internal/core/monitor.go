@@ -32,7 +32,7 @@ type Monitor struct {
 	// of re-derived (with a fresh closure) for every pair of every
 	// append. detKern is only consulted when the two modes differ —
 	// otherwise the cached Φ triangle already holds every similarity the
-	// detector needs (see detPhiLocked).
+	// detector needs (see detPhiLocked and adj).
 	kern    packedKern
 	detKern packedKern
 
@@ -49,6 +49,14 @@ type Monitor struct {
 	// reallocate earlier rows; a row is never written after its append,
 	// so Matrix views share the rows.
 	sim [][]float64
+	// epochs and adj are the two per-row arrays the detector's scan
+	// reads, kept beside vectors and cut with them: row i's epoch, and
+	// its detection Φ against row i−1 (row 0's entry may be against an
+	// evicted row, and is never read). They are flat so that the rebuild
+	// after every eviction reads them in order, with no scattered load
+	// per row. Neither is persisted; RestoreMonitor builds them.
+	epochs []timeline.Epoch
+	adj    []float64
 
 	detect DetectOptions
 	// det is the streaming change detector: the same scan DetectChanges
@@ -154,6 +162,16 @@ func (m *Monitor) detPhiLocked(i, j int) float64 {
 	return m.sim[i][j]
 }
 
+// adjPhiLocked is the adj entry of retained row i: its detection Φ
+// against row i−1, read off row i's Φ row when the two modes agree, one
+// detection-kernel call otherwise; 0 for row 0. Callers hold mu.
+func (m *Monitor) adjPhiLocked(i int) float64 {
+	if i == 0 {
+		return 0
+	}
+	return m.detPhiLocked(i, i-1)
+}
+
 // Instrument attaches a metrics registry: each append then feeds the
 // fenrir_monitor_appends_total / fenrir_monitor_events_total counters
 // and the fenrir_monitor_ingest_seconds latency histogram, each change
@@ -201,8 +219,8 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 	t0 := time.Now()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if n := len(m.vectors); n > 0 && v.T <= m.vectors[n-1].T {
-		newest := m.vectors[n-1].T
+	if n := len(m.epochs); n > 0 && v.T <= m.epochs[n-1] {
+		newest := m.epochs[n-1]
 		if v.T == newest {
 			return ChangeEvent{}, false, &DuplicateEpochError{Epoch: v.T}
 		}
@@ -228,13 +246,15 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 	m.vectors = append(m.vectors, v)
 	m.packed = append(m.packed, pv)
 	m.sim = append(m.sim, row)
+	m.epochs = append(m.epochs, v.T)
+	m.adj = append(m.adj, m.adjPhiLocked(len(m.vectors)-1))
 
 	// Change check: advance the streaming detector over the one row this
 	// append added — the scan DetectChanges runs in batch, so batch/stream
 	// agreement holds without replaying the full history every epoch.
 	var event ChangeEvent
 	var changed bool
-	m.det.scan(m.vectors, len(m.vectors)-1, m.detPhiLocked, func(h hit) {
+	m.det.scan(m.vectors, m.epochs, m.adj, len(m.vectors)-1, m.detPhiLocked, func(h hit) {
 		event, changed = h.event(m.w, true), true
 	})
 
@@ -331,8 +351,8 @@ func (m *Monitor) Matrix() *SimMatrix {
 func (m *Monitor) matrixLocked() *SimMatrix {
 	n := len(m.vectors)
 	out := &SimMatrix{N: n, Epochs: make([]int, n), rows: append([][]float64(nil), m.sim...)}
-	for i, v := range m.vectors {
-		out.Epochs[i] = int(v.T)
+	for i, t := range m.epochs {
+		out.Epochs[i] = int(t)
 	}
 	return out
 }
@@ -522,6 +542,12 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 		m.packed[i] = packRow(v.assign)
 	}
 	m.sim = append([][]float64(nil), st.Sim...)
+	m.epochs = make([]timeline.Epoch, len(m.vectors))
+	m.adj = make([]float64, len(m.vectors))
+	for i, v := range m.vectors {
+		m.epochs[i] = v.T
+		m.adj[i] = m.adjPhiLocked(i)
+	}
 	m.appends, m.events = st.Appends, st.Events
 	m.totalIngest, m.lastIngest = st.TotalIngest, st.LastIngest
 	m.lastEvent, m.hasEvent = st.LastEvent, st.HasEvent
@@ -541,7 +567,7 @@ func RestoreMonitor(st MonitorState) (*Monitor, error) {
 // exclusively.
 func (m *Monitor) rebuildDetectorLocked() {
 	m.det.clearAll()
-	m.det.scan(m.vectors, 1, m.detPhiLocked, nil)
+	m.det.scan(m.vectors, m.epochs, m.adj, 1, m.detPhiLocked, nil)
 }
 
 // Events replays change detection over the retained history and returns
@@ -584,7 +610,7 @@ func (m *Monitor) replay() []hit {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var hits []hit
-	newDetector(m.detect).scan(m.vectors, 1, m.detPhiLocked, func(h hit) { hits = append(hits, h) })
+	newDetector(m.detect).scan(m.vectors, m.epochs, m.adj, 1, m.detPhiLocked, func(h hit) { hits = append(hits, h) })
 	return hits
 }
 
@@ -598,7 +624,7 @@ func (m *Monitor) TrimBefore(epoch timeline.Epoch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	cut := 0
-	for cut < len(m.vectors) && m.vectors[cut].T < epoch {
+	for cut < len(m.epochs) && m.epochs[cut] < epoch {
 		cut++
 	}
 	m.evictLocked(cut)
@@ -630,6 +656,8 @@ func (m *Monitor) evictLocked(cut int) {
 	m.vectors = m.vectors[cut:]
 	m.packed = m.packed[cut:]
 	m.sim = m.sim[cut:]
+	m.epochs = m.epochs[cut:]
+	m.adj = m.adj[cut:]
 	for i, row := range m.sim {
 		m.sim[i] = row[cut:]
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -533,6 +534,75 @@ func TestMonitorStreamingDetectorMatchesBatch(t *testing.T) {
 								seed, simMode, detMode, wi, want.At, got, ok, want)
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestMonitorRowArraysTrackHistory pins the monitor's two per-row
+// arrays to the history they summarize. Appends over collection gaps,
+// window evictions, TrimBefore cuts and a State → RestoreMonitor round
+// trip run for every pairing of similarity and detection mode, with and
+// without weights; after every step each retained row's epoch entry must
+// be its vector's epoch, and its adjacent entry the detection Φ against
+// the row before it, bit for bit the scalar Gower.
+func TestMonitorRowArraysTrackHistory(t *testing.T) {
+	const networks, window = 60, 24
+	space, vs := gapSeries(networks, 71)
+	modes := []UnknownMode{PessimisticUnknown, KnownOnly}
+	for _, simMode := range modes {
+		for _, detMode := range modes {
+			for wi, w := range [][]float64{nil, randomWeights(networks, 72)} {
+				mon := NewMonitorOpts(space, sched(1<<20), MonitorOptions{
+					Weights: w, Mode: simMode, Window: window,
+					Detect: DetectOptions{Window: 8, MinDrop: 0.04, Mode: detMode, Cooldown: 2},
+				})
+				check := func(step string) {
+					t.Helper()
+					mon.mu.Lock()
+					defer mon.mu.Unlock()
+					where := func() string {
+						return fmt.Sprintf("sim=%v det=%v w=%d %s", simMode, detMode, wi, step)
+					}
+					if len(mon.epochs) != len(mon.vectors) || len(mon.adj) != len(mon.vectors) {
+						t.Fatalf("%s: %d epochs and %d adjacent entries for %d rows",
+							where(), len(mon.epochs), len(mon.adj), len(mon.vectors))
+					}
+					for i, v := range mon.vectors {
+						if mon.epochs[i] != v.T {
+							t.Fatalf("%s: row %d epoch entry %d, vector epoch %d", where(), i, mon.epochs[i], v.T)
+						}
+						if i == 0 {
+							continue
+						}
+						want := Gower(v, mon.vectors[i-1], w, detMode)
+						if math.Float64bits(mon.adj[i]) != math.Float64bits(want) {
+							t.Fatalf("%s: row %d adjacent entry %v, Gower %v", where(), i, mon.adj[i], want)
+						}
+					}
+				}
+				r := rng.New(73)
+				for k, v := range vs {
+					if _, _, err := mon.Append(v); err != nil {
+						t.Fatal(err)
+					}
+					check(fmt.Sprintf("append %d", k))
+					if k%17 == 16 {
+						mon.TrimBefore(v.T - timeline.Epoch(2+r.Intn(window)))
+						check(fmt.Sprintf("trim after append %d", k))
+					}
+					if k == len(vs)/2 {
+						restored, err := RestoreMonitor(mon.State())
+						if err != nil {
+							t.Fatal(err)
+						}
+						mon = restored
+						check(fmt.Sprintf("restore after append %d", k))
+					}
+				}
+				if mon.Snapshot().Evictions == 0 {
+					t.Fatalf("sim=%v det=%v w=%d: nothing was evicted — test is vacuous", simMode, detMode, wi)
 				}
 			}
 		}

@@ -270,7 +270,9 @@ func TestWindowedAppendAllocsIndependentOfWindow(t *testing.T) {
 
 // refTrimBefore is the pre-ring TrimBefore, transcribed verbatim: it
 // reallocates and copies the whole retained triangle. The regression
-// test pins the ring implementation bit-identical to it.
+// test pins the ring implementation bit-identical to it. It writes the
+// monitor's fields directly, so it copies the per-row epoch and
+// adjacent-Φ arrays too.
 func refTrimBefore(m *Monitor, epoch timeline.Epoch) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -283,6 +285,8 @@ func refTrimBefore(m *Monitor, epoch timeline.Epoch) {
 	}
 	m.vectors = append([]*Vector(nil), m.vectors[cut:]...)
 	m.packed = append([]packedRow(nil), m.packed[cut:]...)
+	m.epochs = append([]timeline.Epoch(nil), m.epochs[cut:]...)
+	m.adj = append([]float64(nil), m.adj[cut:]...)
 	sim := make([][]float64, len(m.vectors))
 	for i := range m.vectors {
 		old := m.sim[i+cut]

@@ -379,13 +379,15 @@ func (m *SimMatrix) PhiRangeOK(a, b []int) (lo, hi float64, ok bool) {
 	return lo, hi, true
 }
 
-// phiRangeWithin is PhiRange(rows, rows) for distinct rows, reading each
-// pair once, from the row of its larger index.
+// phiRangeWithin is PhiRange(rows, rows) for distinct rows in ascending
+// order, as Cut returns them: each pair is read once, from the Φ row of
+// its larger index, which the order makes the later of the two.
 func (m *SimMatrix) phiRangeWithin(rows []int) (lo, hi float64) {
 	ok := false
 	for a, i := range rows {
+		row := m.rows[i]
 		for _, j := range rows[:a] {
-			v := m.rows[max(i, j)][min(i, j)]
+			v := row[j]
 			if !ok {
 				lo, hi, ok = v, v, true
 				continue

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"regexp"
+	"slices"
 	"strconv"
 	"time"
 
@@ -394,7 +396,16 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request, t *tenant)
 			writeErr(w, http.StatusBadRequest, "unknown network %q", net)
 			return
 		}
-		cells = append(cells, siteCell{n, inj.SiteLabel("serve", site)})
+		cells = append(cells, siteCell{n, site})
+	}
+	// Cells go in network order, not the decoded map's random one: the
+	// injector's seeded site draws and its stuck-site memory follow the
+	// order it labels them in, and admit interns new sites in that order,
+	// so one feed (and fault seed) gives one fault sequence and one site
+	// alphabet.
+	slices.SortFunc(cells, func(a, b siteCell) int { return cmp.Compare(a.net, b.net) })
+	for i := range cells {
+		cells[i].site = inj.SiteLabel("serve", cells[i].site)
 	}
 	epoch := timeline.Epoch(ob.Epoch)
 

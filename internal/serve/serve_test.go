@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -890,6 +891,91 @@ func TestServeIngestThroughFaults(t *testing.T) {
 	rep := inj.Report()
 	if rep.TotalInjected() == 0 {
 		t.Fatal("injector reports no injected faults")
+	}
+}
+
+// TestFaultedIngestDeterministic pins a faulted daemon to its fault
+// seed: two daemons on the same profile and seed, fed the same
+// observations one at a time, must answer every post alike and retain
+// the same vectors. The injector's site-label draws and its stuck-site
+// memory follow the order it labels an observation's cells in, which
+// was the random order of ranging over the decoded map.
+func TestFaultedIngestDeterministic(t *testing.T) {
+	prof, ok := faults.ByName("corrupt")
+	if !ok {
+		t.Fatal("corrupt profile missing")
+	}
+	nets := specNets(60)
+	run := func() (codes []int, rows []string) {
+		reg := obs.NewRegistry()
+		s, ts := testServer(t, Config{Obs: reg, Faults: faults.New(prof, 7, reg)})
+		if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/f", defaultSpec(60)); code != http.StatusCreated {
+			t.Fatal("create failed")
+		}
+		accepted := 0
+		for e := 0; e < 80; e++ {
+			code, _ := doReq(t, ts, http.MethodPost, "/v1/tenants/f/observations", observation(nets, e, 40))
+			codes = append(codes, code)
+			if code == http.StatusAccepted {
+				accepted++
+			}
+		}
+		waitHistory(t, ts, "f", accepted)
+		for _, v := range s.tenant("f").mon.Series().Vectors {
+			row := fmt.Sprint(v.T)
+			for n := range nets {
+				site, _ := v.Site(n)
+				row += " " + site
+			}
+			rows = append(rows, row)
+		}
+		return codes, rows
+	}
+	codesA, a := run()
+	codesB, b := run()
+	if fmt.Sprint(codesA) != fmt.Sprint(codesB) {
+		t.Fatalf("statuses differ:\n%v\n%v", codesA, codesB)
+	}
+	if len(a) != len(b) {
+		t.Fatalf("retained %d vectors, then %d", len(a), len(b))
+	}
+	diff := 0
+	for i := range a {
+		if a[i] != b[i] {
+			diff++
+		}
+	}
+	if diff > 0 {
+		t.Fatalf("%d of %d retained vectors differ between two runs of one fault seed", diff, len(a))
+	}
+}
+
+// TestIngestSiteAlphabetDeterministic pins an unfaulted daemon's site
+// alphabet to its feed: admission interns an observation's new sites in
+// the order of its cells, which was the random order of ranging over the
+// decoded map, so daemons fed one observation wrote different alphabets
+// and assignment frames into their checkpoints. The cells now go in
+// network order, so the alphabet lists the sites by first network.
+func TestIngestSiteAlphabetDeterministic(t *testing.T) {
+	nets := specNets(24)
+	ob := Observation{Sites: make(map[string]string, len(nets))}
+	want := make([]string, len(nets))
+	for i, n := range nets {
+		want[i] = fmt.Sprintf("site-%02d", (7*i)%len(nets))
+		ob.Sites[n] = want[i]
+	}
+	for run := 0; run < 4; run++ {
+		s, ts := testServer(t, Config{})
+		if code, _ := doReq(t, ts, http.MethodPut, "/v1/tenants/a", defaultSpec(len(nets))); code != http.StatusCreated {
+			t.Fatal("create failed")
+		}
+		if code, body := doReq(t, ts, http.MethodPost, "/v1/tenants/a/observations", ob); code != http.StatusAccepted {
+			t.Fatalf("ingest: %d %s", code, body)
+		}
+		waitHistory(t, ts, "a", 1)
+		if got := s.tenant("a").mon.Space().Sites(); !slices.Equal(got, want) {
+			t.Fatalf("run %d interned %v, want network order %v", run, got, want)
+		}
 	}
 }
 

@@ -6,7 +6,9 @@
 # Fails if any fresh number is more than 15 percent slower —
 # `make check` then refuses to pass a change that quietly gives back a
 # speedup. Refresh the baselines with `make bench` after a deliberate
-# perf change. Rows guarded by time:
+# perf change; a time row is best recorded as the median, over several
+# runs alternating with the parent commit's, of the minimum this gate
+# reads. Rows guarded by time:
 #
 #   SimilarityMatrix/T=1024/P=1             serial packed Φ matrix
 #   SimilarityMatrix/T=512/N=512/S=128/P=1  large site alphabet (7 planes)
@@ -18,21 +20,24 @@
 # than 1%. Their allocation counts repeat from run to run, so this guard
 # does not flake the way time does on a loaded host:
 #
-#   MonitorModeRead      also time-guarded above: 327 allocations at one
-#                        op, while its min-of-3 time has spread 12.2-16.4
-#                        ms over six runs with no code change behind it.
-#                        Its re-cluster takes the distance triangle from
-#                        a sync.Pool, whose item sits in one P's slot, so
+#   MonitorModeRead      also time-guarded above: 324-328 allocations at
+#                        one op, and its row holds the most that op read
+#                        over seven runs (328), while its min-of-3 time
+#                        spread 5.3-8.3 ms over the same seven runs on a
+#                        2-core host with no code change behind it. Its
+#                        re-cluster takes the distance triangle from a
+#                        sync.Pool, whose item sits in one P's slot, so
 #                        its allocation guards run at -cpu 1: at 2 Ps one
 #                        warmed op in three missed the pool and read 333
 #                        allocations and 4.48 MB. Its bytes are guarded
-#                        too, at +50%: its one op is the first eviction
-#                        after the fill and allocates 283 KB where later
-#                        ops average 219 KB, and a per-read triangle
-#                        (4.19 MB) would be 16 times the row.
+#                        too, at +50%, against that op's 291 KB (8 KB of
+#                        it NN-chain's row-offset table): the op is the
+#                        first eviction after the fill, later ops average
+#                        about 250 KB, and a per-read triangle (4.19 MB)
+#                        would be 14 times the row.
 #   MonitorEvents/plain  /events replay at depth 1024: 27 allocations per
-#                        read, every time, while its time spread 0.15-0.29
-#                        ms over a few runs; explaining every event again
+#                        read, every time, while its time spread 0.12-0.17
+#                        ms over seven runs; explaining every event again
 #                        would cost thousands.
 #   Checkpoint           SaveMonitor of the W=1024 state, a 5.25 MB file
 #                        streamed through one fixed buffer: 19 allocations
