@@ -32,13 +32,14 @@ race:
 	$(GO) test -race ./internal/core/... ./internal/faults/... ./internal/obs/... ./internal/serve/... ./internal/snapshot/...
 
 # The perf-critical benches: the packed similarity engine sweep (serial
-# vs auto, plus the large-alphabet row), the fixed-depth windowed
-# append, the /mode read that re-clusters that window, the /events read
-# that replays detection over it (plain and explained), batch change
-# detection with every event explained on the large-alphabet series,
-# the W=1024 checkpoint save, the incremental threshold sweep, the
-# end-to-end Analyze pipeline, and a default B-Root run and a 4-minute
-# G-Root run, whose wall time is almost all the observe stage. Output is
+# vs auto, plus the large-alphabet row), §2.4 interpolation on the same
+# large-alphabet series, the fixed-depth windowed append, the /mode read
+# that re-clusters that window, the /events read that replays detection
+# over it (plain and explained), batch change detection with every
+# event explained on the large-alphabet series, the W=1024 checkpoint
+# save, the incremental threshold sweep, the end-to-end Analyze
+# pipeline, and a default B-Root run and a 4-minute G-Root run, whose
+# wall time is almost all the observe stage. Output is
 # parsed into BENCH_core.json, each row with the GOMAXPROCS and CPU
 # count it ran with; a failing bench run aborts loudly instead of
 # writing an empty file. benchguard guards the plain events row, the
@@ -46,14 +47,21 @@ race:
 # allocations, not time: their allocation counts repeat, while their
 # times spread wider than its 15% margin (a scenario op is one run of a
 # few seconds, and repeated runs spread by about 1.2x; a checkpoint is
-# fsync-bound). The /mode read row is guarded both ways.
+# fsync-bound). The /mode read row is guarded both ways; its guards read
+# one op at -cpu 1, so its bytes_per_op and allocs_per_op are the most
+# that seven such ops read (scripts/benchpin.sh), not its many-op 2-P
+# run's averages.
 bench:
-	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|MonitorEvents|Checkpoint|DetectChanges|AnalyzePipeline|ScenarioBRoot|ScenarioGRoot' -benchmem . > bench.out 2>&1 \
+	@$(GO) test -run '^$$' -bench 'SimilarityMatrix|Interpolate|ClusterAdaptiveIncremental|MonitorAppendHot|MonitorModeRead|MonitorEvents|Checkpoint|DetectChanges|AnalyzePipeline|ScenarioBRoot|ScenarioGRoot' -benchmem . > bench.out 2>&1 \
 		|| { cat bench.out >&2; rm -f bench.out; exit 1; }
-	@./scripts/bench2json.sh < bench.out > BENCH_core.json.tmp \
-		|| { rm -f bench.out BENCH_core.json.tmp; exit 1; }
+	@$(GO) test -run '^$$' -bench '^BenchmarkMonitorModeRead$$' -benchtime 1x -benchmem -cpu 1 -count 7 . > bench1x.out 2>&1 \
+		|| { cat bench1x.out >&2; rm -f bench.out bench1x.out; exit 1; }
+	@./scripts/bench2json.sh < bench.out > bench.json \
+		|| { rm -f bench.out bench1x.out bench.json; exit 1; }
+	@./scripts/benchpin.sh MonitorModeRead bench1x.out < bench.json > BENCH_core.json.tmp \
+		|| { rm -f bench.out bench1x.out bench.json BENCH_core.json.tmp; exit 1; }
 	@mv BENCH_core.json.tmp BENCH_core.json
-	@rm -f bench.out
+	@rm -f bench.out bench1x.out bench.json
 	@cat BENCH_core.json
 
 # Perf regression gate: fail if the serial T=1024 similarity row, the
@@ -139,4 +147,4 @@ serve-load:
 check: test race cover obs-smoke faults-smoke trace-smoke explain-smoke history-smoke fuzz-smoke benchguard
 
 clean:
-	rm -f BENCH_core.json BENCH_core.json.tmp bench.out cover.out
+	rm -f BENCH_core.json BENCH_core.json.tmp bench.out bench1x.out bench.json cover.out

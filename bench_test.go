@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"fenrir/internal/clean"
 	"fenrir/internal/core"
 	"fenrir/internal/rng"
 	"fenrir/internal/scenario"
@@ -350,6 +351,19 @@ func BenchmarkSimilarityMatrix(b *testing.B) {
 		run(fmt.Sprintf("T=%d/P=auto", T), s, 0)
 	}
 	run("T=512/N=512/S=128/P=1", syntheticSeriesSites(512, 512, 128, 0.3, 9), 1)
+}
+
+// BenchmarkInterpolate measures §2.4 interpolation at its default reach
+// of 3 on the large-alphabet SimilarityMatrix series (T=512, N=512, 128
+// sites, 30% unknown), the batch-wide shape: the vectors' clones, their
+// known masks and the fills, decided 64 networks to a word.
+func BenchmarkInterpolate(b *testing.B) {
+	s := syntheticSeriesSites(512, 512, 128, 0.3, 9)
+	opts := clean.DefaultInterpolateOptions()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clean.Interpolate(s, opts)
+	}
 }
 
 // BenchmarkMonitorAppendHot measures the streaming ingest path at fixed

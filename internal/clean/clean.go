@@ -5,6 +5,7 @@
 package clean
 
 import (
+	"math/bits"
 	"sort"
 
 	"fenrir/internal/core"
@@ -90,6 +91,15 @@ func DefaultInterpolateOptions() InterpolateOptions { return InterpolateOptions{
 // donor on one side) are filled only from the available side. Collection
 // gaps (epochs with no vector at all) break runs: values are never carried
 // across an outage.
+//
+// The rule is applied per cell, 64 networks at a time: a cell whose
+// nearest left and right donors lie dl and dr epochs away is in its run's
+// first half, midpoint included, iff dl ≤ dr, so it copies the left donor
+// then and the right one otherwise, and a one-sided run copies its one
+// donor; either way the donor must be within MaxReach. Each vector's
+// known masks decide the fills of a whole word of networks with a few
+// word operations per distance, and only the filled cells are written.
+// The inputs are cloned, never mutated.
 func Interpolate(s *core.Series, opts InterpolateOptions) *core.Series {
 	if opts.MaxReach <= 0 {
 		opts.MaxReach = 3
@@ -98,72 +108,78 @@ func Interpolate(s *core.Series, opts InterpolateOptions) *core.Series {
 	for _, v := range s.Vectors {
 		out = append(out, v.Clone())
 	}
+	// The known masks of every row, read before any fill: donors are
+	// original known cells, so no fill feeds a later decision.
+	nets := s.Space.NumNetworks()
+	words, tail := (nets+63)/64, ^uint64(0)
+	if nets%64 != 0 {
+		tail = 1<<(nets%64) - 1
+	}
+	known := make([]uint64, len(out)*words)
+	for i, v := range out {
+		v.KnownWords(known[i*words : (i+1)*words])
+	}
 	// Work over runs of *adjacent epochs*: split the vector list wherever
 	// the epoch sequence jumps.
-	var segments [][]*core.Vector
 	start := 0
 	for i := 1; i <= len(out); i++ {
 		if i == len(out) || out[i].T != out[i-1].T+1 {
-			segments = append(segments, out[start:i])
+			fillSegment(out[start:i], known[start*words:i*words], words, tail, opts.MaxReach)
 			start = i
-		}
-	}
-	nets := s.Space.NumNetworks()
-	for _, seg := range segments {
-		for n := 0; n < nets; n++ {
-			interpolateNetwork(seg, n, opts.MaxReach)
 		}
 	}
 	return core.NewSeries(s.Space, s.Schedule, out, s.Gaps)
 }
 
-// interpolateNetwork fills one network's unknown runs inside a contiguous
-// segment of vectors.
-func interpolateNetwork(seg []*core.Vector, n, maxReach int) {
-	L := len(seg)
-	for i := 0; i < L; {
-		if seg[i].Get(n) != core.Unknown {
-			i++
-			continue
-		}
-		// Unknown run [i, j).
-		j := i
-		for j < L && seg[j].Get(n) == core.Unknown {
-			j++
-		}
-		var left, right int32 = core.Unknown, core.Unknown
-		if i > 0 {
-			left = seg[i-1].Get(n)
-		}
-		if j < L {
-			right = seg[j].Get(n)
-		}
-		runLen := j - i
-		// First half leans on the left donor, second half on the right;
-		// the midpoint (odd runs) goes left, matching the paper's
-		// [k .. k+i/2] ← k−1 formulation. A run missing one donor (series
-		// edge) is filled entirely from the available side.
-		half := (runLen + 1) / 2
-		if left == core.Unknown {
-			half = 0
-		} else if right == core.Unknown {
-			half = runLen
-		}
-		for p := i; p < j; p++ {
-			var donor int32
-			var dist int
-			if p-i < half {
-				donor = left
-				dist = p - (i - 1)
-			} else {
-				donor = right
-				dist = j - p
+// fillSegment fills the unknown cells of one segment of consecutive
+// epochs; known[p*words+k] is row p's known mask for networks 64k…64k+63,
+// and tail masks the last word's networks. For each row p and word it
+// steps d = 1…maxReach outward on both sides. lrun holds the networks
+// unknown at p…p−d+1 that no right donor has claimed, so lrun &
+// known(p−d) are the networks whose left donor, d away, wins; rrun is
+// the same on the right. A left donor d away also takes its networks off
+// the right walk, since a right donor as far or farther loses (ties go
+// left), and a right donor d away takes its networks off the left walk,
+// since a farther left donor loses. The walk stops once every network
+// has met a donor or the segment's edge on both sides.
+func fillSegment(seg []*core.Vector, known []uint64, words int, tail uint64, maxReach int) {
+	for p, dst := range seg {
+		for k := 0; k < words; k++ {
+			lrun := ^known[p*words+k]
+			if k == words-1 {
+				lrun &= tail
 			}
-			if donor != core.Unknown && dist <= maxReach {
-				seg[p].SetIndex(n, donor)
+			rrun := lrun
+			for d := 1; d <= maxReach && lrun|rrun != 0; d++ {
+				if p-d >= 0 {
+					kl := known[(p-d)*words+k]
+					la := lrun & kl
+					lrun &^= kl
+					rrun &^= la
+					copyCells(dst, seg[p-d], la, k<<6)
+				} else {
+					lrun = 0
+				}
+				if p+d < len(seg) {
+					kr := known[(p+d)*words+k]
+					ra := rrun & kr
+					rrun &^= kr
+					lrun &^= ra
+					copyCells(dst, seg[p+d], ra, k<<6)
+				} else {
+					rrun = 0
+				}
 			}
 		}
-		i = j
+	}
+}
+
+// copyCells copies src's assignment of each network base+i, for every
+// set bit i of mask, into dst.
+func copyCells(dst, src *core.Vector, mask uint64, base int) {
+	for ; mask != 0; mask &= mask - 1 {
+		n := base + bits.TrailingZeros64(mask)
+		dst.SetIndex(n, src.Get(n))
 	}
 }
 

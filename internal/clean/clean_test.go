@@ -1,12 +1,14 @@
 package clean
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"fenrir/internal/core"
 	"fenrir/internal/faults"
 	"fenrir/internal/obs"
+	"fenrir/internal/rng"
 	"fenrir/internal/timeline"
 )
 
@@ -456,4 +458,154 @@ func TestInterpolateIdempotentOnComplete(t *testing.T) {
 			}
 		}
 	}
+}
+
+// interpolateColumns is the column walk Interpolate replaced, kept as
+// its oracle: every network's column is walked run by run, and each
+// unknown run is split at its midpoint between its two donors.
+func interpolateColumns(s *core.Series, opts InterpolateOptions) *core.Series {
+	if opts.MaxReach <= 0 {
+		opts.MaxReach = 3
+	}
+	out := make([]*core.Vector, 0, s.Len())
+	for _, v := range s.Vectors {
+		out = append(out, v.Clone())
+	}
+	start := 0
+	for i := 1; i <= len(out); i++ {
+		if i == len(out) || out[i].T != out[i-1].T+1 {
+			for n := 0; n < s.Space.NumNetworks(); n++ {
+				interpolateNetwork(out[start:i], n, opts.MaxReach)
+			}
+			start = i
+		}
+	}
+	return core.NewSeries(s.Space, s.Schedule, out, s.Gaps)
+}
+
+// interpolateNetwork fills one network's unknown runs inside a contiguous
+// segment of vectors.
+func interpolateNetwork(seg []*core.Vector, n, maxReach int) {
+	L := len(seg)
+	for i := 0; i < L; {
+		if seg[i].Get(n) != core.Unknown {
+			i++
+			continue
+		}
+		// Unknown run [i, j).
+		j := i
+		for j < L && seg[j].Get(n) == core.Unknown {
+			j++
+		}
+		var left, right int32 = core.Unknown, core.Unknown
+		if i > 0 {
+			left = seg[i-1].Get(n)
+		}
+		if j < L {
+			right = seg[j].Get(n)
+		}
+		runLen := j - i
+		// First half leans on the left donor, second half on the right;
+		// the midpoint (odd runs) goes left, matching the paper's
+		// [k .. k+i/2] ← k−1 formulation. A run missing one donor (series
+		// edge) is filled entirely from the available side.
+		half := (runLen + 1) / 2
+		if left == core.Unknown {
+			half = 0
+		} else if right == core.Unknown {
+			half = runLen
+		}
+		for p := i; p < j; p++ {
+			var donor int32
+			var dist int
+			if p-i < half {
+				donor = left
+				dist = p - (i - 1)
+			} else {
+				donor = right
+				dist = j - p
+			}
+			if donor != core.Unknown && dist <= maxReach {
+				seg[p].SetIndex(n, donor)
+			}
+		}
+		i = j
+	}
+}
+
+// randomGappySeries builds a seeded series over nets networks and six
+// sites with the given unknown share. Its epochs jump now and then, so
+// it has collection gaps, among them one-epoch segments, and every
+// seventh network is unknown throughout.
+func randomGappySeries(nets int, unknown float64, seed uint64) *core.Series {
+	r := rng.New(seed)
+	ids := make([]string, nets)
+	for i := range ids {
+		ids[i] = fmt.Sprintf("net%03d", i)
+	}
+	sp := core.NewSpace(ids)
+	sites := []string{"A", "B", "C", "D", "E", "F"}
+	var vs []*core.Vector
+	t := timeline.Epoch(0)
+	for len(vs) < 48 {
+		if r.Bool(0.15) {
+			t += timeline.Epoch(1 + r.Intn(3)) // a collection gap
+		}
+		v := sp.NewVector(t)
+		for n := 0; n < nets; n++ {
+			if n%7 != 3 && !r.Bool(unknown) {
+				v.Set(n, sites[r.Intn(len(sites))])
+			}
+		}
+		vs = append(vs, v)
+		t++
+	}
+	return core.NewSeries(sp, sched(int(t)), vs, nil)
+}
+
+// TestInterpolateMatchesColumnOracle holds the word-parallel Interpolate
+// to the column walk cell for cell, across reaches, unknown shares and
+// network counts on both sides of a word boundary, with collection gaps,
+// one-epoch segments and all-unknown networks. It also checks that the
+// input series is left as it was.
+func TestInterpolateMatchesColumnOracle(t *testing.T) {
+	singles := 0
+	for _, nets := range []int{1, 63, 64, 65, 130} {
+		for _, unknown := range []float64{0.05, 0.3, 0.5, 0.8, 0.95, 0.99} {
+			for reach := 1; reach <= 7; reach++ {
+				seed := uint64(nets*1000 + int(unknown*100)*10 + reach)
+				in := randomGappySeries(nets, unknown, seed)
+				before := cloneAll(in.Vectors)
+				want := interpolateColumns(in, InterpolateOptions{MaxReach: reach})
+				got := Interpolate(in, InterpolateOptions{MaxReach: reach})
+				for i, v := range got.Vectors {
+					if i > 0 && i+1 < len(got.Vectors) && v.T != got.Vectors[i-1].T+1 && got.Vectors[i+1].T != v.T+1 {
+						singles++
+					}
+					if v.T != want.Vectors[i].T {
+						t.Fatalf("nets=%d unknown=%v reach=%d: vector %d has epoch %d, want %d", nets, unknown, reach, i, v.T, want.Vectors[i].T)
+					}
+					for n := 0; n < nets; n++ {
+						if g, w := v.Get(n), want.Vectors[i].Get(n); g != w {
+							t.Fatalf("nets=%d unknown=%v reach=%d: epoch %d network %d = %d, column walk %d", nets, unknown, reach, v.T, n, g, w)
+						}
+						if in.Vectors[i].Get(n) != before[i].Get(n) {
+							t.Fatalf("nets=%d unknown=%v reach=%d: input epoch %d network %d was modified", nets, unknown, reach, v.T, n)
+						}
+					}
+				}
+			}
+		}
+	}
+	if singles == 0 {
+		t.Fatal("fixture broken: no one-epoch segment")
+	}
+}
+
+func cloneAll(vs []*core.Vector) []*core.Vector {
+	out := make([]*core.Vector, len(vs))
+	for i, v := range vs {
+		out[i] = v.Clone()
+	}
+	return out
 }

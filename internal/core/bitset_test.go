@@ -44,13 +44,18 @@ func internSites(space *Space, n int) {
 func packedPhis(t testing.TB, a, b *Vector, w []float64, mode UnknownMode) (own, slab float64) {
 	t.Helper()
 	kern := packedGowerKernel(w, mode, a.Space.NumNetworks())
+	pair := func(x, y *packedRow) float64 {
+		var out [1]float64
+		kern.row(x, []packedRow{*y}, out[:])
+		return out[0]
+	}
 	pa, pb := packRow(a.assign), packRow(b.assign)
 	rows := packSlab([]*Vector{a, b})
-	own, slab = kern(&pa, &pb), kern(&rows[0], &rows[1])
-	if rev := kern(&pb, &pa); rev != own {
+	own, slab = pair(&pa, &pb), pair(&rows[0], &rows[1])
+	if rev := pair(&pb, &pa); rev != own {
 		t.Fatalf("mode=%v: packed Φ asymmetric: %v vs %v", mode, own, rev)
 	}
-	if rev := kern(&rows[1], &rows[0]); rev != slab {
+	if rev := pair(&rows[1], &rows[0]); rev != slab {
 		t.Fatalf("mode=%v: slab Φ asymmetric: %v vs %v", mode, slab, rev)
 	}
 	return own, slab
@@ -65,6 +70,33 @@ func assertPackedMatchesScalar(t testing.TB, a, b *Vector, w []float64, mode Unk
 	if own != want || slab != want {
 		t.Fatalf("%s mode=%v: packed Φ = %v (own planes), %v (slab), scalar %v", ctx, mode, own, slab, want)
 	}
+}
+
+// assertRowsMatchScalar runs the row kernel for (w, mode) from every row
+// of rows against all of them and checks each Φ against the scalar loop
+// over the vectors they pack, bit for bit.
+func assertRowsMatchScalar(t testing.TB, vs []*Vector, rows []packedRow, w []float64, mode UnknownMode, ctx string) {
+	t.Helper()
+	kern := packedGowerKernel(w, mode, vs[0].Space.NumNetworks())
+	out := make([]float64, len(rows))
+	for i := range rows {
+		kern.row(&rows[i], rows, out)
+		for j, got := range out {
+			if want := Gower(vs[i], vs[j], w, mode); got != want {
+				t.Fatalf("%s mode=%v: row %d (%d planes) Φ against row %d (%d planes) = %v, scalar %v",
+					ctx, mode, i, rows[i].planes, j, rows[j].planes, got, want)
+			}
+		}
+	}
+}
+
+// ownRows packs each vector at its own plane count, as a monitor does.
+func ownRows(vs []*Vector) []packedRow {
+	rows := make([]packedRow, len(vs))
+	for i, v := range vs {
+		rows[i] = packRow(v.assign)
+	}
+	return rows
 }
 
 // TestPackedKernelsBitIdenticalToScalar is the property test of the
@@ -90,6 +122,33 @@ func TestPackedKernelsBitIdenticalToScalar(t *testing.T) {
 								fmt.Sprintf("n=%d sites=%d uf=%v seed=%d w=%d", n, numSites, uf, seed, wi))
 						}
 					}
+				}
+			}
+		}
+	}
+	// Whole rows of random slabs at every plane count from 0 to 9: B ≤ 7
+	// takes an unrolled fold, 8 and 9 (up to 512 sites) the fold loop.
+	for planes := 0; planes <= 9; planes++ {
+		for _, n := range []int{1, 64, 130} {
+			space := NewSpace(nets(n))
+			numSites := 1 << planes
+			internSites(space, numSites)
+			var vs []*Vector
+			for k := 0; k < 12; k++ {
+				uf := []float64{0, 0.3, 0.9, 1}[k%4]
+				assign := randomAssign(n, numSites, uf, uint64(100*planes+k))
+				if k == 1 && planes > 0 {
+					assign[n-1] = int32(numSites - 1) // one row sets the top plane
+				}
+				vs = append(vs, vectorFromAssign(space, timeline.Epoch(k), assign))
+			}
+			rows := packSlab(vs)
+			if rows[0].planes != planes {
+				t.Fatalf("fixture broken: slab of %d sites packed %d planes, want %d", numSites, rows[0].planes, planes)
+			}
+			for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
+				for wi, w := range [][]float64{nil, randomWeights(n, uint64(planes+7))} {
+					assertRowsMatchScalar(t, vs, rows, w, mode, fmt.Sprintf("slab planes=%d n=%d w=%d", planes, n, wi))
 				}
 			}
 		}
@@ -120,6 +179,43 @@ func TestPackedAsymmetricPlaneCounts(t *testing.T) {
 			for _, w := range [][]float64{nil, randomWeights(n, 9)} {
 				assertPackedMatchesScalar(t, a, b, w, mode, fmt.Sprintf("planes %d/%d", tc.wantLow, tc.wantHigh))
 				assertPackedMatchesScalar(t, b, a, w, mode, fmt.Sprintf("planes %d/%d reversed", tc.wantHigh, tc.wantLow))
+			}
+		}
+	}
+	// A monitor history packs each row at its own plane count, so one row
+	// call mixes the unrolled and loop folds with the mask path.
+	const m = 130
+	space := NewSpace(nets(m))
+	internSites(space, 600)
+	var vs []*Vector
+	for k, sites := range []int{1, 2, 600, 5, 128, 5, 300, 1, 9, 600, 2, 128} {
+		assign := randomAssign(m, sites, []float64{0, 0.2, 0.7}[k%3], uint64(40+k))
+		assign[k] = int32(sites - 1) // the row's top plane exists
+		vs = append(vs, vectorFromAssign(space, timeline.Epoch(k), assign))
+	}
+	for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
+		for wi, w := range [][]float64{nil, randomWeights(m, 13)} {
+			assertRowsMatchScalar(t, vs, ownRows(vs), w, mode, fmt.Sprintf("mixed history w=%d", wi))
+			// The same rows appended to a monitor, whose Φ rows come
+			// from one row call each, and whose detection Φ takes the
+			// one-row call when the detection mode differs.
+			det := DefaultDetectOptions()
+			det.Mode = PessimisticUnknown + KnownOnly - mode
+			mon := NewMonitor(space, sched(len(vs)), w, mode, det)
+			for _, v := range vs {
+				if _, _, err := mon.Append(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range vs {
+				for j := range i {
+					if got, want := mon.sim[i][j], Gower(vs[i], vs[j], w, mode); got != want {
+						t.Fatalf("mixed history w=%d mode=%v: monitor Φ(%d, %d) = %v, scalar %v", wi, mode, i, j, got, want)
+					}
+					if got, want := mon.detPhiLocked(i, j), Gower(vs[i], vs[j], w, det.Mode); got != want {
+						t.Fatalf("mixed history w=%d mode=%v: monitor detection Φ(%d, %d) = %v, scalar %v", wi, det.Mode, i, j, got, want)
+					}
+				}
 			}
 		}
 	}
@@ -319,9 +415,13 @@ func FuzzPackedGower(f *testing.F) {
 		a := vectorFromAssign(space, 0, decode(rawA))
 		b := vectorFromAssign(space, 1, decode(rawB))
 		w := randomWeights(n, uint64(n)*31+uint64(numSites))
+		vs := []*Vector{a, b, a, b}
+		mixed := ownRows(vs)
+		mixed[2] = packSlab(vs)[2] // a at the slab's B beside a at its own
 		for _, mode := range []UnknownMode{PessimisticUnknown, KnownOnly} {
 			for wi, weights := range [][]float64{nil, w} {
 				assertPackedMatchesScalar(t, a, b, weights, mode, fmt.Sprintf("w=%d", wi))
+				assertRowsMatchScalar(t, vs, mixed, weights, mode, fmt.Sprintf("rows w=%d", wi))
 			}
 		}
 	})

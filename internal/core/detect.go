@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"fenrir/internal/timeline"
 )
@@ -60,13 +59,16 @@ func DefaultDetectOptions() DetectOptions {
 // pinned by tests against same-seed series.
 type detector struct {
 	opts DetectOptions
-	// history holds the trailing adjacent-pair similarities in arrival
-	// order (at most opts.Window), and sorted the same values ascending,
-	// equal values in arrival order — exactly the stable sort of history,
-	// so the baseline median is read off it instead of recomputed. Both
-	// buffers grow with use, never with opts.Window (which may come from
-	// an API request or a snapshot), and are reused across rebuilds.
+	// history holds the trailing adjacent-pair similarities (at most
+	// opts.Window) as a ring: in arrival order until it is full, and from
+	// then on starting at head, the oldest, which the next push replaces.
+	// sorted holds the same values ascending, equal values in arrival
+	// order — exactly the stable sort of the window — so the baseline
+	// median is read off it instead of recomputed. Both buffers grow with
+	// use, never with opts.Window (which may come from an API request or
+	// a snapshot), and are reused across rebuilds.
 	history  []float64
+	head     int
 	sorted   []float64
 	cooldown int
 	// centroids are the rows of the scanned vectors standing for each
@@ -93,6 +95,7 @@ func newDetector(opts DetectOptions) *detector {
 // provenance layer labels.
 func (d *detector) reset() {
 	d.history = d.history[:0]
+	d.head = 0
 	d.sorted = d.sorted[:0]
 	d.cooldown = 0
 }
@@ -168,18 +171,60 @@ func (h hit) event(w []float64, explain bool) ChangeEvent {
 // push appends phi to the baseline window, retiring the oldest value
 // once the window is full. A value is inserted after its equals and
 // retired from the front of its equals, so sorted stays the stable sort
-// of history (ordered by cmp.Less, which puts NaN first, so even a NaN
-// is inserted and retired consistently).
+// of the window (ordered by cmp.Less, which puts NaN first, so even a
+// NaN is inserted and retired consistently). A full window's push
+// overwrites the ring's oldest slot and moves only the sorted values
+// between the retired one and the new one's place, in one copy.
 func (d *detector) push(phi float64) {
-	d.history = append(d.history, phi)
-	i := sort.Search(len(d.sorted), func(i int) bool { return cmp.Less(phi, d.sorted[i]) })
-	d.sorted = slices.Insert(d.sorted, i, phi)
-	if len(d.history) > d.opts.Window {
-		old := d.history[0]
-		d.history = append(d.history[:0], d.history[1:]...)
-		j := sort.Search(len(d.sorted), func(j int) bool { return !cmp.Less(d.sorted[j], old) })
-		d.sorted = slices.Delete(d.sorted, j, j+1)
+	s := d.sorted
+	i := upperBound(s, phi)
+	if len(d.history) < d.opts.Window {
+		d.history = append(d.history, phi)
+		d.sorted = slices.Insert(s, i, phi)
+		return
 	}
+	old := d.history[d.head]
+	d.history[d.head] = phi
+	if d.head++; d.head == len(d.history) {
+		d.head = 0
+	}
+	// old is the first of its equals, at j; phi goes after its equals,
+	// at i, counted before old leaves.
+	if j := lowerBound(s, old); i <= j {
+		copy(s[i+1:j+1], s[i:j])
+		s[i] = phi
+	} else {
+		copy(s[j:i-1], s[j+1:i])
+		s[i-1] = phi
+	}
+}
+
+// upperBound returns the index of the first value of s, ascending in
+// cmp.Less order, that sorts after x.
+func upperBound(s []float64, x float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cmp.Less(x, s[m]) {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// lowerBound returns the index of the first value of s, ascending in
+// cmp.Less order, that does not sort before x.
+func lowerBound(s []float64, x float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); cmp.Less(s[m], x) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
 }
 
 // median returns the median of the baseline window (0 when empty).

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"fenrir/internal/rng"
@@ -277,6 +279,41 @@ func TestWindowMedianMatchesSortedCopy(t *testing.T) {
 				warm = caps
 			case warm != [2]int{} && caps != warm:
 				t.Fatalf("window=%d step %d: buffers grew after warm-up, cap %v then %v", window, step, warm, caps)
+			}
+		}
+	}
+}
+
+// TestWindowSortedIsStableSortOfRing checks, after every push of a
+// seeded stream, that the sorted window equals the stable sort of the
+// ring read in arrival order from its oldest slot, bit for bit. The
+// stream has many ties, and ties that the bits tell apart: signed zeros
+// and NaNs with distinct payloads, which cmp.Compare orders first and
+// counts equal.
+func TestWindowSortedIsStableSortOfRing(t *testing.T) {
+	values := []float64{
+		0.25, 0.5, 0.5, 0.75, 1, 0, math.Copysign(0, -1),
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002),
+		math.Float64frombits(0xfff8000000000003),
+	}
+	for _, window := range []int{1, 2, 3, 5, 8, 30} {
+		r := rng.New(uint64(100 + window))
+		d := newDetector(DetectOptions{Window: window})
+		for step := 0; step < 3000; step++ {
+			if r.Bool(0.005) {
+				d.reset()
+			}
+			d.push(values[r.Intn(len(values))])
+			ring := append(append([]float64(nil), d.history[d.head:]...), d.history[:d.head]...)
+			want := slices.Clone(ring)
+			slices.SortStableFunc(want, cmp.Compare)
+			if len(d.sorted) != len(want) {
+				t.Fatalf("window=%d step %d: sorted holds %d values, ring %d", window, step, len(d.sorted), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(d.sorted[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("window=%d step %d: sorted %v, stable sort of ring %v", window, step, d.sorted, want)
+				}
 			}
 		}
 	}

@@ -154,7 +154,9 @@ func NewMonitorOpts(space *Space, sched timeline.Schedule, opts MonitorOptions) 
 // DetectChanges runs. Callers hold mu.
 func (m *Monitor) detPhiLocked(i, j int) float64 {
 	if m.detect.Mode != m.mode {
-		return m.detKern(&m.packed[i], &m.packed[j])
+		var phi [1]float64
+		m.detKern.row(&m.packed[i], m.packed[j:j+1], phi[:])
+		return phi[0]
 	}
 	if i < j {
 		i, j = j, i
@@ -233,15 +235,13 @@ func (m *Monitor) Append(v *Vector) (ChangeEvent, bool, error) {
 	if m.window > 0 && len(m.vectors) >= m.window {
 		m.evictLocked(len(m.vectors) - m.window + 1)
 	}
-	// Incremental Φ row: the new vector is packed once, and each entry
-	// is a packed kernel over the cached history — O(T·log S·N/64) words
-	// per append instead of O(T·N) scalar comparisons, bit-identical to
-	// the scalar loop (bitset.go).
+	// Incremental Φ row: the new vector is packed once, and one row call
+	// of the packed kernel fills the row against the cached history —
+	// O(T·log S·N/64) words per append instead of O(T·N) scalar
+	// comparisons, bit-identical to the scalar loop (bitset.go).
 	pv := packRow(v.assign)
 	row := make([]float64, len(m.vectors))
-	for j := range m.packed {
-		row[j] = m.kern(&pv, &m.packed[j])
-	}
+	m.kern.row(&pv, m.packed, row)
 	m.engine.invalidate()
 	m.vectors = append(m.vectors, v)
 	m.packed = append(m.packed, pv)

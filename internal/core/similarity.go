@@ -168,11 +168,12 @@ func SimilarityMatrix(s *Series, w []float64, mode UnknownMode) *SimMatrix {
 // claim off an atomic tile counter: the caller drains lane 1 and lanes
 // 2..p are goroutines started for this call. Every vector is packed once
 // into one bit-sliced slab (bitset.go) and the packed kernel (mode ×
-// weighting) is selected once, outside the pair loop. Row i is
-// kern(row i, row j) for j < i — the call Monitor.Append makes for each
-// new vector, so batch and stream agree by construction. All vectors must
-// share the series' Space; a mixed-space series panics here with a clear
-// message rather than deep inside the kernel. opts.Kernel is ignored.
+// weighting) is selected once, outside the pair loop. Row i is one
+// kernel call, kern.row(row i, rows[:i]) — the call Monitor.Append makes
+// for each new vector, so batch and stream agree by construction. All
+// vectors must share the series' Space; a mixed-space series panics here
+// with a clear message rather than deep inside the kernel. opts.Kernel
+// is ignored.
 func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts MatrixOptions) *SimMatrix {
 	validateMode(mode)
 	n := len(s.Vectors)
@@ -199,10 +200,7 @@ func SimilarityMatrixParallel(s *Series, w []float64, mode UnknownMode, opts Mat
 	// concurrent tiles never share an output row.
 	fill := func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			ri, out := &rows[i], m.rows[i]
-			for j := range out {
-				out[j] = kern(ri, &rows[j])
-			}
+			kern.row(&rows[i], rows[:i], m.rows[i])
 		}
 	}
 

@@ -243,9 +243,22 @@ func (v *Vector) Assignments() []int32 {
 // Clone returns a deep copy (used by the cleaning stages, which must not
 // mutate raw observations).
 func (v *Vector) Clone() *Vector {
-	cp := &Vector{Space: v.Space, T: v.T, assign: make([]int32, len(v.assign))}
-	copy(cp.assign, v.assign)
-	return cp
+	// make then copy of local names compiles to one allocation that
+	// skips zeroing the row.
+	src := v.assign
+	assign := make([]int32, len(src))
+	copy(assign, src)
+	return &Vector{Space: v.Space, T: v.T, assign: assign}
+}
+
+// KnownWords fills dst with the vector's known masks, 64 networks per
+// word: bit i of dst[k] is set iff network 64k+i has a known assignment.
+// dst holds ⌈NumNetworks/64⌉ words; bits past the last network stay
+// clear. They are the known words of the packed Φ engine's rows.
+func (v *Vector) KnownWords(dst []uint64) {
+	for k := range dst {
+		dst[k] = knownWord(v.assign[k*64 : min(k*64+64, len(v.assign))])
+	}
 }
 
 // KnownCount returns how many networks have a known assignment.

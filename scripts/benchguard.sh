@@ -8,23 +8,33 @@
 # speedup. Refresh the baselines with `make bench` after a deliberate
 # perf change; a time row is best recorded as the median, over several
 # runs alternating with the parent commit's, of the minimum this gate
-# reads. Rows guarded by time:
+# reads. Rows guarded by time, with the spread of that minimum over the
+# seven alternating rounds their rows were last recorded from (2-core
+# host; each row holds the median):
 #
-#   SimilarityMatrix/T=1024/P=1             serial packed Φ matrix
-#   SimilarityMatrix/T=512/N=512/S=128/P=1  large site alphabet (7 planes)
-#   MonitorAppendHot                        windowed append at depth 1024
-#   MonitorModeRead                         append plus /mode re-cluster at depth 1024
+#   SimilarityMatrix/T=1024/P=1             serial packed Φ matrix, 8.4-11.0 ms
+#   SimilarityMatrix/T=512/N=512/S=128/P=1  large site alphabet (7 planes), 5.5-8.0 ms
+#   MonitorAppendHot                        windowed append at depth 1024, 59-86 µs
+#   MonitorModeRead                         append plus /mode re-cluster at depth 1024, 4.5-6.3 ms
+#
+# A reading at the top of such a spread is more than 15% over the
+# median, so on a loaded host these guards can fail with no code change
+# behind them: rerun idle, alternating with the parent commit's test
+# binary, to tell noise from a regression.
 #
 # Six rows are guarded by allocations. One op of each (-benchtime 1x)
 # fails the gate when its allocs/op exceed the committed row's by more
 # than 1%. Their allocation counts repeat from run to run, so this guard
 # does not flake the way time does on a loaded host:
 #
-#   MonitorModeRead      also time-guarded above: 324-328 allocations at
+#   MonitorModeRead      also time-guarded above: 323-327 allocations at
 #                        one op, and its row holds the most that op read
-#                        over seven runs (328), while its min-of-3 time
-#                        spread 5.3-8.3 ms over the same seven runs on a
-#                        2-core host with no code change behind it. Its
+#                        over seven runs (327), which `make bench` sets
+#                        through scripts/benchpin.sh, while its min-of-3
+#                        time spread 4.5-6.3 ms over seven rounds on a
+#                        2-core host (the parent commit's, alternating,
+#                        4.1-7.1 ms; its op is 95% the re-cluster, which
+#                        the last change to its row did not touch). Its
 #                        re-cluster takes the distance triangle from a
 #                        sync.Pool, whose item sits in one P's slot, so
 #                        its allocation guards run at -cpu 1: at 2 Ps one
@@ -36,9 +46,9 @@
 #                        about 250 KB, and a per-read triangle (4.19 MB)
 #                        would be 14 times the row.
 #   MonitorEvents/plain  /events replay at depth 1024: 27 allocations per
-#                        read, every time, while its time spread 0.12-0.17
-#                        ms over seven runs; explaining every event again
-#                        would cost thousands.
+#                        read, every time, while its min-of-3 time spread
+#                        0.071-0.104 ms over seven rounds; explaining
+#                        every event again would cost thousands.
 #   Checkpoint           SaveMonitor of the W=1024 state, a 5.25 MB file
 #                        streamed through one fixed buffer: 19 allocations
 #                        per save, where building each frame whole took
